@@ -60,8 +60,7 @@ func main() {
 	dir := flag.String("dir", "", "on-disk model store (empty = in-memory only)")
 	cacheSize := flag.Int("cache", 8, "max models held in memory (LRU)")
 	epochs := flag.Int("epochs", 0, "override training epochs for train-on-miss")
-	maxBatch := flag.Int("max-batch", 16, "micro-batch window size")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "micro-batch window wait")
+	maxBatch := flag.Int("max-batch", 16, "micro-batch window size (max requests per forward)")
 	maxInflight := flag.Int("max-inflight", 1024,
 		"concurrent predict/tune requests admitted per route before load-shedding 503 overloaded (negative = unlimited)")
 	jobWorkers := flag.Int("job-workers", 2, "concurrent async tune sessions")
@@ -133,7 +132,6 @@ func main() {
 
 	srv := registry.NewServer(reg, corpus.Vocab, registry.ServerConfig{
 		MaxBatch:    *maxBatch,
-		MaxWait:     *maxWait,
 		MaxInflight: *maxInflight,
 		Quantize:    *quantize,
 		Jobs: registry.JobStoreConfig{
@@ -193,8 +191,8 @@ func main() {
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
 
-	log.Printf("pnpserve listening on %s (store %q, cache %d, batch %d/%s, jobs %d×%d)",
-		*addr, *dir, *cacheSize, *maxBatch, *maxWait, *jobWorkers, *jobQueue)
+	log.Printf("pnpserve listening on %s (store %q, cache %d, batch %d, jobs %d×%d)",
+		*addr, *dir, *cacheSize, *maxBatch, *jobWorkers, *jobQueue)
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,

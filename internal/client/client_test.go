@@ -54,7 +54,7 @@ func newTestClient(t *testing.T) *Client {
 		t.Fatal(err)
 	}
 	c := kernels.MustCompile()
-	srv := registry.NewServer(reg, c.Vocab, registry.ServerConfig{MaxBatch: 8, MaxWait: time.Millisecond})
+	srv := registry.NewServer(reg, c.Vocab, registry.ServerConfig{MaxBatch: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()

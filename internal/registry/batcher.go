@@ -53,6 +53,7 @@ type request struct {
 	req   Request
 	cg    *rgcn.CompiledGraph
 	reply chan reply
+	ctx   context.Context // the caller's; done by window time = abandoned
 	// Telemetry (set at admission when the batcher carries an obs): the
 	// request's trace ID for batch spans, and its enqueue time for the
 	// queue-wait histogram.
@@ -60,18 +61,17 @@ type request struct {
 	enq time.Time
 }
 
-// Batcher funnels concurrent predictions into micro-batches: the first
-// queued request opens a collection window, further requests join until
-// the batch hits MaxBatch or MaxWait elapses, and the whole window runs
-// as one block-diagonal forward pass on the model. A Model is not
-// goroutine-safe (layers cache per-call state), so the single batcher
-// goroutine is also the serialization point — batching is what turns that
-// constraint into throughput instead of a bottleneck.
+// Batcher funnels concurrent predictions into micro-batches without
+// waiting: whenever the model is free it runs everything already queued
+// (up to maxBatch) as one block-diagonal forward pass, and requests that
+// arrive meanwhile form the next window, so windows grow with load. A
+// Model is not goroutine-safe (layers cache per-call state), so the
+// single batcher goroutine is also the serialization point — batching is
+// what turns that constraint into throughput instead of a bottleneck.
 type Batcher struct {
 	model    *core.Model
 	quant    *core.CompiledModel // non-nil: forward on the float32 snapshot
 	maxBatch int
-	maxWait  time.Duration
 
 	// Meta is the served model's metadata (notably Meta.Version, which
 	// responses echo). Set it before the batcher is published to other
@@ -92,31 +92,28 @@ type Batcher struct {
 }
 
 // NewBatcher starts a batcher over m. maxBatch bounds the window size
-// (min 1); maxWait bounds how long the first request of a window waits
-// for company.
+// (min 1). maxWait is ignored: a window never waits for company. The
+// parameter stays only so existing callers keep compiling.
 func NewBatcher(m *core.Model, maxBatch int, maxWait time.Duration) *Batcher {
-	return newBatcher(m, nil, maxBatch, maxWait)
+	return newBatcher(m, nil, maxBatch)
 }
 
 // NewQuantizedBatcher starts a batcher that forwards on a float32
 // quantized snapshot of m (converted once, here) instead of the float64
 // model. Request validation still reads m's shape; m itself is never
 // forwarded on, so it stays free for background retraining. Fails only
-// for model shapes Quantize cannot mirror.
+// for model shapes Quantize cannot mirror. maxWait is ignored.
 func NewQuantizedBatcher(m *core.Model, maxBatch int, maxWait time.Duration) (*Batcher, error) {
 	q, err := m.Quantize()
 	if err != nil {
 		return nil, err
 	}
-	return newBatcher(m, q, maxBatch, maxWait), nil
+	return newBatcher(m, q, maxBatch), nil
 }
 
-func newBatcher(m *core.Model, q *core.CompiledModel, maxBatch int, maxWait time.Duration) *Batcher {
+func newBatcher(m *core.Model, q *core.CompiledModel, maxBatch int) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
-	}
-	if maxWait <= 0 {
-		maxWait = time.Millisecond
 	}
 	// The queue bound is the admission-control limit: four windows deep
 	// (floored so tiny batch sizes keep useful burst headroom), past
@@ -129,7 +126,6 @@ func newBatcher(m *core.Model, q *core.CompiledModel, maxBatch int, maxWait time
 		model:    m,
 		quant:    q,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		reqs:     make(chan *request, queueCap),
 		done:     make(chan struct{}),
 		exit:     make(chan struct{}),
@@ -153,8 +149,8 @@ func (b *Batcher) Predict(req Request) ([]int, error) {
 
 // PredictContext is Predict under a caller deadline: an expired ctx
 // sheds the request before any work, and a ctx that expires while the
-// request is queued abandons the wait (the window still computes the
-// answer into the buffered reply, which is then discarded).
+// request is queued abandons it — the window that takes it drops it
+// without a forward.
 func (b *Batcher) PredictContext(ctx context.Context, req Request) ([]int, error) {
 	req.TopK = 0
 	rep, err := b.submit(ctx, req)
@@ -209,7 +205,7 @@ func (b *Batcher) submit(ctx context.Context, req Request) (reply, error) {
 		b.mu.RUnlock()
 		return reply{}, ErrClosed
 	}
-	r := &request{req: req, cg: cg, reply: make(chan reply, 1)}
+	r := &request{req: req, cg: cg, reply: make(chan reply, 1), ctx: ctx}
 	if b.obs != nil {
 		r.tid = telemetry.TraceID(ctx)
 		r.enq = time.Now()
@@ -284,7 +280,8 @@ func (b *Batcher) Close() {
 	<-b.exit
 }
 
-// loop is the single consumer: collect a window, run it, repeat.
+// loop is the single consumer: block for one request, take what else is
+// already queued (up to maxBatch), run the window, repeat.
 func (b *Batcher) loop() {
 	defer close(b.exit)
 	for {
@@ -296,19 +293,15 @@ func (b *Batcher) loop() {
 			return
 		}
 		batch := []*request{first}
-		timer := time.NewTimer(b.maxWait)
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
 			case r := <-b.reqs:
 				batch = append(batch, r)
-			case <-timer.C:
-				break collect
-			case <-b.done:
+			default:
 				break collect
 			}
 		}
-		timer.Stop()
 		b.run(batch)
 	}
 }
@@ -332,10 +325,31 @@ func (b *Batcher) drain() {
 // requests' precompiled plans instead of rebuilding adjacencies — and
 // fans the per-head results back out to the callers: argmax picks for
 // Predict requests, per-head shortlists for PredictTopK ones (the window
-// computes the widest k any member asked for and slices). A panic from
-// the model (a malformed graph that slipped past validation) fails the
-// window, not the process.
+// computes the widest k any member asked for and slices). Members whose
+// ctx is done were abandoned (their callers return the ctx error) and
+// cost no forward. A panic from the model (a malformed graph that
+// slipped past validation) fails the window, not the process.
 func (b *Batcher) run(batch []*request) {
+	start := time.Now()
+	if b.obs != nil {
+		b.obs.depth.Add(-int64(len(batch)))
+		for _, r := range batch {
+			// Queue wait spans admission through window collection: the
+			// latency batching itself adds to this request.
+			wait := start.Sub(r.enq)
+			b.obs.wait.ObserveDuration(wait)
+			b.obs.rec.Add(r.tid, "batch.queue", r.enq, wait)
+		}
+	}
+	live := batch[:0]
+	for _, r := range batch {
+		if r.ctx.Err() == nil {
+			live = append(live, r)
+		}
+	}
+	if batch = live; len(batch) == 0 {
+		return
+	}
 	cgs := make([]*rgcn.CompiledGraph, len(batch))
 	var extras [][]float64
 	if b.model.ExtraDim > 0 {
@@ -351,17 +365,8 @@ func (b *Batcher) run(batch []*request) {
 			maxK = r.req.TopK
 		}
 	}
-	start := time.Now()
 	if b.obs != nil {
-		b.obs.depth.Add(-int64(len(batch)))
 		b.obs.window.Observe(uint64(len(batch)))
-		for _, r := range batch {
-			// Queue wait spans admission through window collection: the
-			// latency batching itself adds to this request.
-			wait := start.Sub(r.enq)
-			b.obs.wait.ObserveDuration(wait)
-			b.obs.rec.Add(r.tid, "batch.queue", r.enq, wait)
-		}
 	}
 	lists, err := b.forward(cgs, extras, maxK)
 	if b.obs != nil {

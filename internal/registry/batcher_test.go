@@ -1,14 +1,18 @@
 package registry
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pnptuner/internal/core"
 	"pnptuner/internal/kernels"
 	"pnptuner/internal/programl"
+	"pnptuner/internal/telemetry"
 	"pnptuner/internal/tensor"
 )
 
@@ -148,12 +152,17 @@ func TestBatcherClose(t *testing.T) {
 	g := corpusGraphs(t, 1)[0]
 
 	// Requests racing Close either complete or fail with ErrClosed —
-	// never hang, never panic.
+	// never hang, never panic. Close lands once the first answer is in,
+	// so it races live traffic.
+	served := make(chan struct{})
+	var once sync.Once
+	markServed := func() { once.Do(func() { close(served) }) }
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer markServed() // a worker that fails early must not stall Close
 			for j := 0; j < 20; j++ {
 				if _, err := b.Predict(Request{Graph: g}); err != nil {
 					if err != ErrClosed {
@@ -161,16 +170,94 @@ func TestBatcherClose(t *testing.T) {
 					}
 					return
 				}
+				markServed()
 			}
 		}()
 	}
-	time.Sleep(3 * time.Millisecond)
+	<-served
 	b.Close()
 	b.Close() // idempotent
 	wg.Wait()
 
 	if _, err := b.Predict(Request{Graph: g}); err != ErrClosed {
 		t.Fatalf("Predict after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestBatcherDispatchesLoneRequestAtOnce: a window never waits for
+// company, so a lone request is answered at once even when the caller
+// passes an hour-long maxWait (which the batcher ignores).
+func TestBatcherDispatchesLoneRequestAtOnce(t *testing.T) {
+	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	m, _ := tinyModel(key)
+	b := NewBatcher(m, 8, time.Hour)
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := b.PredictContext(ctx, Request{Graph: corpusGraphs(t, 1)[0]}); err != nil {
+		t.Fatalf("lone predict: %v", err)
+	}
+}
+
+// admittedThenDone is a caller context whose deadline passes while its
+// request waits in the queue: it reports live to submit's one admission
+// check and done to every check after that.
+type admittedThenDone struct {
+	context.Context // already cancelled
+	checks          atomic.Int32
+}
+
+func (c *admittedThenDone) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// testBatcherObs returns batching instrumentation on a private registry.
+func testBatcherObs() *batcherObs {
+	tel := telemetry.New()
+	return &batcherObs{
+		shed:    tel.Counter("test_shed_total", "Shed."),
+		wait:    tel.Histogram("test_wait_seconds", "Wait.", telemetry.Seconds, telemetry.DurationBuckets),
+		window:  tel.Histogram("test_window_size", "Window.", telemetry.Units, telemetry.SizeBuckets),
+		forward: tel.Histogram("test_forward_seconds", "Forward.", telemetry.Seconds, telemetry.DurationBuckets),
+	}
+}
+
+// TestBatcherDropsAbandonedRequests: a request whose caller's ctx ended
+// while it was queued is answered with the ctx error and never reaches
+// forward, yet still counts in queue depth and queue wait.
+func TestBatcherDropsAbandonedRequests(t *testing.T) {
+	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	m, _ := tinyModel(key)
+	b := NewBatcher(m, 8, 0)
+	defer b.Close()
+	obs := testBatcherObs()
+	b.obs = obs
+	g := corpusGraphs(t, 1)[0]
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := b.PredictContext(&admittedThenDone{Context: cancelled}, Request{Graph: g}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned predict = %v, want context.Canceled", err)
+	}
+	// The live request queues behind the abandoned one, so once it is
+	// answered the abandoned one has been taken too.
+	if _, err := b.Predict(Request{Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.window.Sum(); n != 1 {
+		t.Errorf("%d requests forwarded, want only the live one", n)
+	}
+	if n := obs.forward.Count(); n != 1 {
+		t.Errorf("%d forward passes, want 1", n)
+	}
+	if n := obs.wait.Count(); n != 2 {
+		t.Errorf("queue wait observed %d times, want 2 (abandoned requests still waited)", n)
+	}
+	if d := obs.depth.Load(); d != 0 {
+		t.Errorf("queue depth %d after both were taken, want 0", d)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pnptuner/internal/core"
 	"pnptuner/internal/kernels"
@@ -215,7 +214,7 @@ func TestServerBlobEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, kernels.MustCompile().Vocab, ServerConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServer(reg, kernels.MustCompile().Vocab, ServerConfig{MaxBatch: 4})
 	cold := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { cold.Close(); srv.Close() })
 

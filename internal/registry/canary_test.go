@@ -57,7 +57,7 @@ func newRefreshServer(t *testing.T, refresh RefreshConfig) (*Server, *httptest.S
 	}
 	c := kernels.MustCompile()
 	srv := NewServer(reg, c.Vocab, ServerConfig{
-		MaxBatch: 8, MaxWait: 2 * time.Millisecond, Refresh: refresh,
+		MaxBatch: 8, Refresh: refresh,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -31,7 +31,7 @@ func newQuantizedServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	c := kernels.MustCompile()
 	srv := NewServer(reg, c.Vocab, ServerConfig{
-		MaxBatch: 8, MaxWait: 2 * time.Millisecond, Quantize: true,
+		MaxBatch: 8, Quantize: true,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

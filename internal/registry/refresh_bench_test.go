@@ -3,7 +3,6 @@ package registry
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
@@ -53,8 +52,8 @@ func BenchmarkCanaryPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 		srv := NewServer(reg, kernels.MustCompile().Vocab, ServerConfig{
-			MaxBatch: 8, MaxWait: time.Millisecond,
-			Refresh: RefreshConfig{Threshold: 1 << 30, CanaryWindow: 1 << 30},
+			MaxBatch: 8,
+			Refresh:  RefreshConfig{Threshold: 1 << 30, CanaryWindow: 1 << 30},
 		})
 		ts := httptest.NewServer(srv.Handler())
 		b.Cleanup(func() {

@@ -40,7 +40,6 @@ type Server struct {
 	reg      *Registry
 	vocab    *vocab.Vocabulary
 	maxBatch int
-	maxWait  time.Duration
 	start    time.Time
 	jobs     *JobStore
 	tele     *serverTelemetry
@@ -70,11 +69,9 @@ type Server struct {
 // ServerConfig tunes a server. Zero values get defaults.
 type ServerConfig struct {
 	// MaxBatch bounds every model's micro-batching window size
-	// (default 16).
+	// (default 16). A window is whatever is queued when the model is
+	// free, up to this bound; it never waits for company.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a window waits for
-	// company (default 2ms).
-	MaxWait time.Duration
 	// Jobs bounds the async tune job subsystem.
 	Jobs JobStoreConfig
 	// Refresh tunes the measure→learn loop (canary.go); the zero value
@@ -96,9 +93,6 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 16
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 2 * time.Millisecond
-	}
 	if cfg.Refresh.CanaryWindow <= 0 {
 		cfg.Refresh.CanaryWindow = 16
 	}
@@ -114,7 +108,6 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 		reg:        reg,
 		vocab:      v,
 		maxBatch:   cfg.MaxBatch,
-		maxWait:    cfg.MaxWait,
 		refresh:    cfg.Refresh,
 		quantize:   cfg.Quantize,
 		start:      time.Now(),
@@ -225,12 +218,12 @@ func (s *Server) Close() {
 func (s *Server) newServingBatcher(entry *Entry) *Batcher {
 	var b *Batcher
 	if s.quantize {
-		if qb, err := NewQuantizedBatcher(entry.Model, s.maxBatch, s.maxWait); err == nil {
+		if qb, err := NewQuantizedBatcher(entry.Model, s.maxBatch, 0); err == nil {
 			b = qb
 		}
 	}
 	if b == nil {
-		b = NewBatcher(entry.Model, s.maxBatch, s.maxWait)
+		b = NewBatcher(entry.Model, s.maxBatch, 0)
 	}
 	b.Meta = entry.Meta
 	b.obs = s.tele.batch

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	c := kernels.MustCompile()
-	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 8, MaxWait: 2 * time.Millisecond})
+	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -354,7 +354,7 @@ func TestServerBatcherLRUBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := kernels.MustCompile()
-	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 4})
 	defer srv.Close()
 
 	keys := []Key{
@@ -406,7 +406,7 @@ func TestServerClosedRefusesNewBatchers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := kernels.MustCompile()
-	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 4})
 	srv.Close()
 	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
 	if _, err := srv.batcherFor(context.Background(), key); err != ErrClosed {

@@ -85,7 +85,7 @@ func newServerTelemetry(reg *Registry, jobs *JobStore) *serverTelemetry {
 		shed: tel.Counter("pnp_batch_shed_total",
 			"Predict requests shed because the batch queue was full."),
 		wait: tel.Histogram("pnp_batch_queue_wait_seconds",
-			"Time from predict admission to its batch window running (queue + window wait).",
+			"Time from predict admission to its batch window running.",
 			telemetry.Seconds, telemetry.DurationBuckets),
 		window: tel.Histogram("pnp_batch_window_size",
 			"Requests per batched forward pass.",

@@ -34,7 +34,6 @@ import (
 type config struct {
 	cache      int
 	maxBatch   int
-	maxWait    time.Duration
 	jobs       registry.JobStoreConfig
 	trainer    registry.TrainFunc
 	trainDelay time.Duration
@@ -143,7 +142,6 @@ func StartCluster(t testing.TB, n int, opts ...Option) *Cluster {
 	cfg := &config{
 		cache:    8,
 		maxBatch: 8,
-		maxWait:  time.Millisecond,
 		jobs:     registry.JobStoreConfig{Workers: 2, Queue: 32, TTL: time.Minute},
 		trainer:  TinyTrainer,
 		health: gate.TrackerConfig{
@@ -265,7 +263,6 @@ func (r *Replica) start(addr string) error {
 	reg.SetFetcher(r.fetchFromPeers)
 	scfg := registry.ServerConfig{
 		MaxBatch: r.cfg.maxBatch,
-		MaxWait:  r.cfg.maxWait,
 		Jobs:     r.cfg.jobs,
 	}
 	if r.cfg.serverMod != nil {
