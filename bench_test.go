@@ -273,25 +273,6 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 
 // --- Substrate micro-benchmarks ----------------------------------------------
 
-// BenchmarkExhaustiveSweep measures the full oracle sweep (68 regions ×
-// 508 points) — the "dataset creation" cost of §III-C.
-func BenchmarkExhaustiveSweep(b *testing.B) {
-	corpus := kernels.MustCompile()
-	m := hw.Haswell()
-	s := space.New(m)
-	ex := omp.NewExecutor(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range corpus.Regions {
-			for _, capW := range s.Caps() {
-				for _, cfg := range s.Configs {
-					ex.Run(&r.Info.Model, r.Seed, cfg, capW)
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkRegionExecution measures one simulated region execution.
 func BenchmarkRegionExecution(b *testing.B) {
 	c := kernels.MustCompile()

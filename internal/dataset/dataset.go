@@ -3,7 +3,9 @@
 // executed (on the simulated testbed) at every Table I point — 68 regions
 // × 508 (cap, config) combinations per machine. The exhaustive sweep is
 // simultaneously the oracle the paper normalizes against and the label
-// source for training.
+// source for training. A power cap changes only the clock, so the sweep
+// simulates each region's loop schedule once per config (omp.Executor.Plan)
+// and finishes that plan at each of the four caps (omp.Executor.Finish).
 package dataset
 
 import (
@@ -103,7 +105,12 @@ func build(m *hw.Machine, corpus *kernels.Corpus) (*Dataset, error) {
 	ex := omp.NewExecutor(m)
 	d := &Dataset{Machine: m, Space: s, Corpus: corpus, byID: map[string]*RegionData{}}
 
+	// Schedules are cap-independent: plan once per config, finish per cap.
+	plans := make([]omp.Plan, s.NumConfigs())
 	for _, r := range corpus.Regions {
+		for ki, cfg := range s.Configs {
+			plans[ki] = ex.Plan(&r.Info.Model, r.Seed, cfg)
+		}
 		rd := &RegionData{
 			Region:      r,
 			Results:     make([][]omp.Result, len(s.Caps())),
@@ -114,8 +121,8 @@ func build(m *hw.Machine, corpus *kernels.Corpus) (*Dataset, error) {
 		for ci, capW := range s.Caps() {
 			rd.Results[ci] = make([]omp.Result, s.NumConfigs())
 			bestT := -1.0
-			for ki, cfg := range s.Configs {
-				res := ex.Run(&r.Info.Model, r.Seed, cfg, capW)
+			for ki, plan := range plans {
+				res := ex.Finish(plan, capW)
 				rd.Results[ci][ki] = res
 				if bestT < 0 || res.TimeSec < bestT {
 					bestT = res.TimeSec

@@ -14,13 +14,15 @@
 //     (work queue with per-dispatch overhead) and GUIDED (decaying
 //     chunks) assignment over the region's iteration cost profile,
 //     computing the makespan exactly for moderate chunk counts and with
-//     tight analytic approximations for very large ones.
+//     tight analytic approximations for very large ones. It does not
+//     depend on the power cap, so Executor.Plan computes it once per
+//     (region, config) and Executor.Finish applies parts 1 and 3 at any
+//     cap; Run is Plan followed by Finish.
 //  3. Energy model: package energy from the hw power model split into
 //     busy/idle core time, plus DRAM access energy.
 package omp
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -121,19 +123,47 @@ func NewExecutor(m *hw.Machine) *Executor {
 // dynamic and guided schedules.
 const dispatchOverheadUS = 0.08
 
-// Run executes the region under cfg and a package power cap of capW watts
-// and returns time and energy. regionSeed keys the deterministic
-// iteration-cost noise of ImbRandom regions so repeated runs of the same
-// (region, config) agree while different regions diverge.
-func (ex *Executor) Run(model *frontend.RegionModel, regionSeed uint64, cfg Config, capW float64) Result {
-	m := ex.M
+// Plan is the cap-independent part of one region execution: the
+// clamped team size and the simulated loop schedule. A RAPL cap changes
+// only the clock, so one Plan serves every cap (see Executor.Finish).
+type Plan struct {
+	model *frontend.RegionModel
+	cfg   Config
+	// n is the team size, cfg.Threads clamped to [1, NumHWThreads].
+	n int
+	// makespanIters is the loop makespan in mean-iteration units.
+	makespanIters float64
+	dispatches    int64
+}
+
+// Plan simulates the region's loop schedule under cfg. regionSeed keys
+// the deterministic iteration-cost noise of ImbRandom regions so
+// repeated runs of the same (region, config) agree while different
+// regions diverge.
+func (ex *Executor) Plan(model *frontend.RegionModel, regionSeed uint64, cfg Config) Plan {
 	n := cfg.Threads
 	if n < 1 {
 		n = 1
 	}
-	if n > m.NumHWThreads() {
-		n = m.NumHWThreads()
+	if n > ex.M.NumHWThreads() {
+		n = ex.M.NumHWThreads()
 	}
+	prof := newProfile(model, regionSeed)
+	makespanIters, nDispatch := schedule(cfg, model.Trips, n, prof)
+	return Plan{model: model, cfg: cfg, n: n, makespanIters: makespanIters, dispatches: nDispatch}
+}
+
+// Run executes the region under cfg and a package power cap of capW watts
+// and returns time and energy; it is Plan followed by Finish.
+func (ex *Executor) Run(model *frontend.RegionModel, regionSeed uint64, cfg Config, capW float64) Result {
+	return ex.Finish(ex.Plan(model, regionSeed, cfg), capW)
+}
+
+// Finish runs a planned execution under a package power cap of capW
+// watts and returns time and energy.
+func (ex *Executor) Finish(p Plan, capW float64) Result {
+	m := ex.M
+	model, cfg, n := p.model, p.cfg, p.n
 	f, throttle := m.FreqAtCap(n, capW)
 
 	// --- Rate model -----------------------------------------------------
@@ -196,10 +226,9 @@ func (ex *Executor) Run(model *frontend.RegionModel, regionSeed uint64, cfg Conf
 	}
 	tauIter /= throttle
 
-	// --- Schedule model ---------------------------------------------------
-	prof := newProfile(model, regionSeed)
-	makespanIters, nDispatch := schedule(cfg, model.Trips, n, prof)
-	dispatchCost := float64(nDispatch) * dispatchOverheadUS * 1e-6 * (m.FBase / f) / throttle
+	// --- Schedule model (planned once, cap-independent) -------------------
+	makespanIters := p.makespanIters
+	dispatchCost := float64(p.dispatches) * dispatchOverheadUS * 1e-6 * (m.FBase / f) / throttle
 	// Dispatches contend on one queue lock: mild penalty for big teams.
 	if cfg.Sched != ScheduleStatic && n > 8 {
 		dispatchCost *= 1 + 0.02*float64(n-8)
@@ -499,19 +528,27 @@ func staticMakespan(chunk, trips int64, n int, prof *profile) float64 {
 	return mean * (1 + float64(chunk)/float64(trips))
 }
 
-// threadHeap is a min-heap of thread available-times.
-type threadHeap []float64
-
-func (h threadHeap) Len() int            { return len(h) }
-func (h threadHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h threadHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *threadHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *threadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// addToMin adds w to the smallest entry of the min-heap h of thread
+// available-times and sifts it down: the earliest-free thread takes the
+// next chunk. It is the multiset step of container/heap's Pop then
+// Push(t+w) without the interface boxing. An all-zero slice is a valid
+// heap, so callers start from make([]float64, n).
+func addToMin(h []float64, w float64) {
+	h[0] += w
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r] < h[j] {
+			j = r
+		}
+		if !(h[j] < h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // dynamicMakespan simulates the work queue exactly for moderate chunk
@@ -522,25 +559,16 @@ func dynamicMakespan(chunk, trips int64, n int, prof *profile) (float64, int64) 
 		return prof.chunkWork(0, trips, trips), nChunks
 	}
 	if nChunks <= exactSimLimit {
-		h := make(threadHeap, n)
-		heap.Init(&h)
+		h := make([]float64, n)
 		for j := int64(0); j < nChunks; j++ {
 			lo := j * chunk
 			hi := lo + chunk
 			if hi > trips {
 				hi = trips
 			}
-			w := prof.chunkWork(lo, hi, trips)
-			t := heap.Pop(&h).(float64)
-			heap.Push(&h, t+w)
+			addToMin(h, prof.chunkWork(lo, hi, trips))
 		}
-		makespan := 0.0
-		for _, t := range h {
-			if t > makespan {
-				makespan = t
-			}
-		}
-		return makespan, nChunks
+		return maxOf(h), nChunks
 	}
 	// Many tiny chunks: dynamic balances almost perfectly; the tail adds
 	// at most one chunk of the costliest region (shape or noise block).
@@ -558,8 +586,7 @@ func guidedMakespan(minChunk, trips int64, n int, prof *profile) (float64, int64
 	if n == 1 {
 		return prof.chunkWork(0, trips, trips), 1
 	}
-	h := make(threadHeap, n)
-	heap.Init(&h)
+	h := make([]float64, n)
 	var lo, dispatches int64
 	for lo < trips {
 		remaining := trips - lo
@@ -571,30 +598,16 @@ func guidedMakespan(minChunk, trips int64, n int, prof *profile) (float64, int64
 		if hi > trips {
 			hi = trips
 		}
-		w := prof.chunkWork(lo, hi, trips)
-		t := heap.Pop(&h).(float64)
-		heap.Push(&h, t+w)
+		addToMin(h, prof.chunkWork(lo, hi, trips))
 		lo = hi
 		dispatches++
 		if dispatches > 4*exactSimLimit {
 			// Pathological minChunk; fall back to the dynamic approximation.
 			rest, d2 := dynamicMakespan(minChunk, trips-lo, n, prof)
-			makespan := 0.0
-			for _, t := range h {
-				if t > makespan {
-					makespan = t
-				}
-			}
-			return makespan + rest, dispatches + d2
+			return maxOf(h) + rest, dispatches + d2
 		}
 	}
-	makespan := 0.0
-	for _, t := range h {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	return makespan, dispatches
+	return maxOf(h), dispatches
 }
 
 func maxOf(xs []float64) float64 {
