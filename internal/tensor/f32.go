@@ -90,19 +90,20 @@ func (b *Buf32) GetZeroed(rows, cols int) *Mat32 {
 }
 
 // MatMul32AddInto computes out += a·b, splitting rows across the worker
-// pool for large operands — the float32 mirror of MatMulAddInto with the
-// same ikj kernel shape.
+// pool for large operands — MatMulAddInto in float32 on the same
+// matmulRows kernel, so the same per-element summation order and zero
+// skip on half the memory traffic.
 func MatMul32AddInto(a, b, out *Mat32) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: MatMul32AddInto shape mismatch")
 	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || Workers() == 1 {
-		matmul32Range(a, b, out, 0, a.Rows)
+		matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, 0, a.Rows)
 		return
 	}
 	ParallelFor(a.Rows, func(lo, hi int) {
-		matmul32Range(a, b, out, lo, hi)
+		matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, lo, hi)
 	})
 }
 
@@ -110,53 +111,6 @@ func MatMul32AddInto(a, b, out *Mat32) {
 func MatMul32Into(a, b, out *Mat32) {
 	out.Zero()
 	MatMul32AddInto(a, b, out)
-}
-
-// matmul32Range is the ikj kernel with two a-columns per pass and a
-// 4-wide inner unroll: float32 halves the memory traffic of the float64
-// kernel, and the blocking halves the out-row load/store traffic on top —
-// the plain ikj translation of the float64 kernel measures ~30% slower
-// than float64 at serving shapes, while this one is ~1.5× faster.
-// Accumulation order per out element matches the plain kernel (k
-// ascending, left to right), so results only differ from it by fused
-// multiply-add rounding.
-func matmul32Range(a, b, out *Mat32, lo, hi int) {
-	n := b.Cols
-	kk := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)[:n]
-		k := 0
-		for ; k+1 < kk; k += 2 {
-			av0, av1 := arow[k], arow[k+1]
-			if av0 == 0 && av1 == 0 {
-				continue
-			}
-			b0 := b.Row(k)[:n]
-			b1 := b.Row(k + 1)[:n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				o0 := orow[j] + av0*b0[j] + av1*b1[j]
-				o1 := orow[j+1] + av0*b0[j+1] + av1*b1[j+1]
-				o2 := orow[j+2] + av0*b0[j+2] + av1*b1[j+2]
-				o3 := orow[j+3] + av0*b0[j+3] + av1*b1[j+3]
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = o0, o1, o2, o3
-			}
-			for ; j < n; j++ {
-				orow[j] += av0*b0[j] + av1*b1[j]
-			}
-		}
-		for ; k < kk; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)[:n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
 }
 
 // GatherRows32 copies table rows selected by idx into out: row i of out

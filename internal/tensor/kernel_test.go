@@ -1,0 +1,272 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+	"testing/quick"
+)
+
+// The ref* kernels are plain one-column loops. They define the summation
+// order every output element of the blocked kernels must keep: k
+// ascending, left to right, and a zero a value contributes no term.
+
+func refRange(a, b, out *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refTARange(a, b, out *Matrix, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		arow := a.Row(k)
+		brow := b.Row(k)
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := out.Row(i)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refTBRange(a, b, out *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Row(j)
+			s := 0.0
+			for k, av := range arow {
+				s += av * brow[k]
+			}
+			orow[j] = s
+		}
+	}
+}
+
+// refTA is MatMulTAAddInto's reduction with refTARange inside: tall
+// operands sum shape-determined chunks into zeroed scratch and merge them
+// into out in chunk order.
+func refTA(a, b, out *Matrix) {
+	work := a.Rows * a.Cols * b.Cols
+	if work < parallelThreshold {
+		refTARange(a, b, out, 0, a.Rows)
+		return
+	}
+	chunk := reductionChunks(a.Rows, work)
+	for lo := 0; lo < a.Rows; lo += chunk {
+		s := New(out.Rows, out.Cols)
+		refTARange(a, b, s, lo, min(lo+chunk, a.Rows))
+		out.AddInPlace(s)
+	}
+}
+
+func ref32(a, b, out *Mat32) {
+	for i := 0; i < a.Rows; i++ {
+		orow := out.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// sparseFill fills m with uniform values in [-1, 1] of which about 30 %
+// are exact zeros, a sixth of those -0.0, so adjacent zero pairs and lone
+// zeros in either slot of a pair all occur.
+func sparseFill(m *Matrix, r *RNG) {
+	for i := range m.Data {
+		switch u := r.Float64(); {
+		case u < 0.05:
+			m.Data[i] = math.Copysign(0, -1)
+		case u < 0.3:
+			m.Data[i] = 0
+		default:
+			m.Data[i] = 2*r.Float64() - 1
+		}
+	}
+}
+
+// bitsArch reports whether the kernels must match their references bit
+// for bit: on amd64 Go never fuses x*y+z into an FMA at the default
+// GOAMD64 level; elsewhere it may, and the last bit can differ.
+const bitsArch = runtime.GOARCH == "amd64"
+
+func sameFloats(got, want []float64) error {
+	for i, w := range want {
+		g := got[i]
+		if bitsArch {
+			if math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Errorf("[%d] = %v (%#x), reference %v (%#x)", i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		} else if math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+			return fmt.Errorf("[%d] = %v, reference %v", i, g, w)
+		}
+	}
+	return nil
+}
+
+func sameFloats32(got, want []float32) error {
+	for i, w := range want {
+		g := got[i]
+		if bitsArch {
+			if math.Float32bits(g) != math.Float32bits(w) {
+				return fmt.Errorf("[%d] = %v (%#x), reference %v (%#x)", i, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		} else if math.Abs(float64(g-w)) > 1e-5*math.Max(1, math.Abs(float64(w))) {
+			return fmt.Errorf("[%d] = %v, reference %v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// checkKernels runs every kernel on one m×k·k×n problem against its
+// reference, accumulating into the same non-zero out on both sides.
+func checkKernels(r *RNG, m, k, n int) error {
+	a, b, b2 := New(m, k), New(k, n), New(n, k)
+	sparseFill(a, r)
+	sparseFill(b, r)
+	sparseFill(b2, r)
+	out := New(m, n)
+	sparseFill(out, r)
+
+	got, want := out.Clone(), out.Clone()
+	MatMulAddInto(a, b, got)
+	refRange(a, b, want, 0, m)
+	if err := sameFloats(got.Data, want.Data); err != nil {
+		return fmt.Errorf("MatMulAddInto %dx%d·%dx%d: %v", m, k, k, n, err)
+	}
+
+	// aᵀ·c with a as the m×k left operand: the reduction runs over m.
+	c := New(m, n)
+	sparseFill(c, r)
+	acc := New(k, n)
+	sparseFill(acc, r)
+	got, want = acc.Clone(), acc.Clone()
+	MatMulTAAddInto(a, c, got)
+	refTA(a, c, want)
+	if err := sameFloats(got.Data, want.Data); err != nil {
+		return fmt.Errorf("MatMulTAAddInto %dx%dᵀ·%dx%d: %v", m, k, m, n, err)
+	}
+
+	got, want = out.Clone(), out.Clone()
+	MatMulTBInto(a, b2, got)
+	refTBRange(a, b2, want, 0, m)
+	if err := sameFloats(got.Data, want.Data); err != nil {
+		return fmt.Errorf("MatMulTBInto %dx%d·(%dx%d)ᵀ: %v", m, k, n, k, err)
+	}
+
+	a32, b32 := Quantize32(a), Quantize32(b)
+	got32, want32 := Quantize32(out), Quantize32(out)
+	MatMul32AddInto(a32, b32, got32)
+	ref32(a32, b32, want32)
+	if err := sameFloats32(got32.Data, want32.Data); err != nil {
+		return fmt.Errorf("MatMul32AddInto %dx%d·%dx%d: %v", m, k, k, n, err)
+	}
+	return nil
+}
+
+// TestQuickKernelsMatchReference holds the blocked kernels to the plain
+// loops bit for bit: same summation order, same zero skip. Shapes cover
+// odd and even k (a trailing unpaired column or row) and every n % 4
+// remainder; a fixed tall case crosses parallelThreshold so the pooled
+// row split and MatMulTAAddInto's chunked reduction engage.
+func TestQuickKernelsMatchReference(t *testing.T) {
+	if !bitsArch {
+		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
+	}
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workercap=%d", workers), func(t *testing.T) {
+			defer SetWorkerCap(workers)()
+			f := func(seed uint64) bool {
+				r := NewRNG(seed)
+				m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
+				if err := checkKernels(r, m, k, n); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
+				if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// kernelShapes are the training shapes that dominate a fold, as m×k·k×n:
+// one RGCN relation transform, the first layer's (embedding width 12) and
+// a 127-class head.
+var kernelShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"rgcn-1100x16x16", 1100, 16, 16},
+	{"first-1100x12x16", 1100, 12, 16},
+	{"head-64x16x127", 64, 16, 127},
+}
+
+func benchKernel(b *testing.B, run func(m, k, n int) func()) {
+	for _, s := range kernelShapes {
+		b.Run(s.name, func(b *testing.B) {
+			step := run(s.m, s.k, s.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			macs := float64(s.m*s.k*s.n) * float64(b.N)
+			b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
+}
+
+// BenchmarkMatMulAddInto times the forward transform out += x·W.
+func BenchmarkMatMulAddInto(b *testing.B) {
+	benchKernel(b, func(m, k, n int) func() {
+		r := NewRNG(1)
+		x, w, out := randMat(m, k, r), randMat(k, n, r), New(m, n)
+		return func() { MatMulAddInto(x, w, out) }
+	})
+}
+
+// BenchmarkMatMulTAAddInto times the weight gradient dW += xᵀ·dY.
+func BenchmarkMatMulTAAddInto(b *testing.B) {
+	benchKernel(b, func(m, k, n int) func() {
+		r := NewRNG(2)
+		x, dy, dw := randMat(m, k, r), randMat(m, n, r), New(k, n)
+		return func() { MatMulTAAddInto(x, dy, dw) }
+	})
+}
+
+// BenchmarkMatMulTBInto times the input gradient dX = dY·Wᵀ.
+func BenchmarkMatMulTBInto(b *testing.B) {
+	benchKernel(b, func(m, k, n int) func() {
+		r := NewRNG(3)
+		dy, w, dx := randMat(m, n, r), randMat(k, n, r), New(m, k)
+		return func() { MatMulTBInto(dy, w, dx) }
+	})
+}

@@ -183,27 +183,106 @@ func MatMulAddInto(a, b, out *Matrix) {
 	}
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || Workers() == 1 {
-		matmulRange(a, b, out, 0, a.Rows)
+		matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, 0, a.Rows)
 		return
 	}
-	ParallelFor(a.Rows, func(lo, hi int) { matmulRange(a, b, out, lo, hi) })
+	ParallelFor(a.Rows, func(lo, hi int) { matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, lo, hi) })
 }
 
-// matmulRange computes rows [lo,hi) of out = a·b with an ikj loop order
-// that streams b rows through cache.
-func matmulRange(a, b, out *Matrix, lo, hi int) {
+// The three range kernels below are blocked for speed but keep one
+// invariant, on which every golden and weight digest rests: each output
+// element is summed in the order of the plain one-column loop — k
+// ascending, left to right, never reassociated — and a zero a value
+// contributes no term at all (0·b is not added, so signed zeros and
+// non-finite b values come out exactly as the plain loop leaves them).
+// On amd64 Go never fuses x*y+z into an FMA at the default GOAMD64 level,
+// so there the kernels match the plain loops bit for bit.
+
+// matmulRows computes rows [lo,hi) of out += a·b over row-major slices
+// (a is ·×kk, b is kk×n) in ikj order, two a columns per pass. It is the
+// kernel of both MatMulAddInto and MatMul32AddInto. The pair loop is
+// axpy2's body written out in place: a call per pair cost the float32
+// serving sweep ~13 % at corpus graph sizes.
+func matmulRows[T float32 | float64](a, b, out []T, kk, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
+		arow := a[i*kk : (i+1)*kk]
+		orow := out[i*n : (i+1)*n]
+		k := 0
+		for ; k+1 < kk; k += 2 {
+			a0, a1 := arow[k], arow[k+1]
+			if a0 == 0 || a1 == 0 {
+				if a0 != 0 {
+					axpy(a0, b[k*n:(k+1)*n], orow)
+				} else if a1 != 0 {
+					axpy(a1, b[(k+1)*n:(k+2)*n], orow)
+				}
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			b0 := b[k*n : (k+1)*n][:len(orow)]
+			b1 := b[(k+1)*n : (k+2)*n][:len(orow)]
+			j := 0
+			for ; j+3 < len(orow); j += 4 {
+				o0 := orow[j] + a0*b0[j] + a1*b1[j]
+				o1 := orow[j+1] + a0*b0[j+1] + a1*b1[j+1]
+				o2 := orow[j+2] + a0*b0[j+2] + a1*b1[j+2]
+				o3 := orow[j+3] + a0*b0[j+3] + a1*b1[j+3]
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = o0, o1, o2, o3
+			}
+			for ; j < len(orow); j++ {
+				orow[j] = orow[j] + a0*b0[j] + a1*b1[j]
 			}
 		}
+		if k < kk && arow[k] != 0 {
+			axpy(arow[k], b[k*n:(k+1)*n], orow)
+		}
+	}
+}
+
+// axpy computes y += a·x over len(y) elements, 4-wide unrolled.
+func axpy[T float32 | float64](a T, x, y []T) {
+	x = x[:len(y)]
+	j := 0
+	for ; j+3 < len(y); j += 4 {
+		y0 := y[j] + a*x[j]
+		y1 := y[j+1] + a*x[j+1]
+		y2 := y[j+2] + a*x[j+2]
+		y3 := y[j+3] + a*x[j+3]
+		y[j], y[j+1], y[j+2], y[j+3] = y0, y1, y2, y3
+	}
+	for ; j < len(y); j++ {
+		y[j] += a * x[j]
+	}
+}
+
+// axpy2 computes y += a0·x0, then y += a1·x1, where x0 and x1 are the
+// two consecutive len(y)-long rows at the head of x, in one 4-wide
+// unrolled pass: each element loads and stores once for two terms. A zero
+// coefficient drops its term, exactly as two separate axpy calls guarded
+// by a != 0 would. Passing the rows as one slice keeps every argument in
+// registers; a separate x1 slice spills to the stack.
+func axpy2[T float32 | float64](a0, a1 T, x, y []T) {
+	n := len(y)
+	x0, x1 := x[:n], x[n:2*n]
+	switch {
+	case a0 == 0 && a1 == 0:
+		return
+	case a0 == 0:
+		axpy(a1, x1, y)
+		return
+	case a1 == 0:
+		axpy(a0, x0, y)
+		return
+	}
+	j := 0
+	for ; j+3 < len(y); j += 4 {
+		y0 := y[j] + a0*x0[j] + a1*x1[j]
+		y1 := y[j+1] + a0*x0[j+1] + a1*x1[j+1]
+		y2 := y[j+2] + a0*x0[j+2] + a1*x1[j+2]
+		y3 := y[j+3] + a0*x0[j+3] + a1*x1[j+3]
+		y[j], y[j+1], y[j+2], y[j+3] = y0, y1, y2, y3
+	}
+	for ; j < len(y); j++ {
+		y[j] = y[j] + a0*x0[j] + a1*x1[j] // not +=: that adds a0·x0+a1·x1 first
 	}
 }
 
@@ -255,18 +334,25 @@ func MatMulTAAddInto(a, b, out *Matrix) {
 	})
 }
 
-// matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b.
+// matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b, two k
+// rows per pass through axpy2.
 func matmulTARange(a, b, out *Matrix, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	m, n := a.Cols, b.Cols
+	k := lo
+	for ; k+1 < hi; k += 2 {
+		a0, a1 := a.Data[k*m:(k+1)*m], a.Data[(k+1)*m:(k+2)*m]
+		b01 := b.Data[k*n : (k+2)*n]
+		for i, av := range a0 {
+			if av != 0 || a1[i] != 0 {
+				axpy2(av, a1[i], b01, out.Data[i*n:(i+1)*n])
 			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
+		}
+	}
+	if k < hi {
+		brow := b.Data[k*n : (k+1)*n]
+		for i, av := range a.Data[k*m : (k+1)*m] {
+			if av != 0 {
+				axpy(av, brow, out.Data[i*n:(i+1)*n])
 			}
 		}
 	}
@@ -295,13 +381,31 @@ func MatMulTBInto(a, b, out *Matrix) {
 	ParallelFor(a.Rows, func(lo, hi int) { matmulTBRange(a, b, out, lo, hi) })
 }
 
-// matmulTBRange computes rows [lo, hi) of out = a·bᵀ.
+// matmulTBRange computes rows [lo, hi) of out = a·bᵀ, four output
+// columns per sweep of the a row with one accumulator each. Every term is
+// added, zero or not, as the plain dot-product loop does.
 func matmulTBRange(a, b, out *Matrix, lo, hi int) {
+	kk, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		arow := a.Data[i*kk : (i+1)*kk]
+		orow := out.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			b0 := b.Data[j*kk : (j+1)*kk][:len(arow)]
+			b1 := b.Data[(j+1)*kk : (j+2)*kk][:len(arow)]
+			b2 := b.Data[(j+2)*kk : (j+3)*kk][:len(arow)]
+			b3 := b.Data[(j+3)*kk : (j+4)*kk][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*kk : (j+1)*kk][:len(arow)]
 			s := 0.0
 			for k, av := range arow {
 				s += av * brow[k]

@@ -81,10 +81,12 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b.FillUniform(r, 1)
 	got := MatMul(a, b)
 	want := New(80, 70)
-	matmulRange(a, b, want, 0, 80)
+	matmulRows(a.Data, b.Data, want.Data, 90, 70, 0, 80)
+	// The pooled split hands each worker whole rows, so it must match the
+	// serial kernel exactly, not just closely.
 	for i := range got.Data {
-		if !almostEq(got.Data[i], want.Data[i]) {
-			t.Fatalf("parallel mismatch at %d", i)
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("parallel mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
