@@ -187,9 +187,15 @@ func (b *Batcher) submit(ctx context.Context, req Request) (reply, error) {
 		return reply{}, err
 	}
 	// Shed-before-work ordering: an already-expired budget costs nothing,
-	// not a graph compilation.
+	// not a graph compilation. The deadline is read against the clock as
+	// well: on a starved CPU the context's timer fires late, and a spent
+	// budget that ctx.Err has not caught up with would otherwise race the
+	// forward pass to the final select below.
 	if err := ctx.Err(); err != nil {
 		return reply{}, err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return reply{}, context.DeadlineExceeded
 	}
 	// Fast-fail before paying for compilation; the authoritative closed
 	// check below still guards admission.

@@ -199,6 +199,25 @@ func TestBatcherDispatchesLoneRequestAtOnce(t *testing.T) {
 	}
 }
 
+// lateTimer is a caller context whose deadline has passed but whose timer
+// has not fired yet, as on a starved CPU: Err still reports it live.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestBatcherShedsSpentDeadlineBeforeTimerFires: submit reads the
+// deadline against the clock, so a spent budget is shed before any work
+// even when the context's own timer is late.
+func TestBatcherShedsSpentDeadlineBeforeTimerFires(t *testing.T) {
+	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	m, _ := tinyModel(key)
+	b := NewBatcher(m, 8, 0)
+	defer b.Close()
+	if _, err := b.PredictContext(lateTimer{context.Background()}, Request{Graph: corpusGraphs(t, 1)[0]}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("spent-deadline predict = %v, want context.DeadlineExceeded", err)
+	}
+}
+
 // admittedThenDone is a caller context whose deadline passes while its
 // request waits in the queue: it reports live to submit's one admission
 // check and done to every check after that.
