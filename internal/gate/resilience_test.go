@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +373,95 @@ func TestGateRetryAfterPassthrough(t *testing.T) {
 	}
 	if resp.Header.Get(api.RetryAfterHeader) == "" {
 		t.Fatal("Retry-After hint lost crossing the gate")
+	}
+}
+
+// recorder is a stub replica that keeps every predict body it receives
+// and answers after delay, or gives up when the gate cancels the attempt.
+type recorder struct {
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func newRecorder(t *testing.T, delay time.Duration) (*recorder, *httptest.Server) {
+	rec := &recorder{}
+	s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		rec.mu.Lock()
+		rec.bodies = append(rec.bodies, body)
+		rec.mu.Unlock()
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return
+		}
+		stubPredict(w, 1)
+	}))
+	t.Cleanup(s.Close)
+	return rec, s
+}
+
+func (rec *recorder) received() [][]byte {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return append([][]byte(nil), rec.bodies...)
+}
+
+// TestGatePredictForwardsBody: what a replica receives is the request
+// the client sent — the first JSON value of the body, trailing bytes
+// dropped — and a hedged copy carries the same bytes as the original
+// attempt.
+func TestGatePredictForwardsBody(t *testing.T) {
+	rec0, r0 := newRecorder(t, 300*time.Millisecond) // slow owner: the hedge fires
+	rec1, r1 := newRecorder(t, 0)
+	g, err := New(Config{
+		Replicas:   []string{r0.URL, r1.URL},
+		Health:     TrackerConfig{ProbeInterval: time.Hour},
+		HedgeDelay: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := httptest.NewServer(g.Handler())
+	t.Cleanup(func() { gs.Close(); g.Close() })
+
+	sent := fmt.Sprintf("{\n  \"machine\": %q, \"scenario\": \"full\",  \"objective\": \"time\",\n"+
+		"  \"graph\": {\"region_id\": \"a<b\", \"nodes\": [ {\"kind\": \"instruction\", \"text\": \"x \\u003c y\"} ]}\n}",
+		machineOwnedBy(g.Ring(), 0))
+	post := func() {
+		t.Helper()
+		resp, err := http.Post(gs.URL+api.PathPredict, "application/json", strings.NewReader(sent+"  trailing junk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+	}
+	post() // warm-up: cold keys never hedge
+	post()
+	if g.hedges.Value() == 0 {
+		t.Fatal("second predict did not hedge")
+	}
+	got0, got1 := rec0.received(), rec1.received()
+	if len(got0) != 2 || len(got1) != 1 {
+		t.Fatalf("owner got %d bodies, hedge target %d; want 2 and 1", len(got0), len(got1))
+	}
+	if !bytes.Equal(got0[1], got1[0]) {
+		t.Fatalf("hedged copy differs from the original attempt:\n%s\n%s", got0[1], got1[0])
+	}
+	var want any
+	if err := json.Unmarshal([]byte(sent), &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range append(got0, got1...) {
+		var got any
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("replica got invalid JSON %q: %v", body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica got %s, want the value of %s", body, sent)
+		}
 	}
 }

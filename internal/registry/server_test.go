@@ -54,6 +54,15 @@ func predictBody(t testing.TB, machine, objective string, regionIdx int) []byte 
 	return body
 }
 
+// postGraph returns a case that POSTs a haswell/time predict whose
+// "graph" value is the given raw JSON.
+func postGraph(ts *httptest.Server, graph string) func() (*http.Response, error) {
+	return func() (*http.Response, error) {
+		body := `{"machine":"haswell","objective":"time","graph":` + graph + `}`
+		return http.Post(ts.URL+api.PathPredict, "application/json", strings.NewReader(body))
+	}
+}
+
 // decodeError reads a non-2xx response's ErrorBody envelope.
 func decodeError(t *testing.T, resp *http.Response) api.ErrorBody {
 	t.Helper()
@@ -259,6 +268,16 @@ func TestServerErrorCodes(t *testing.T) {
 			})
 			return http.Post(ts.URL+api.PathPredict, "application/json", bytes.NewReader(body))
 		}, api.CodeBadRequest},
+		{"unknown node kind", postGraph(ts, `{"nodes":[{"kind":"alien","text":"x"}]}`), api.CodeBadRequest},
+		{"unknown relation", postGraph(ts,
+			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":0,"rel":"teleport"}]}`), api.CodeBadRequest},
+		{"out-of-range edge", postGraph(ts,
+			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":5,"rel":"data"}]}`), api.CodeBadRequest},
+		{"negative edge src", postGraph(ts,
+			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":-1,"dst":0,"rel":"data"}]}`), api.CodeBadRequest},
+		{"string graph", postGraph(ts, `"x"`), api.CodeBadRequest},
+		{"null graph", postGraph(ts, `null`), api.CodeBadRequest},
+		{"empty graph object", postGraph(ts, `{}`), api.CodeBadRequest},
 		{"unknown job", func() (*http.Response, error) {
 			return http.Get(ts.URL + api.PathJobs + "/nosuchjob")
 		}, api.CodeJobNotFound},
