@@ -1,6 +1,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -91,6 +92,17 @@ func (e *ErrorInfo) Error() string {
 // Errorf builds an ErrorInfo with a formatted message.
 func Errorf(code, format string, args ...any) *ErrorInfo {
 	return &ErrorInfo{Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// DecodeError classifies a request body that failed to read or decode:
+// a body over MaxRequestBytes is CodeGraphTooLarge (the graph is what
+// makes a body big), anything else CodeBadRequest.
+func DecodeError(err error) *ErrorInfo {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return Errorf(CodeGraphTooLarge, "request body over %d bytes", MaxRequestBytes)
+	}
+	return Errorf(CodeBadRequest, "decode request: %v", err)
 }
 
 // ErrorBody is the JSON envelope of every non-2xx response.

@@ -129,6 +129,17 @@ func (c *Client) Predict(ctx context.Context, req api.PredictRequest) (*api.Pred
 	return &out, nil
 }
 
+// PredictBody is Predict for a request already encoded as JSON: body is
+// sent verbatim, so a proxy can forward what its caller sent without
+// decoding the graph.
+func (c *Client) PredictBody(ctx context.Context, body []byte) (*api.PredictResponse, error) {
+	var out api.PredictResponse
+	if err := c.send(ctx, http.MethodPost, api.PathPredict, body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
 // Tune runs one synchronous tuning session and blocks for its result.
 // The Async flag is forced off; use TuneAsync for job submission.
 func (c *Client) Tune(ctx context.Context, req api.TuneRequest) (*api.TuneResponse, error) {
@@ -381,8 +392,7 @@ func retryDelay(lastErr error, backoff time.Duration) time.Duration {
 	return backoff
 }
 
-// do runs one API call: marshal in, retry transient failures per the
-// RetryPolicy table, decode out (or the error envelope).
+// do runs one API call: marshal in, then send it.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -391,7 +401,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("pnpserve: encode request: %w", err)
 		}
 	}
+	return c.send(ctx, method, path, body, out)
+}
 
+// send retries transient failures of one encoded call per the
+// RetryPolicy table and decodes out (or the error envelope).
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
 	idempotent := MethodIdempotent(method)
 	wait := c.retryWait
 	var lastErr error

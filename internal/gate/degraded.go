@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"encoding/json"
 	"errors"
-	"hash/fnv"
+	"hash/maphash"
 	"strconv"
 	"sync"
 
@@ -20,7 +20,7 @@ import (
 const lkgCapacity = 256
 
 // lkgCache remembers the last successful predict response per
-// (routing key, exact graph), LRU-evicted. It is the first rung of the
+// (routing key, exact request bytes), LRU-evicted. It is the first rung of the
 // gate's degraded path: when no replica can serve, a caller that asked
 // this exact question before gets the previous answer back (marked
 // degraded) instead of a 503.
@@ -40,22 +40,24 @@ func newLKGCache(capacity int) *lkgCache {
 	return &lkgCache{cap: capacity, order: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// cacheKey folds the routing key and the exact graph bytes into the
-// cache key: a degraded answer is only valid for the graph it was
+// lkgSeed seeds the request hash. The cache lives in memory only, so a
+// per-process seed is enough.
+var lkgSeed = maphash.MakeSeed()
+
+// cacheKey folds the routing key and the exact request bytes into the
+// cache key: a degraded answer is only valid for the request it was
 // computed on, never for "a graph on the same machine".
-func cacheKey(routeKey string, graph api.RawObject) string {
-	h := fnv.New64a()
-	h.Write(graph)
-	return routeKey + "\x00" + strconv.FormatUint(h.Sum64(), 16)
+func cacheKey(routeKey string, body []byte) string {
+	return routeKey + "\x00" + strconv.FormatUint(maphash.Bytes(lkgSeed, body), 16)
 }
 
-// put records a successful response as the (key, graph) pair's last
+// put records a successful response as the (key, request) pair's last
 // known good.
-func (c *lkgCache) put(routeKey string, graph api.RawObject, resp *api.PredictResponse) {
+func (c *lkgCache) put(routeKey string, body []byte, resp *api.PredictResponse) {
 	if resp == nil {
 		return
 	}
-	k := cacheKey(routeKey, graph)
+	k := cacheKey(routeKey, body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {
@@ -71,10 +73,10 @@ func (c *lkgCache) put(routeKey string, graph api.RawObject, resp *api.PredictRe
 	}
 }
 
-// get returns a copy of the (key, graph) pair's last known good
+// get returns a copy of the (key, request) pair's last known good
 // response, if any.
-func (c *lkgCache) get(routeKey string, graph api.RawObject) (api.PredictResponse, bool) {
-	k := cacheKey(routeKey, graph)
+func (c *lkgCache) get(routeKey string, body []byte) (api.PredictResponse, bool) {
+	k := cacheKey(routeKey, body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[k]
@@ -106,21 +108,21 @@ func degradedEligible(err error) bool {
 }
 
 // degradedPredict answers a predict the cluster could not serve: the
-// last known good response for this exact (key, graph) if one is
+// last known good response for this exact (key, request) if one is
 // cached, else the model-free heuristic — the machine's default OpenMP
 // configuration, the empirically safe pick the paper's baselines
 // measure against. Returns false when the failure is not
 // availability-shaped or the request is too malformed to answer at all.
-func (g *Gate) degradedPredict(key string, req api.PredictRequest, routeErr error) (*api.PredictResponse, bool) {
+func (g *Gate) degradedPredict(key string, req api.PredictRequest, body []byte, routeErr error) (*api.PredictResponse, bool) {
 	if !degradedEligible(routeErr) {
 		return nil, false
 	}
-	if resp, ok := g.lkg.get(key, req.Graph); ok {
+	if resp, ok := g.lkg.get(key, body); ok {
 		resp.Degraded = true
 		resp.DegradedSource = "cache"
 		return &resp, true
 	}
-	return heuristicPredict(req)
+	return heuristicPredict(req, body)
 }
 
 // heuristicPredict builds the model-free fallback response. For the
@@ -128,7 +130,7 @@ func (g *Gate) degradedPredict(key string, req api.PredictRequest, routeErr erro
 // cap; for EDP, the default configuration at the highest cap (the joint
 // point that never throttles). Unknown machines or objectives return
 // false — there is nothing sane to say.
-func heuristicPredict(req api.PredictRequest) (*api.PredictResponse, bool) {
+func heuristicPredict(req api.PredictRequest, body []byte) (*api.PredictResponse, bool) {
 	m, err := hw.ByName(req.Machine)
 	if err != nil {
 		return nil, false
@@ -141,14 +143,16 @@ func heuristicPredict(req api.PredictRequest) (*api.PredictResponse, bool) {
 		Degraded:       true,
 		DegradedSource: "heuristic",
 	}
-	// RegionID is advisory on the reply; a graph too malformed to carry
-	// one still gets picks.
-	var g struct {
-		RegionID string
+	// RegionID is advisory on the reply, so the graph is read for it only
+	// here, on the failure path; a graph too malformed to carry one still
+	// gets picks.
+	var wire struct {
+		Graph struct {
+			RegionID string `json:"region_id"`
+		} `json:"graph"`
 	}
-	if json.Unmarshal(req.Graph, &g) == nil {
-		resp.RegionID = g.RegionID
-	}
+	_ = json.Unmarshal(body, &wire)
+	resp.RegionID = wire.Graph.RegionID
 	def := sp.DefaultIndex()
 	switch req.Objective {
 	case "time":

@@ -1,10 +1,12 @@
 package gate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -335,24 +337,36 @@ func (g *Gate) Handler() http.Handler {
 }
 
 // handlePredict proxies POST /v1/predict to the key's replica, with
-// failover (pure compute — idempotent) and cold-key single flight.
+// failover (pure compute — idempotent) and cold-key single flight. The
+// gate reads only the routing fields: the graph is checked to be JSON
+// and skipped, and the replica gets the body's first JSON value
+// byte for byte.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.writeError(w, r, api.CodeMethodNotAllowed, "predict requires POST")
 		return
 	}
-	var req api.PredictRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		g.writeError(w, r, api.CodeBadRequest, "decode request: %v", err)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	var req struct {
+		api.PredictRequest
+		Graph struct{} `json:"graph"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err == nil {
+		err = dec.Decode(&req)
+	}
+	if err != nil {
+		writeEnvelope(w, r, api.DecodeError(err))
 		return
 	}
+	body = body[:dec.InputOffset()]
 	if req.Scenario == "" {
 		req.Scenario = defaultScenario
 	}
 	key := RouteKey(req.Machine, req.Scenario, req.Objective)
 	var out *api.PredictResponse
-	err := g.singleFlight(r.Context(), key, func() error {
-		resp, err := g.hedgedPredict(r.Context(), key, req)
+	err = g.singleFlight(r.Context(), key, func() error {
+		resp, err := g.hedgedPredict(r.Context(), key, body)
 		if err != nil {
 			return err
 		}
@@ -364,7 +378,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// failure, answer from the degraded path — the last known good
 		// pick for this exact graph, or the model-free heuristic — rather
 		// than turning cluster-wide trouble into a client-visible 503.
-		if resp, ok := g.degradedPredict(key, req, err); ok {
+		if resp, ok := g.degradedPredict(key, req.PredictRequest, body, err); ok {
 			g.degradedHits.Inc()
 			writeJSON(w, http.StatusOK, resp)
 			return
@@ -372,7 +386,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.writeCallError(w, r, err)
 		return
 	}
-	g.lkg.put(key, req.Graph, out)
+	g.lkg.put(key, body, out)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -387,8 +401,8 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.TuneRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		g.writeError(w, r, api.CodeBadRequest, "decode request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
+		writeEnvelope(w, r, api.DecodeError(err))
 		return
 	}
 	if req.Scenario == "" {
@@ -640,12 +654,6 @@ func splitJobID(id string) (replica int, rest string, ok bool) {
 		return 0, "", false
 	}
 	return n, id[dash+1:], true
-}
-
-// decodeBody decodes a bounded JSON request body.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)
-	return json.NewDecoder(r.Body).Decode(v)
 }
 
 // writeJSON writes one JSON response.

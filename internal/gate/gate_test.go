@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,18 @@ func TestGateErrorCodes(t *testing.T) {
 	}
 	if !asAPIError(err, &ae) || ae.Status != http.StatusServiceUnavailable {
 		t.Fatalf("all down: status = %v, want 503", err)
+	}
+
+	// An oversized body is refused before routing, with the replicas'
+	// code and status, on both body-carrying routes.
+	huge := strings.Repeat("x", api.MaxRequestBytes+1)
+	_, err = cl.PredictBody(ctx, []byte(`{"machine":"`+huge+`"}`))
+	if !client.IsCode(err, api.CodeGraphTooLarge) || !asAPIError(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized predict: err = %v, want code %s (413)", err, api.CodeGraphTooLarge)
+	}
+	_, err = cl.Tune(ctx, api.TuneRequest{Machine: "ghost-machine", RegionID: huge})
+	if !client.IsCode(err, api.CodeGraphTooLarge) {
+		t.Fatalf("oversized tune: err = %v, want code %s", err, api.CodeGraphTooLarge)
 	}
 }
 

@@ -110,7 +110,9 @@ type predictOutcome struct {
 // first request may be training the model, and a hedge would start a
 // second training on the next replica, exactly what the warm-up single
 // flight exists to prevent.
-func (g *Gate) hedgedPredict(ctx context.Context, key string, req api.PredictRequest) (*api.PredictResponse, error) {
+//
+// body is the client's request, forwarded verbatim to every attempt.
+func (g *Gate) hedgedPredict(ctx context.Context, key string, body []byte) (*api.PredictResponse, error) {
 	order := g.ring.Lookup(key)
 	owner := order[0]
 
@@ -129,7 +131,7 @@ func (g *Gate) hedgedPredict(ctx context.Context, key string, req api.PredictReq
 			start := time.Now()
 			var resp *api.PredictResponse
 			err := g.attempt(raceCtx, i, func(ctx context.Context, _ int, c *client.Client) error {
-				r, err := c.Predict(ctx, req)
+				r, err := c.PredictBody(ctx, body)
 				if err != nil {
 					return err
 				}

@@ -37,9 +37,10 @@ func (g *Graph) DOT() string {
 	return b.String()
 }
 
-// jsonGraph is the serialization schema, compatible in spirit with
-// PROGRAML's protobuf export.
-type jsonGraph struct {
+// Wire is the graph's JSON schema, compatible in spirit with PROGRAML's
+// protobuf export. Decoding into a Wire checks only the JSON shape;
+// Graph converts it and checks what the shape cannot.
+type Wire struct {
 	RegionID string     `json:"region_id"`
 	Nodes    []jsonNode `json:"nodes"`
 	Edges    []jsonEdge `json:"edges"`
@@ -57,47 +58,59 @@ type jsonEdge struct {
 	Rel string `json:"rel"`
 }
 
+var (
+	kindByName = map[string]NodeKind{
+		"instruction": KindInstruction, "variable": KindVariable, "constant": KindConstant,
+	}
+	relByName = map[string]Relation{"control": RelControl, "data": RelData, "call": RelCall}
+)
+
 // MarshalJSON serializes the graph.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{RegionID: g.RegionID}
+	w := Wire{RegionID: g.RegionID}
 	for _, n := range g.Nodes {
-		jg.Nodes = append(jg.Nodes, jsonNode{Kind: n.Kind.String(), Text: n.Text, Token: n.Token})
+		w.Nodes = append(w.Nodes, jsonNode{Kind: n.Kind.String(), Text: n.Text, Token: n.Token})
 	}
 	for _, e := range g.Edges {
-		jg.Edges = append(jg.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Rel: e.Rel.String()})
+		w.Edges = append(w.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Rel: e.Rel.String()})
 	}
-	return json.Marshal(jg)
+	return json.Marshal(w)
 }
 
 // UnmarshalJSON deserializes a graph produced by MarshalJSON.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
+	var w Wire
+	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("programl: decode graph: %w", err)
 	}
-	kinds := map[string]NodeKind{
-		"instruction": KindInstruction, "variable": KindVariable, "constant": KindConstant,
+	out, err := w.Graph()
+	if err != nil {
+		return err
 	}
-	rels := map[string]Relation{"control": RelControl, "data": RelData, "call": RelCall}
-	g.RegionID = jg.RegionID
-	g.Nodes = g.Nodes[:0]
-	g.Edges = g.Edges[:0]
-	for _, n := range jg.Nodes {
-		k, ok := kinds[n.Kind]
+	*g = *out
+	return nil
+}
+
+// Graph converts the wire form, rejecting unknown node kinds, unknown
+// relations and edges whose ends are not nodes.
+func (w *Wire) Graph() (*Graph, error) {
+	g := &Graph{RegionID: w.RegionID, Nodes: make([]Node, len(w.Nodes)), Edges: make([]Edge, len(w.Edges))}
+	for i, n := range w.Nodes {
+		k, ok := kindByName[n.Kind]
 		if !ok {
-			return fmt.Errorf("programl: unknown node kind %q", n.Kind)
+			return nil, fmt.Errorf("programl: unknown node kind %q", n.Kind)
 		}
-		g.Nodes = append(g.Nodes, Node{Kind: k, Text: n.Text, Token: n.Token})
+		g.Nodes[i] = Node{Kind: k, Text: n.Text, Token: n.Token}
 	}
-	for _, e := range jg.Edges {
-		r, ok := rels[e.Rel]
+	for i, e := range w.Edges {
+		r, ok := relByName[e.Rel]
 		if !ok {
-			return fmt.Errorf("programl: unknown relation %q", e.Rel)
+			return nil, fmt.Errorf("programl: unknown relation %q", e.Rel)
 		}
 		if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
-			return fmt.Errorf("programl: edge (%d,%d) out of range", e.Src, e.Dst)
+			return nil, fmt.Errorf("programl: edge (%d,%d) out of range", e.Src, e.Dst)
 		}
-		g.Edges = append(g.Edges, Edge{Src: e.Src, Dst: e.Dst, Rel: r})
+		g.Edges[i] = Edge{Src: e.Src, Dst: e.Dst, Rel: r}
 	}
-	return nil
+	return g, nil
 }

@@ -290,9 +290,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, info)
 		return
 	}
-	var req api.PredictRequest
+	// One pass: the graph decodes straight into its wire form, which
+	// shadows the embedded raw field.
+	var req struct {
+		api.PredictRequest
+		Graph *programl.Wire `json:"graph"`
+	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, decodeErrInfo(err))
+		s.writeErr(w, r, api.DecodeError(err))
 		return
 	}
 	if req.Scenario == "" {
@@ -303,12 +308,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
-	if len(req.Graph) == 0 || string(req.Graph) == "null" {
+	if req.Graph == nil {
 		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
 		return
 	}
-	g := &programl.Graph{}
-	if err := json.Unmarshal(req.Graph, g); err != nil {
+	g, err := req.Graph.Graph()
+	if err != nil {
 		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
 		return
 	}
@@ -404,7 +409,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	var req api.TuneRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, decodeErrInfo(err))
+		s.writeErr(w, r, api.DecodeError(err))
 		return
 	}
 	// Model-free strategies never touch the batchers, so without this
@@ -533,16 +538,6 @@ func requireMethod(r *http.Request, want string) *api.ErrorInfo {
 		return api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want %s)", r.Method, want)
 	}
 	return nil
-}
-
-// decodeErrInfo classifies a request-body decode failure: an oversized
-// body trips the contract ceiling, everything else is malformed JSON.
-func decodeErrInfo(err error) *api.ErrorInfo {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return api.Errorf(api.CodeGraphTooLarge, "request body over %d bytes", api.MaxRequestBytes)
-	}
-	return api.Errorf(api.CodeBadRequest, "decode request: %v", err)
 }
 
 // writeErr renders the v1 error envelope with the request's correlation
