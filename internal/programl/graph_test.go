@@ -24,7 +24,7 @@ void mvt_kernel() {
 }
 `
 
-func buildGraph(t *testing.T) *Graph {
+func buildGraph(t testing.TB) *Graph {
 	t.Helper()
 	prog, low, err := frontend.Compile("mvt", src)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 )
 
 // newTestServer wires a registry with the tiny trainer behind httptest.
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	reg, err := New("", 4, func(k Key) (*core.Model, core.ModelMeta, error) {
 		m, meta := tinyModel(k)
