@@ -54,6 +54,20 @@ func predictBody(t testing.TB, machine, objective string, regionIdx int) []byte 
 	return body
 }
 
+// malformedGraphs are predict "graph" values a replica must refuse with
+// bad_request: an unknown node kind, an unknown relation, an
+// out-of-range edge, a negative edge source, and non-graph values.
+var malformedGraphs = []string{
+	`{"nodes":[{"kind":"alien","text":"x"}]}`,
+	`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":0,"rel":"teleport"}]}`,
+	`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":5,"rel":"data"}]}`,
+	`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":-1,"dst":0,"rel":"data"}]}`,
+	`"x"`,
+	`42`,
+	`null`,
+	`{}`,
+}
+
 // postGraph returns a case that POSTs a haswell/time predict whose
 // "graph" value is the given raw JSON.
 func postGraph(ts *httptest.Server, graph string) func() (*http.Response, error) {
@@ -203,11 +217,12 @@ func postPredict(t testing.TB, ts *httptest.Server, path string, body []byte) ap
 // stable machine-readable code — the contract the SDK switches on.
 func TestServerErrorCodes(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct {
+	type errCase struct {
 		name string
 		do   func() (*http.Response, error)
 		code string
-	}{
+	}
+	cases := []errCase{
 		{"GET /v1/predict", func() (*http.Response, error) {
 			return http.Get(ts.URL + api.PathPredict)
 		}, api.CodeMethodNotAllowed},
@@ -268,16 +283,6 @@ func TestServerErrorCodes(t *testing.T) {
 			})
 			return http.Post(ts.URL+api.PathPredict, "application/json", bytes.NewReader(body))
 		}, api.CodeBadRequest},
-		{"unknown node kind", postGraph(ts, `{"nodes":[{"kind":"alien","text":"x"}]}`), api.CodeBadRequest},
-		{"unknown relation", postGraph(ts,
-			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":0,"rel":"teleport"}]}`), api.CodeBadRequest},
-		{"out-of-range edge", postGraph(ts,
-			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":0,"dst":5,"rel":"data"}]}`), api.CodeBadRequest},
-		{"negative edge src", postGraph(ts,
-			`{"nodes":[{"kind":"variable","text":"x"}],"edges":[{"src":-1,"dst":0,"rel":"data"}]}`), api.CodeBadRequest},
-		{"string graph", postGraph(ts, `"x"`), api.CodeBadRequest},
-		{"null graph", postGraph(ts, `null`), api.CodeBadRequest},
-		{"empty graph object", postGraph(ts, `{}`), api.CodeBadRequest},
 		{"unknown job", func() (*http.Response, error) {
 			return http.Get(ts.URL + api.PathJobs + "/nosuchjob")
 		}, api.CodeJobNotFound},
@@ -289,6 +294,9 @@ func TestServerErrorCodes(t *testing.T) {
 			req, _ := http.NewRequest(http.MethodPut, ts.URL+api.PathJobs+"/nosuchjob", nil)
 			return http.DefaultClient.Do(req)
 		}, api.CodeMethodNotAllowed},
+	}
+	for _, graph := range malformedGraphs {
+		cases = append(cases, errCase{"graph " + graph, postGraph(ts, graph), api.CodeBadRequest})
 	}
 	for _, tc := range cases {
 		resp, err := tc.do()
