@@ -85,8 +85,9 @@ type PredictRequest struct {
 	Machine   string `json:"machine"`
 	Objective string `json:"objective"`
 	Scenario  string `json:"scenario,omitempty"` // default "full"
-	// Graph is the programl.Graph JSON export, kept raw so this package
-	// stays dependency-free; the server decodes it.
+	// Graph is the programl.Graph JSON export (programl.Wire), kept raw so
+	// this package stays dependency-free. The gate forwards it unread; the
+	// replica decodes it in the same pass as the rest of the request.
 	Graph    RawObject `json:"graph"`
 	Counters []float64 `json:"counters,omitempty"`
 }

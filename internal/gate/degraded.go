@@ -143,9 +143,8 @@ func heuristicPredict(req api.PredictRequest, body []byte) (*api.PredictResponse
 		Degraded:       true,
 		DegradedSource: "heuristic",
 	}
-	// RegionID is advisory on the reply, so the graph is read for it only
-	// here, on the failure path; a graph too malformed to carry one still
-	// gets picks.
+	// RegionID is advisory, so the graph is read for it only on this
+	// failure path; a graph too malformed to carry one still gets picks.
 	var wire struct {
 		Graph struct {
 			RegionID string `json:"region_id"`

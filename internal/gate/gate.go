@@ -337,10 +337,8 @@ func (g *Gate) Handler() http.Handler {
 }
 
 // handlePredict proxies POST /v1/predict to the key's replica, with
-// failover (pure compute — idempotent) and cold-key single flight. The
-// gate reads only the routing fields: the graph is checked to be JSON
-// and skipped, and the replica gets the body's first JSON value
-// byte for byte.
+// failover (pure compute — idempotent) and cold-key single flight. Only
+// the routing fields are read; the body's first JSON value goes on verbatim.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.writeError(w, r, api.CodeMethodNotAllowed, "predict requires POST")

@@ -110,8 +110,6 @@ type predictOutcome struct {
 // first request may be training the model, and a hedge would start a
 // second training on the next replica, exactly what the warm-up single
 // flight exists to prevent.
-//
-// body is the client's request, forwarded verbatim to every attempt.
 func (g *Gate) hedgedPredict(ctx context.Context, key string, body []byte) (*api.PredictResponse, error) {
 	order := g.ring.Lookup(key)
 	owner := order[0]
