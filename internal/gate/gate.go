@@ -374,7 +374,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Last line of defense: when no replica can serve a routable
 		// failure, answer from the degraded path — the last known good
-		// pick for this exact graph, or the model-free heuristic — rather
+		// pick for this exact request, or the model-free heuristic — rather
 		// than turning cluster-wide trouble into a client-visible 503.
 		if resp, ok := g.degradedPredict(key, req.PredictRequest, body, err); ok {
 			g.degradedHits.Inc()
