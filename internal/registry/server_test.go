@@ -15,6 +15,7 @@ import (
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/telemetry"
 )
 
 // newTestServer wires a registry with the tiny trainer behind httptest.
@@ -104,9 +105,6 @@ func TestServerPredictTimeAndEDP(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.Header.Get(RequestIDHeader) == "" {
-		t.Fatal("no request ID header on the response")
 	}
 	var pr api.PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
@@ -461,10 +459,20 @@ func TestServerHealthzAndModels(t *testing.T) {
 		if health.Served < 1 || health.ModelsTrained != 1 {
 			t.Fatalf("%s health counters = %+v", path, health)
 		}
-		// Per-route metrics surface in the health body.
-		if health.Routes[api.PathPredict].Count < 1 {
-			t.Fatalf("%s route metrics missing /v1/predict: %+v", path, health.Routes)
-		}
+	}
+
+	// Per-route counters live in /metrics.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := telemetry.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m[`pnp_http_requests_total{route="/v1/predict"}`] < 1 {
+		t.Fatalf("/metrics lacks the /v1/predict request count: %v", m)
 	}
 
 	for _, path := range []string{api.PathModels, "/models"} {
