@@ -19,7 +19,7 @@
 //	DELETE /v1/jobs/{id}              cancel an async tuning job
 //	GET    /v1/models     (/models)   registry contents (cached + on disk)
 //	GET    /v1/models/{id}            one model's version + refresh detail
-//	GET    /v1/healthz    (/healthz)  liveness + traffic + per-route counters
+//	GET    /v1/healthz    (/healthz)  liveness + traffic counters
 //	GET    /v1/traces/{id}            one request's recorded span timeline
 //	GET    /metrics                   Prometheus text exposition
 //

@@ -1,8 +1,10 @@
 // Package api is the versioned wire contract of the pnptuner serving
 // API: every request, response, and error body exchanged over HTTP lives
 // here, shared by the server (internal/registry) and the Go client SDK
-// (internal/client) so the two can never drift apart. The package has no
-// dependencies on the rest of the module — it is pure data.
+// (internal/client) so the two can never drift apart, plus the small
+// HTTP chassis both serving tiers frame their responses with (http.go).
+// Beyond the standard library it depends only on internal/telemetry,
+// for the X-Request-ID header its error envelopes echo.
 //
 // # Versioning
 //
@@ -302,16 +304,6 @@ type ModelDetail struct {
 	Replica string `json:"replica,omitempty"`
 }
 
-// RouteStats is one route's traffic counters in Health.
-type RouteStats struct {
-	// Count is requests served (any status).
-	Count int64 `json:"count"`
-	// Errors is responses with status ≥ 400.
-	Errors int64 `json:"errors"`
-	// AvgMillis is the mean handler latency.
-	AvgMillis float64 `json:"avg_ms"`
-}
-
 // JobStats is the async job subsystem's snapshot in Health.
 type JobStats struct {
 	Queued    int   `json:"queued"`
@@ -323,19 +315,18 @@ type JobStats struct {
 
 // Health is the GET /v1/healthz reply: liveness plus traffic counters.
 type Health struct {
-	Status          string                `json:"status"`
-	UptimeSec       float64               `json:"uptime_sec"`
-	Served          int64                 `json:"served"`
-	Batchers        int                   `json:"batchers"`
-	CacheHits       int64                 `json:"cache_hits"`
-	DiskLoads       int64                 `json:"disk_loads"`
-	ModelsTrained   int64                 `json:"models_trained"`
-	ModelsFetched   int64                 `json:"models_fetched"`
-	ModelsImported  int64                 `json:"models_imported"`
-	Evicted         int64                 `json:"evicted"`
-	PersistFailures int64                 `json:"persist_failures"`
-	Jobs            JobStats              `json:"jobs"`
-	Routes          map[string]RouteStats `json:"routes,omitempty"`
+	Status          string   `json:"status"`
+	UptimeSec       float64  `json:"uptime_sec"`
+	Served          int64    `json:"served"`
+	Batchers        int      `json:"batchers"`
+	CacheHits       int64    `json:"cache_hits"`
+	DiskLoads       int64    `json:"disk_loads"`
+	ModelsTrained   int64    `json:"models_trained"`
+	ModelsFetched   int64    `json:"models_fetched"`
+	ModelsImported  int64    `json:"models_imported"`
+	Evicted         int64    `json:"evicted"`
+	PersistFailures int64    `json:"persist_failures"`
+	Jobs            JobStats `json:"jobs"`
 }
 
 // Replica health states reported by the gate. A replica is routable
@@ -383,8 +374,7 @@ type GateHealth struct {
 	HedgeWins int64 `json:"hedge_wins,omitempty"`
 	// Degraded counts predicts answered from the degraded path (cache or
 	// heuristic) because no replica could serve.
-	Degraded int64                 `json:"degraded,omitempty"`
-	Routes   map[string]RouteStats `json:"routes,omitempty"`
+	Degraded int64 `json:"degraded,omitempty"`
 }
 
 // Job statuses. Terminal statuses are JobDone, JobFailed, JobCancelled.

@@ -477,7 +477,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // the v1 envelope when present and synthesizing a code from the status
 // otherwise (a proxy, or a pre-v1 server).
 func decodeAPIError(resp *http.Response) *APIError {
-	apiErr := &APIError{Status: resp.StatusCode, RequestID: resp.Header.Get("X-Request-ID")}
+	apiErr := &APIError{Status: resp.StatusCode, RequestID: resp.Header.Get(telemetry.TraceHeader)}
 	if ra := resp.Header.Get(api.RetryAfterHeader); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second

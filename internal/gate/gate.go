@@ -59,7 +59,7 @@ type Gate struct {
 	pool     *client.Pool
 	policy   client.RetryPolicy
 	tele     *gateTelemetry
-	metrics  *routeMetrics
+	metrics  *telemetry.RouteMetrics
 	start    time.Time
 
 	attemptTimeout time.Duration
@@ -121,7 +121,7 @@ func New(cfg Config) (*Gate, error) {
 		pool:           pool,
 		policy:         client.DefaultRetryPolicy(),
 		tele:           tele,
-		metrics:        newRouteMetrics(tele.tel),
+		metrics:        telemetry.NewRouteMetrics(tele.tel, "pnpgate"),
 		start:          time.Now(),
 		attemptTimeout: attemptTimeout,
 		hedgeDelay:     cfg.HedgeDelay,
@@ -313,7 +313,7 @@ func (g *Gate) singleFlight(ctx context.Context, key string, fn func() error) er
 // replica, fronting the whole cluster.
 func (g *Gate) Handler() http.Handler {
 	wrap := func(route string, h http.HandlerFunc) http.HandlerFunc {
-		return g.metrics.wrap(route, func(w http.ResponseWriter, r *http.Request) {
+		return g.metrics.Wrap(route, func(w http.ResponseWriter, r *http.Request) {
 			g.served.Inc()
 			h(w, r)
 		})
@@ -331,9 +331,9 @@ func (g *Gate) Handler() http.Handler {
 	// scrapes never skew the route families they report.
 	mux.Handle("/metrics", g.tele.tel.Handler())
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no such route: %s", r.URL.Path))
 	})
-	return telemetry.WithRequestID(g.tele.rec, withDeadline(mux))
+	return telemetry.WithRequestID(g.tele.rec, api.WithDeadline(mux))
 }
 
 // handlePredict proxies POST /v1/predict to the key's replica, with
@@ -341,7 +341,7 @@ func (g *Gate) Handler() http.Handler {
 // the routing fields are read; the body's first JSON value goes on verbatim.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "predict requires POST")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "predict requires POST"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
@@ -354,7 +354,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		err = dec.Decode(&req)
 	}
 	if err != nil {
-		writeEnvelope(w, r, api.DecodeError(err))
+		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
 	body = body[:dec.InputOffset()]
@@ -378,14 +378,14 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// than turning cluster-wide trouble into a client-visible 503.
 		if resp, ok := g.degradedPredict(key, req.PredictRequest, body, err); ok {
 			g.degradedHits.Inc()
-			writeJSON(w, http.StatusOK, resp)
+			api.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
-		g.writeCallError(w, r, err)
+		writeCallError(w, r, err)
 		return
 	}
 	g.lkg.put(key, body, out)
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleTune proxies POST /v1/tune. Synchronous sessions are
@@ -395,12 +395,12 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 // re-send it — the job ID comes back prefixed with the owning replica.
 func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "tune requires POST")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "tune requires POST"))
 		return
 	}
 	var req api.TuneRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		writeEnvelope(w, r, api.DecodeError(err))
+		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
 	if req.Scenario == "" {
@@ -420,11 +420,11 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 			return nil
 		})
 		if err != nil {
-			g.writeCallError(w, r, err)
+			writeCallError(w, r, err)
 			return
 		}
 		job.ID = prefixJobID(on, job.ID)
-		writeJSON(w, http.StatusAccepted, job)
+		api.WriteJSON(w, http.StatusAccepted, job)
 		return
 	}
 
@@ -446,10 +446,10 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 		err = run() // model-free search touches no model: nothing to warm
 	}
 	if err != nil {
-		g.writeCallError(w, r, err)
+		writeCallError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleJobs merges GET /v1/jobs across live replicas. Jobs on a down
@@ -457,7 +457,7 @@ func (g *Gate) handleTune(w http.ResponseWriter, r *http.Request) {
 // not the cluster's.
 func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "jobs listing requires GET")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "jobs listing requires GET"))
 		return
 	}
 	merged := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.Job, error) {
@@ -473,7 +473,7 @@ func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].ID < merged[j].ID
 	})
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleJob proxies GET/DELETE /v1/jobs/{id}. The replica prefix pins
@@ -481,12 +481,12 @@ func (g *Gate) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
 	if id == "" || strings.Contains(id, "/") {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no such route: %s", r.URL.Path))
 		return
 	}
 	replica, rid, ok := splitJobID(id)
 	if !ok || replica >= len(g.replicas) {
-		g.writeError(w, r, api.CodeJobNotFound, "no job %q on this cluster", id)
+		api.WriteError(w, r, api.Errorf(api.CodeJobNotFound, "no job %q on this cluster", id))
 		return
 	}
 	c := g.pool.Get(g.replicas[replica])
@@ -498,26 +498,26 @@ func (g *Gate) handleJob(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		job, err = c.CancelJob(r.Context(), rid)
 	default:
-		g.writeError(w, r, api.CodeMethodNotAllowed, "job routes accept GET and DELETE")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "job routes accept GET and DELETE"))
 		return
 	}
 	if err != nil {
 		if client.Classify(err) == client.FailTransport {
 			g.tracker.RecordFailure(replica)
 		}
-		g.writeCallError(w, r, err)
+		writeCallError(w, r, err)
 		return
 	}
 	g.tracker.RecordSuccess(replica)
 	job.ID = prefixJobID(replica, job.ID)
-	writeJSON(w, http.StatusOK, job)
+	api.WriteJSON(w, http.StatusOK, job)
 }
 
 // handleModels merges GET /v1/models across live replicas, annotating
 // each entry with its replica URL.
 func (g *Gate) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "models listing requires GET")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "models listing requires GET"))
 		return
 	}
 	merged := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.ModelInfo, error) {
@@ -534,7 +534,7 @@ func (g *Gate) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Replica < b.Replica
 	})
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleModelDetail proxies GET /v1/models/{id} across live replicas
@@ -546,11 +546,11 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 	if id == "" || strings.Contains(id, "/") {
 		// Suffixed model routes (e.g. the blob replication pair) are
 		// replica-to-replica traffic, not gate surface.
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no such route: %s", r.URL.Path))
 		return
 	}
 	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "model detail requires GET")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "model detail requires GET"))
 		return
 	}
 	found := fanout(g, r.Context(), func(ctx context.Context, replica int, c *client.Client) ([]api.ModelDetail, error) {
@@ -565,7 +565,7 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 		return []api.ModelDetail{*det}, nil
 	})
 	if len(found) == 0 {
-		g.writeError(w, r, api.CodeModelNotFound, "no replica holds model %s", id)
+		api.WriteError(w, r, api.Errorf(api.CodeModelNotFound, "no replica holds model %s", id))
 		return
 	}
 	best := found[0]
@@ -574,16 +574,16 @@ func (g *Gate) handleModelDetail(w http.ResponseWriter, r *http.Request) {
 			best = det
 		}
 	}
-	writeJSON(w, http.StatusOK, best)
+	api.WriteJSON(w, http.StatusOK, best)
 }
 
 // handleHealthz reports the gate's own liveness plus the cluster view.
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "healthz requires GET")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "healthz requires GET"))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.GateHealth{
+	api.WriteJSON(w, http.StatusOK, api.GateHealth{
 		Status:    "ok",
 		UptimeSec: time.Since(g.start).Seconds(),
 		Served:    g.served.Value(),
@@ -593,7 +593,6 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Hedges:    g.hedges.Value(),
 		HedgeWins: g.hedgeWins.Value(),
 		Degraded:  g.degradedHits.Value(),
-		Routes:    g.metrics.snapshot(),
 	})
 }
 
@@ -654,30 +653,14 @@ func splitJobID(id string) (replica int, rest string, ok bool) {
 	return n, id[dash+1:], true
 }
 
-// writeJSON writes one JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the gate's own typed error envelope (with the
-// Retry-After hint on backpressure codes).
-func (g *Gate) writeError(w http.ResponseWriter, r *http.Request, code, format string, args ...any) {
-	writeEnvelope(w, r, api.Errorf(code, format, args...))
-}
-
 // writeCallError renders a routed-call failure: replica API errors pass
 // through verbatim (status, code, message, Retry-After), transport
 // exhaustion becomes the gate's 502.
-func (g *Gate) writeCallError(w http.ResponseWriter, r *http.Request, err error) {
+func writeCallError(w http.ResponseWriter, r *http.Request, err error) {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		if secs := api.RetryAfterSecs(ae.Info.Code); secs > 0 {
-			w.Header().Set(api.RetryAfterHeader, strconv.Itoa(secs))
-		}
-		writeJSON(w, ae.Status, api.ErrorBody{Error: ae.Info, RequestID: requestID(r)})
+		api.WriteErrorStatus(w, r, ae.Status, &ae.Info)
 		return
 	}
-	g.writeError(w, r, api.CodeReplicaUnavailable, "replica call failed: %v", err)
+	api.WriteError(w, r, api.Errorf(api.CodeReplicaUnavailable, "replica call failed: %v", err))
 }

@@ -69,19 +69,19 @@ func (g *Gate) SetTraceLogging(every int) {
 // downstream half.
 func (g *Gate) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, r, api.CodeMethodNotAllowed, "traces require GET")
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "traces require GET"))
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, api.PathTraces+"/")
 	if id == "" || strings.Contains(id, "/") {
-		g.writeError(w, r, api.CodeNotFound, "no such route: %s", r.URL.Path)
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no such route: %s", r.URL.Path))
 		return
 	}
 	tr, ok := g.tele.rec.Get(id)
 	if !ok {
-		g.writeError(w, r, api.CodeNotFound,
-			"no trace %q (unknown, or evicted from the bounded trace window)", id)
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound,
+			"no trace %q (unknown, or evicted from the bounded trace window)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	api.WriteJSON(w, http.StatusOK, tr)
 }

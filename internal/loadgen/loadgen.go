@@ -1,3 +1,11 @@
+// Package loadgen is the open-loop load generator behind cmd/pnpload:
+// Poisson arrivals at a fixed offered rate (arrivals never wait for
+// completions, so server slowdowns surface as latency instead of
+// silently throttling the load), a weighted predict/tune/job traffic
+// mix over the model-key space, and per-op latencies recorded into
+// telemetry.Histogram — the log-linear histogram the servers expose at
+// /metrics — from which the per-op p50/p90/p99 and throughput report is
+// derived.
 package loadgen
 
 import (
@@ -14,6 +22,7 @@ import (
 	"pnptuner/internal/api"
 	"pnptuner/internal/client"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/telemetry"
 )
 
 // Op names in reports.
@@ -96,18 +105,18 @@ func (c *Config) defaults() {
 // degraded path) are expected overload/chaos outcomes and counted
 // apart; Errors is unexpected failures only.
 type OpReport struct {
-	Count      int64            `json:"count"`
-	Errors     int64            `json:"errors"`
-	Timeouts   int64            `json:"timeouts,omitempty"`
-	Shed       int64            `json:"shed,omitempty"`
-	Degraded   int64            `json:"degraded,omitempty"`
-	ErrorCodes map[string]int64 `json:"error_codes,omitempty"`
-	P50Millis  float64          `json:"p50_ms"`
-	P90Millis  float64          `json:"p90_ms"`
-	P99Millis  float64          `json:"p99_ms"`
-	MeanMillis float64          `json:"mean_ms"`
-	MaxMillis  float64          `json:"max_ms"`
-	Histogram  []BucketCount    `json:"histogram,omitempty"`
+	Count      int64                   `json:"count"`
+	Errors     int64                   `json:"errors"`
+	Timeouts   int64                   `json:"timeouts,omitempty"`
+	Shed       int64                   `json:"shed,omitempty"`
+	Degraded   int64                   `json:"degraded,omitempty"`
+	ErrorCodes map[string]int64        `json:"error_codes,omitempty"`
+	P50Millis  float64                 `json:"p50_ms"`
+	P90Millis  float64                 `json:"p90_ms"`
+	P99Millis  float64                 `json:"p99_ms"`
+	MeanMillis float64                 `json:"mean_ms"`
+	MaxMillis  float64                 `json:"max_ms"`
+	Histogram  []telemetry.BucketCount `json:"histogram,omitempty"`
 }
 
 // Report is one load run's outcome. Latency quantiles cover successful
@@ -141,7 +150,7 @@ type Report struct {
 
 // opStats accumulates one op's outcomes during the run.
 type opStats struct {
-	hist     Histogram
+	hist     *telemetry.Histogram
 	count    atomic.Int64
 	errs     atomic.Int64
 	timeouts atomic.Int64
@@ -190,7 +199,7 @@ func (s *opStats) report(withHist bool) *OpReport {
 		P50Millis:  ms(s.hist.Quantile(0.50)),
 		P90Millis:  ms(s.hist.Quantile(0.90)),
 		P99Millis:  ms(s.hist.Quantile(0.99)),
-		MeanMillis: ms(s.hist.Mean()),
+		MeanMillis: s.hist.Mean() / 1e6,
 		MaxMillis:  ms(s.hist.Max()),
 	}
 	s.mu.Lock()
@@ -207,7 +216,7 @@ func (s *opStats) report(withHist bool) *OpReport {
 	return r
 }
 
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+func ms(ns uint64) float64 { return float64(ns) / 1e6 }
 
 // Run drives the configured load until Duration elapses (or ctx is
 // cancelled), waits for stragglers, and returns the report.
@@ -241,7 +250,10 @@ func Run(ctx context.Context, cfg Config, withHistograms bool) (*Report, error) 
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	wsum := cfg.PredictWeight + cfg.TuneWeight + cfg.JobWeight
-	stats := map[string]*opStats{OpPredict: {}, OpTune: {}, OpJob: {}}
+	stats := map[string]*opStats{}
+	for _, op := range []string{OpPredict, OpTune, OpJob} {
+		stats[op] = &opStats{hist: telemetry.NewHistogram()}
+	}
 	var sent, shed atomic.Int64
 	sem := make(chan struct{}, cfg.MaxInFlight)
 	var wg sync.WaitGroup
@@ -322,7 +334,7 @@ func Run(ctx context.Context, cfg Config, withHistograms bool) (*Report, error) 
 				st.fail(err)
 				return
 			}
-			st.hist.Record(time.Since(t0))
+			st.hist.ObserveDuration(time.Since(t0))
 		}()
 	}
 	wg.Wait()

@@ -2,71 +2,40 @@ package loadgen
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"pnptuner/internal/client"
+	"pnptuner/internal/telemetry"
 	"pnptuner/internal/testutil"
 )
 
-// TestBucketRoundTrip: every bucket's midpoint maps back to the same
-// bucket, and the midpoint is within the scheme's relative error of
-// any value placed in that bucket.
-func TestBucketRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20000; i++ {
-		v := uint64(rng.Int63n(int64(10 * time.Minute)))
-		idx := bucketIndex(v)
-		mid := uint64(bucketValue(idx))
-		if got := bucketIndex(mid); got != idx {
-			t.Fatalf("midpoint of bucket %d lands in bucket %d (v=%d)", idx, got, v)
-		}
-		if v >= subCount {
-			rel := float64(mid) - float64(v)
-			if rel < 0 {
-				rel = -rel
-			}
-			if rel/float64(v) > 1.0/float64(subCount)+1e-9 {
-				t.Fatalf("bucket error for %d: midpoint %d off by %.1f%%", v, mid, 100*rel/float64(v))
-			}
-		}
-	}
-}
-
-// TestHistogramQuantiles: known uniform data comes back with the right
-// count, near-exact mean/max, and quantiles within the bucketing
-// error.
+// TestHistogramQuantiles: known uniform data comes back through an
+// op's report with near-exact mean/max, quantiles within the bucketing
+// error, and the raw buckets exported.
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+	st := &opStats{hist: telemetry.NewHistogram()}
 	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Millisecond)
+		st.hist.ObserveDuration(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	if st.hist.Count() != 1000 {
+		t.Fatalf("count = %d", st.hist.Count())
 	}
-	if h.Max() != 1000*time.Millisecond {
-		t.Fatalf("max = %s", h.Max())
+	r := st.report(true)
+	if r.MaxMillis != 1000 {
+		t.Fatalf("max = %vms", r.MaxMillis)
 	}
-	if mean := h.Mean(); mean < 499*time.Millisecond || mean > 502*time.Millisecond {
-		t.Fatalf("mean = %s, want ≈500.5ms", mean)
+	if r.MeanMillis < 499 || r.MeanMillis > 502 {
+		t.Fatalf("mean = %vms, want ≈500.5ms", r.MeanMillis)
 	}
-	check := func(q float64, want time.Duration) {
-		t.Helper()
-		got := h.Quantile(q)
-		lo := want - want/16 // one sub-bucket of slack
-		hi := want + want/16
-		if got < lo || got > hi {
-			t.Fatalf("q%.2f = %s, want %s ± 6%%", q, got, want)
+	for _, c := range []struct{ got, want float64 }{
+		{r.P50Millis, 500}, {r.P90Millis, 900}, {r.P99Millis, 990},
+	} {
+		if c.got < c.want*15/16 || c.got > c.want*17/16 { // one sub-bucket of slack
+			t.Fatalf("quantile = %vms, want %vms ± 6%%", c.got, c.want)
 		}
 	}
-	check(0.50, 500*time.Millisecond)
-	check(0.90, 900*time.Millisecond)
-	check(0.99, 990*time.Millisecond)
-	if h.Quantile(1.0) < 990*time.Millisecond {
-		t.Fatalf("q1.0 = %s", h.Quantile(1.0))
-	}
-	if len(h.Buckets()) == 0 {
+	if len(r.Histogram) == 0 {
 		t.Fatal("no exported buckets")
 	}
 }

@@ -149,7 +149,7 @@ func (s *Server) handleModelBlob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if suffix != "blob" || id == "" {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 		return
 	}
 	switch r.Method {
@@ -157,9 +157,9 @@ func (s *Server) handleModelBlob(w http.ResponseWriter, r *http.Request) {
 		data, err := s.reg.ExportBlob(id)
 		if err != nil {
 			if errors.Is(err, ErrModelNotFound) {
-				s.writeErr(w, r, api.Errorf(api.CodeModelNotFound, "%v", err))
+				api.WriteError(w, r, api.Errorf(api.CodeModelNotFound, "%v", err))
 			} else {
-				s.writeErr(w, r, api.Errorf(api.CodeInternal, "%v", err))
+				api.WriteError(w, r, api.Errorf(api.CodeInternal, "%v", err))
 			}
 			return
 		}
@@ -171,23 +171,23 @@ func (s *Server) handleModelBlob(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				s.writeErr(w, r, api.Errorf(api.CodeGraphTooLarge, "blob over %d bytes", api.MaxBlobBytes))
+				api.WriteError(w, r, api.Errorf(api.CodeGraphTooLarge, "blob over %d bytes", api.MaxBlobBytes))
 			} else {
-				s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "read blob: %v", err))
+				api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "read blob: %v", err))
 			}
 			return
 		}
 		e, err := s.reg.ImportBlob(data, id)
 		if err != nil {
-			s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
+			api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
 			return
 		}
-		writeJSON(w, http.StatusOK, api.ModelInfo{
+		api.WriteJSON(w, http.StatusOK, api.ModelInfo{
 			Key: api.ModelKey{Machine: e.Key.Machine, Scenario: e.Key.Scenario, Objective: e.Key.Objective},
 			ID:  e.Key.ID(), Cached: true, OnDisk: s.reg.dir != "",
 		})
 	default:
-		s.writeErr(w, r, api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want GET or PUT)", r.Method))
+		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want GET or PUT)", r.Method))
 	}
 }
 
@@ -196,18 +196,18 @@ func (s *Server) handleModelBlob(w http.ResponseWriter, r *http.Request) {
 // history — the observability face of the measure→learn loop.
 func (s *Server) handleModelDetail(w http.ResponseWriter, r *http.Request, id string) {
 	if id == "" {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 		return
 	}
 	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	det, ok := s.reg.Describe(id)
 	if !ok {
-		s.writeErr(w, r, api.Errorf(api.CodeModelNotFound, "no model with id %s", id))
+		api.WriteError(w, r, api.Errorf(api.CodeModelNotFound, "no model with id %s", id))
 		return
 	}
 	det.CanaryVersion = s.canaryVersion(id)
-	writeJSON(w, http.StatusOK, det)
+	api.WriteJSON(w, http.StatusOK, det)
 }

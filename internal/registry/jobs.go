@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/telemetry"
 )
 
 // JobRunner executes one async tuning session under ctx. A cancelled ctx
@@ -429,4 +430,4 @@ func (s *JobStore) evictLocked(now time.Time) {
 }
 
 // newJobID returns a 16-hex-char random job ID.
-func newJobID() string { return randomHex(8) }
+func newJobID() string { return telemetry.RandomHex(8) }

@@ -1,69 +1,10 @@
 package registry
 
 import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
 	"pnptuner/internal/api"
-	"pnptuner/internal/telemetry"
 )
-
-// RequestIDHeader carries the per-request correlation ID, which is
-// also the request's trace ID. Incoming values are echoed (so a
-// gateway's IDs survive); absent ones are generated. Error envelopes
-// repeat the ID in request_id, and GET /v1/traces/{id} serves the
-// request's span timeline under it. The echo/mint/ctx-inject
-// middleware itself is telemetry.WithRequestID, shared with the gate.
-const RequestIDHeader = telemetry.TraceHeader
-
-// randomHex returns 2n hex chars of entropy — request correlation IDs
-// and job IDs. crypto/rand never fails on supported platforms; a silent
-// fallback would risk colliding IDs, so fail loudly.
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		panic("registry: ID entropy unavailable: " + err.Error())
-	}
-	return hex.EncodeToString(b)
-}
-
-// requestID returns the request's correlation ID (set by withRequestID).
-func requestID(r *http.Request) string {
-	return r.Header.Get(RequestIDHeader)
-}
-
-// withDeadline enforces the X-Deadline budget a client (or the gate)
-// stamped on the request: an already-spent budget is shed before the
-// handler runs (no body read, no batcher admission), and a live one
-// becomes the request context's deadline so every downstream check —
-// batcher queueing, engine measurements — observes it for free. A
-// malformed header is a client error, not a silently unbounded request.
-func withDeadline(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		remaining, ok, err := api.ParseDeadline(r.Header.Get(api.DeadlineHeader))
-		if err != nil {
-			writeShed(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
-			return
-		}
-		if !ok {
-			next.ServeHTTP(w, r)
-			return
-		}
-		if remaining <= 0 {
-			writeShed(w, r, api.Errorf(api.CodeDeadlineExceeded,
-				"request budget already spent (%s %s)", api.DeadlineHeader, r.Header.Get(api.DeadlineHeader)))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), remaining)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
 
 // withLimit bounds a route's concurrent requests: past n in flight the
 // request is shed with CodeOverloaded before any work (no body decode).
@@ -82,115 +23,8 @@ func withLimit(n int, next http.HandlerFunc) http.HandlerFunc {
 			defer func() { <-slots }()
 			next.ServeHTTP(w, r)
 		default:
-			writeShed(w, r, api.Errorf(api.CodeOverloaded,
+			api.WriteError(w, r, api.Errorf(api.CodeOverloaded,
 				"route at its concurrency limit (%d in flight); retry later", n))
 		}
 	}
-}
-
-// writeShed renders a middleware-level error envelope, with the
-// Retry-After hint for backpressure codes.
-func writeShed(w http.ResponseWriter, r *http.Request, info *api.ErrorInfo) {
-	if secs := api.RetryAfterSecs(info.Code); secs > 0 {
-		w.Header().Set(api.RetryAfterHeader, strconv.Itoa(secs))
-	}
-	writeJSON(w, api.StatusFor(info.Code), api.ErrorBody{Error: *info, RequestID: requestID(r)})
-}
-
-// routeMetrics aggregates per-route request/error counters and latency,
-// surfaced in /healthz and (when a telemetry registry is attached)
-// exported as the pnp_http_* Prometheus families. Routes are the mux
-// patterns, not raw paths, so cardinality is fixed.
-type routeMetrics struct {
-	mu   sync.Mutex
-	byRt map[string]*routeCounter
-
-	// Telemetry families (nil handles when tel was nil): per-route
-	// handles resolve once in wrap, so the request path pays atomics,
-	// not map lookups.
-	reqs *telemetry.CounterVec
-	errs *telemetry.CounterVec
-	dur  *telemetry.HistogramVec
-}
-
-type routeCounter struct {
-	count   int64
-	errors  int64
-	totalNs int64
-}
-
-func newRouteMetrics(tel *telemetry.Registry) *routeMetrics {
-	m := &routeMetrics{byRt: map[string]*routeCounter{}}
-	if tel != nil {
-		m.reqs = tel.CounterVec("pnp_http_requests_total",
-			"HTTP requests served, by mux route pattern.", "route")
-		m.errs = tel.CounterVec("pnp_http_errors_total",
-			"HTTP responses with status >= 400, by mux route pattern.", "route")
-		m.dur = tel.HistogramVec("pnp_http_request_duration_seconds",
-			"HTTP request latency, by mux route pattern.",
-			telemetry.Seconds, telemetry.DurationBuckets, "route")
-	}
-	return m
-}
-
-// wrap instruments h under the route label.
-func (m *routeMetrics) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
-	var reqC, errC *telemetry.Counter
-	var durH *telemetry.Histogram
-	if m.reqs != nil {
-		reqC = m.reqs.With(route)
-		errC = m.errs.With(route)
-		durH = m.dur.With(route)
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		elapsed := time.Since(start)
-
-		reqC.Inc()
-		if sw.status >= 400 {
-			errC.Inc()
-		}
-		durH.ObserveDuration(elapsed)
-
-		m.mu.Lock()
-		c := m.byRt[route]
-		if c == nil {
-			c = &routeCounter{}
-			m.byRt[route] = c
-		}
-		c.count++
-		if sw.status >= 400 {
-			c.errors++
-		}
-		c.totalNs += int64(elapsed)
-		m.mu.Unlock()
-	}
-}
-
-// snapshot renders the counters as the wire stats map.
-func (m *routeMetrics) snapshot() map[string]api.RouteStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]api.RouteStats, len(m.byRt))
-	for route, c := range m.byRt {
-		st := api.RouteStats{Count: c.count, Errors: c.errors}
-		if c.count > 0 {
-			st.AvgMillis = float64(c.totalNs) / float64(c.count) / 1e6
-		}
-		out[route] = st
-	}
-	return out
-}
-
-// statusWriter records the response status for the metrics wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }

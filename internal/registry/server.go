@@ -35,7 +35,7 @@ import (
 //	GET    /v1/models/{id}            one model's version + refresh detail
 //	GET    /v1/models/{id}/blob       export a model's serialized blob
 //	PUT    /v1/models/{id}/blob       import a peer's serialized blob
-//	GET    /v1/healthz    (/healthz)  liveness, traffic and route counters
+//	GET    /v1/healthz    (/healthz)  liveness and traffic counters
 type Server struct {
 	reg      *Registry
 	vocab    *vocab.Vocabulary
@@ -43,7 +43,7 @@ type Server struct {
 	start    time.Time
 	jobs     *JobStore
 	tele     *serverTelemetry
-	metrics  *routeMetrics
+	metrics  *telemetry.RouteMetrics
 	inflight int
 	quantize bool
 
@@ -114,7 +114,7 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 		inflight:   cfg.MaxInflight,
 		jobs:       jobs,
 		tele:       tele,
-		metrics:    newRouteMetrics(tele.tel),
+		metrics:    telemetry.NewRouteMetrics(tele.tel, "pnp"),
 		batchers:   newLRU(reg.Capacity()),
 		closing:    map[string]chan struct{}{},
 		canaries:   map[string]*canary{},
@@ -128,7 +128,7 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.metrics.wrap(pattern, h))
+		mux.HandleFunc(pattern, s.metrics.Wrap(pattern, h))
 	}
 	// The heavy routes share one limiter per handler across their v1 and
 	// legacy mounts — the bound is on the work, not the spelling of the
@@ -163,10 +163,10 @@ func (s *Server) Handler() http.Handler {
 	legacy("/models", api.PathModels, s.handleModels)
 	legacy("/healthz", api.PathHealthz, s.handleHealthz)
 
-	mux.HandleFunc("/", s.metrics.wrap("(unmatched)", func(w http.ResponseWriter, r *http.Request) {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
+	mux.HandleFunc("/", s.metrics.Wrap("(unmatched)", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
 	}))
-	return telemetry.WithRequestID(s.tele.rec, withDeadline(mux))
+	return telemetry.WithRequestID(s.tele.rec, api.WithDeadline(mux))
 }
 
 // Shutdown stops the server gracefully: the job store drains (queued
@@ -287,7 +287,7 @@ func (s *Server) batcherFor(ctx context.Context, key Key) (*Batcher, error) {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodPost); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	// One pass: the graph decodes straight into its wire form, which
@@ -297,7 +297,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Graph *programl.Wire `json:"graph"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, api.DecodeError(err))
+		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
 	if req.Scenario == "" {
@@ -305,20 +305,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	key := Key{Machine: req.Machine, Scenario: req.Scenario, Objective: req.Objective}
 	if err := key.Validate(); err != nil {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
+		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
 	if req.Graph == nil {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
+		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
 		return
 	}
 	g, err := req.Graph.Graph()
 	if err != nil {
-		s.writeErr(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
+		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
 		return
 	}
 	if len(g.Nodes) > api.MaxGraphNodes || len(g.Edges) > api.MaxGraphEdges {
-		s.writeErr(w, r, api.Errorf(api.CodeGraphTooLarge,
+		api.WriteError(w, r, api.Errorf(api.CodeGraphTooLarge,
 			"graph too large (%d nodes, %d edges; limits %d, %d)",
 			len(g.Nodes), len(g.Edges), api.MaxGraphNodes, api.MaxGraphEdges))
 		return
@@ -328,7 +328,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp, err := key.Space()
 	if err != nil {
 		// Unreachable after key.Validate; classified as server-side.
-		s.writeErr(w, r, api.Errorf(api.CodeInternal, "%v", err))
+		api.WriteError(w, r, api.Errorf(api.CodeInternal, "%v", err))
 		return
 	}
 
@@ -336,7 +336,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The key already validated, so resolve failures are server-side
 		// (or the model is genuinely absent and untrainable).
-		s.writeErr(w, r, resolveErrInfo(err))
+		api.WriteError(w, r, resolveErrInfo(err))
 		return
 	}
 	picks, err := b.PredictContext(r.Context(), Request{Graph: g, Extras: req.Counters})
@@ -357,7 +357,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.Canceled):
 			info = api.Errorf(api.CodeUnavailable, "request cancelled before prediction completed")
 		}
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 
@@ -399,17 +399,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodPost); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	var req api.TuneRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
-		s.writeErr(w, r, api.DecodeError(err))
+		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
 	// Model-free strategies never touch the batchers, so without this
@@ -418,47 +418,47 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		s.writeErr(w, r, api.Errorf(api.CodeUnavailable, "server is shutting down"))
+		api.WriteError(w, r, api.Errorf(api.CodeUnavailable, "server is shutting down"))
 		return
 	}
 	ts, info := s.prepTune(req)
 	if info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	if req.Async {
 		job, info := s.jobs.Submit(ts.req, ts.run)
 		if info != nil {
-			s.writeErr(w, r, info)
+			api.WriteError(w, r, info)
 			return
 		}
 		s.served.Add(1)
-		writeJSON(w, http.StatusAccepted, job)
+		api.WriteJSON(w, http.StatusAccepted, job)
 		return
 	}
 	resp, info := ts.run(r.Context())
 	if info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleJobs lists retained jobs, oldest first.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.List())
+	api.WriteJSON(w, http.StatusOK, s.jobs.List())
 }
 
 // handleJob polls (GET) or cancels (DELETE) one job by ID.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
 	if id == "" || strings.Contains(id, "/") {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 		return
 	}
 	var job api.Job
@@ -472,22 +472,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		info = api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want GET or DELETE)", r.Method)
 	}
 	if info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	api.WriteJSON(w, http.StatusOK, job)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	s.mu.Lock()
 	nBatchers := s.batchers.len()
 	s.mu.Unlock()
 	st := s.reg.Stats()
-	writeJSON(w, http.StatusOK, api.Health{
+	api.WriteJSON(w, http.StatusOK, api.Health{
 		Status:          "ok",
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Served:          s.served.Load(),
@@ -500,13 +500,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Evicted:         st.Evicted,
 		PersistFailures: st.PersistFailures,
 		Jobs:            s.jobs.Stats(),
-		Routes:          s.metrics.snapshot(),
 	})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	infos := s.reg.List()
@@ -528,7 +527,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Meta:   meta,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // requireMethod returns the method_not_allowed error when r's method
@@ -538,18 +537,4 @@ func requireMethod(r *http.Request, want string) *api.ErrorInfo {
 		return api.Errorf(api.CodeMethodNotAllowed, "%s not allowed (want %s)", r.Method, want)
 	}
 	return nil
-}
-
-// writeErr renders the v1 error envelope with the request's correlation
-// ID and the code's canonical status, plus the Retry-After hint for
-// backpressure codes so clients can pace their retries off the server's
-// word instead of guessing with backoff.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, info *api.ErrorInfo) {
-	writeShed(w, r, info)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

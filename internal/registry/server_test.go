@@ -355,15 +355,15 @@ func TestServerModelNotFound(t *testing.T) {
 func TestServerRequestID(t *testing.T) {
 	_, ts := newTestServer(t)
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+api.PathJobs+"/missing", nil)
-	req.Header.Set(RequestIDHeader, "corr-42")
+	req.Header.Set(telemetry.TraceHeader, "corr-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := decodeError(t, resp)
 	resp.Body.Close()
-	if body.RequestID != "corr-42" || resp.Header.Get(RequestIDHeader) != "corr-42" {
-		t.Fatalf("request ID not echoed: body %q header %q", body.RequestID, resp.Header.Get(RequestIDHeader))
+	if body.RequestID != "corr-42" || resp.Header.Get(telemetry.TraceHeader) != "corr-42" {
+		t.Fatalf("request ID not echoed: body %q header %q", body.RequestID, resp.Header.Get(telemetry.TraceHeader))
 	}
 }
 

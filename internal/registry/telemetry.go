@@ -169,19 +169,19 @@ func (s *Server) SetTraceLogging(every int) {
 // never reached this process or has been evicted.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if info := requireMethod(r, http.MethodGet); info != nil {
-		s.writeErr(w, r, info)
+		api.WriteError(w, r, info)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, api.PathTraces+"/")
 	if id == "" || strings.Contains(id, "/") {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s", r.URL.Path))
 		return
 	}
 	tr, ok := s.tele.rec.Get(id)
 	if !ok {
-		s.writeErr(w, r, api.Errorf(api.CodeNotFound,
+		api.WriteError(w, r, api.Errorf(api.CodeNotFound,
 			"no trace %q (unknown, or evicted from the bounded trace window)", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	api.WriteJSON(w, http.StatusOK, tr)
 }

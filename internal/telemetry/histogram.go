@@ -7,13 +7,11 @@ import (
 	"time"
 )
 
-// Log-linear bucketing, identical to internal/loadgen's client-side
-// histograms: values below 2^subBits are exact; above, each power of
-// two splits into 2^subBits sub-buckets, bounding the relative
-// quantile error at ~1/2^subBits (≈3%) across the full range. Keeping
-// the schemes identical means server-side quantiles scraped from
-// /metrics and client-side quantiles in a pnpload report are directly
-// comparable (and parity-tested so).
+// Log-linear bucketing: values below 2^subBits are exact; above, each
+// power of two splits into 2^subBits sub-buckets, bounding the relative
+// quantile error at ~1/2^subBits (≈3%) across the full range. The same
+// Histogram records server-side latencies for /metrics and client-side
+// ones in a pnpload report, so the two are directly comparable.
 const (
 	subBits   = 5
 	subCount  = 1 << subBits
@@ -44,8 +42,8 @@ func bucketValue(idx int) int64 {
 
 // Histogram records values into log-linear buckets with lock-free
 // atomic increments — it sits on the serving hot path (every batched
-// predict observes queue wait and forward time), so unlike loadgen's
-// mutex-guarded histogram, the write path is a few atomic adds.
+// predict observes queue wait and forward time), so the write path is
+// a few atomic adds.
 // Snapshots taken during concurrent writes are internally consistent
 // enough for monitoring (counts are monotone; a reader may see an
 // observation in the bucket array before the total, never after).
@@ -57,7 +55,10 @@ type Histogram struct {
 	max    atomic.Int64
 }
 
-func newHistogram() *Histogram {
+// NewHistogram returns an empty histogram outside any registry (a
+// load generator's per-op latencies); registered families get theirs
+// from Histogram and HistogramVec.
+func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]atomic.Uint64, numBucket)}
 }
 
@@ -103,10 +104,30 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
+// Max returns the largest observation in recorded units (exact).
+func (h *Histogram) Max() uint64 {
+	if h == nil {
+		return 0
+	}
+	return uint64(h.max.Load())
+}
+
+// Mean returns the arithmetic mean in recorded units (exact, not
+// bucketed), 0 when empty.
+func (h *Histogram) Mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.Sum()) / float64(n)
+}
+
 // Quantile returns the q-quantile (0 < q ≤ 1) in recorded units, 0
 // when empty. The rank is ceil(q·n) — the smallest value with at least
-// a q fraction of observations at or below it — and the answer is that
-// rank's bucket midpoint, mirroring loadgen's quantile exactly.
+// a q fraction of observations at or below it (truncating instead would
+// read one rank low whenever q·n is fractional: p90 of 15 samples is
+// rank 14, not 13) — and the answer is that rank's bucket midpoint, so
+// it carries the bucketing's ~3% relative error.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil {
 		return 0
@@ -143,4 +164,26 @@ func (h *Histogram) cumulative(counts []uint64) uint64 {
 		total += c
 	}
 	return total
+}
+
+// BucketCount is one non-empty bucket of a duration histogram, for
+// report artifacts: the bucket's midpoint in milliseconds and its count.
+type BucketCount struct {
+	UpToMillis float64 `json:"le_ms"`
+	Count      uint64  `json:"count"`
+}
+
+// Buckets exports the non-empty buckets of a histogram recorded in
+// nanoseconds.
+func (h *Histogram) Buckets() []BucketCount {
+	if h == nil {
+		return nil
+	}
+	var out []BucketCount
+	for i := range h.counts {
+		if c := h.counts[i].Load(); c > 0 {
+			out = append(out, BucketCount{UpToMillis: float64(bucketValue(i)) / 1e6, Count: c})
+		}
+	}
+	return out
 }

@@ -37,13 +37,13 @@ func TraceID(ctx context.Context) string {
 	return id
 }
 
-// newTraceID mints 12 hex chars of entropy. crypto/rand never fails on
-// supported platforms; a silent fallback would risk colliding IDs, so
-// fail loudly.
-func newTraceID() string {
-	b := make([]byte, 6)
+// RandomHex returns 2n hex chars of crypto/rand entropy: trace IDs (6
+// bytes) and job IDs (8). crypto/rand never fails on supported
+// platforms; a silent fallback would risk colliding IDs, so fail loudly.
+func RandomHex(n int) string {
+	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
-		panic("telemetry: trace ID entropy unavailable: " + err.Error())
+		panic("telemetry: ID entropy unavailable: " + err.Error())
 	}
 	return hex.EncodeToString(b)
 }
@@ -249,7 +249,7 @@ func WithRequestID(rec *Recorder, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(TraceHeader)
 		if id == "" {
-			id = newTraceID()
+			id = RandomHex(6)
 			r.Header.Set(TraceHeader, id)
 		}
 		w.Header().Set(TraceHeader, id)
@@ -259,22 +259,11 @@ func WithRequestID(rec *Recorder, next http.Handler) http.Handler {
 			return
 		}
 		start := time.Now()
-		sw := &statusCapture{ResponseWriter: w, status: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		d := time.Since(start)
 		rec.Add(id, "http "+r.Method+" "+r.URL.Path, start, d,
 			"status", strconv.Itoa(sw.status))
 		rec.maybeLog(id, r.Method, r.URL.Path, sw.status, d)
 	})
-}
-
-// statusCapture records the response status for the root span.
-type statusCapture struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusCapture) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }
