@@ -1,7 +1,9 @@
 package api
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -31,17 +33,32 @@ func FormatDeadline(remaining time.Duration) string {
 
 // ParseDeadline reads a DeadlineHeader value back into a remaining
 // budget. ok is false when the header is absent (empty); a present but
-// malformed value is an error so a garbled budget fails loudly instead
-// of silently serving without one.
+// malformed value — NaN and ±Inf included — is an error so a garbled
+// budget fails loudly instead of silently serving without one. A budget
+// past what a Duration holds saturates at ±math.MaxInt64 ns rather than
+// wrapping, and a positive one never reads as spent: a generous budget
+// must not be shed as an exhausted one.
 func ParseDeadline(value string) (remaining time.Duration, ok bool, err error) {
 	if value == "" {
 		return 0, false, nil
 	}
 	ms, err := strconv.ParseFloat(value, 64)
+	if err == nil && (math.IsNaN(ms) || math.IsInf(ms, 0)) {
+		err = errors.New("not a finite number")
+	}
 	if err != nil {
 		return 0, false, fmt.Errorf("api: malformed %s %q: %w", DeadlineHeader, value, err)
 	}
-	return time.Duration(ms * float64(time.Millisecond)), true, nil
+	switch ns := ms * float64(time.Millisecond); {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64, true, nil
+	case ns <= -math.MaxInt64:
+		return -math.MaxInt64, true, nil
+	case ns > 0 && ns < 1:
+		return 1, true, nil
+	default:
+		return time.Duration(ns), true, nil
+	}
 }
 
 // RetryAfterSecs returns the Retry-After hint (in seconds) a response

@@ -60,6 +60,8 @@ func TestServingContract(t *testing.T) {
 			requestID: "contract-2", deadline: "abc", status: http.StatusBadRequest, code: api.CodeBadRequest},
 		{name: "spent deadline", method: http.MethodGet, path: api.PathHealthz,
 			requestID: "contract-3", deadline: "-1", status: http.StatusGatewayTimeout, code: api.CodeDeadlineExceeded},
+		{name: "huge deadline is not spent", method: http.MethodGet, path: api.PathHealthz,
+			deadline: "1e300", status: http.StatusOK, route: api.PathHealthz},
 		{name: "route error", method: http.MethodGet, path: api.PathPredict,
 			status: http.StatusMethodNotAllowed, code: api.CodeMethodNotAllowed, route: api.PathPredict},
 	}
