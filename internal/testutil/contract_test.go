@@ -109,8 +109,12 @@ func TestServingContract(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	<-entered
-	defer func() { close(release); <-held }()
+	t.Cleanup(func() { close(release); <-held }) // runs before the cluster's teardown
+	select {
+	case <-entered:
+	case <-held:
+		t.Fatal("the parked predict returned before reaching training")
+	}
 	// A machine no heuristic knows keeps the gate's degraded path from
 	// answering in place of the replica's shed.
 	shed, _ := json.Marshal(api.PredictRequest{Machine: "ghost-machine", Objective: "time", Graph: api.RawObject(`{}`)})
