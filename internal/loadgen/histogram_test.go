@@ -3,13 +3,16 @@ package loadgen
 import (
 	"testing"
 	"time"
+
+	"pnptuner/internal/telemetry"
 )
 
-// TestQuantileRank pins Quantile's rank arithmetic on counts where q·n is
-// fractional: the rank must be ceil(q·n), the smallest observation with
-// at least a q fraction at or below it. Values stay below 2^subBits ns so
-// buckets are exact and the assertions are rank-for-rank, free of the
-// log-linear ~3% midpoint error.
+// TestQuantileRank pins the rank arithmetic an op's latencies go through:
+// durations recorded the way Run records them, read back as quantiles and
+// through the op's report. Where q·n is fractional the rank must be
+// ceil(q·n), the smallest observation with at least a q fraction at or
+// below it. Values stay below 2^subBits ns so buckets are exact and the
+// assertions are rank-for-rank, free of the log-linear ~3% midpoint error.
 func TestQuantileRank(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,21 +31,32 @@ func TestQuantileRank(t *testing.T) {
 		{"tiny q clamps to rank 1", 21, 0.001, 1},
 	}
 	for _, tc := range cases {
-		var h Histogram
+		st := &opStats{hist: telemetry.NewHistogram()}
 		for v := 1; v <= tc.n; v++ {
-			h.Record(time.Duration(v))
+			st.hist.ObserveDuration(time.Duration(v))
 		}
-		if got := h.Quantile(tc.q); got != tc.want {
+		if got := time.Duration(st.hist.Quantile(tc.q)); got != tc.want {
 			t.Errorf("%s: Quantile(%v) over 1..%d = %v, want %v",
 				tc.name, tc.q, tc.n, got, tc.want)
+		}
+		r := st.report(false)
+		reported := map[float64]float64{0.50: r.P50Millis, 0.90: r.P90Millis, 0.99: r.P99Millis}
+		if got, ok := reported[tc.q]; ok && got != ms(uint64(tc.want)) {
+			t.Errorf("%s: reported p%v = %vms, want %vms",
+				tc.name, tc.q*100, got, ms(uint64(tc.want)))
 		}
 	}
 }
 
-// TestQuantileEmpty keeps the empty-histogram contract.
+// TestQuantileEmpty keeps the empty contract: an op that recorded nothing
+// reports zero quantiles, mean and max, not NaN or garbage.
 func TestQuantileEmpty(t *testing.T) {
-	var h Histogram
-	if got := h.Quantile(0.5); got != 0 {
+	st := &opStats{hist: telemetry.NewHistogram()}
+	if got := st.hist.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
+	}
+	r := st.report(true)
+	if r.P50Millis != 0 || r.P90Millis != 0 || r.P99Millis != 0 || r.MeanMillis != 0 || r.MaxMillis != 0 {
+		t.Errorf("empty op report = %+v, want all-zero latencies", r)
 	}
 }
