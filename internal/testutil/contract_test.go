@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pnptuner/internal/api"
@@ -24,18 +27,21 @@ import (
 // Retry-After, and each mux route's *_http_* series moving in /metrics.
 func TestServingContract(t *testing.T) {
 	// The replica's predict route admits one request at a time, and its
-	// trainer blocks until released: one cold predict parked in training
-	// holds the slot, so every other predict is shed as overloaded.
+	// skylake trainer blocks until released: one cold skylake predict
+	// parked in training holds the slot, so every other predict is shed
+	// as overloaded. Haswell models train at once, for the body rows.
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	c := testutil.StartCluster(t, 1,
 		testutil.WithServerConfig(func(cfg *registry.ServerConfig) { cfg.MaxInflight = 1 }),
 		testutil.WithTrainer(func(k registry.Key) (*core.Model, core.ModelMeta, error) {
-			select {
-			case entered <- struct{}{}:
-			default:
+			if k.Machine == "skylake" {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-release
 			}
-			<-release
 			return testutil.TinyTrainer(k)
 		}))
 
@@ -100,8 +106,16 @@ func TestServingContract(t *testing.T) {
 		}
 	}
 
+	for _, tier := range tiers {
+		for _, tc := range predictBodyCases() {
+			t.Run(tier.name+"/body/"+tc.name, func(t *testing.T) {
+				checkPredict(t, tier.url, tc)
+			})
+		}
+	}
+
 	// Park one cold predict on the replica, then both tiers shed.
-	body, _ := json.Marshal(api.PredictRequest{Machine: "haswell", Objective: "time", Graph: corpusGraph(t, 0)})
+	body, _ := json.Marshal(api.PredictRequest{Machine: "skylake", Objective: "time", Graph: corpusGraph(t, 0)})
 	held := make(chan struct{})
 	go func() {
 		defer close(held)
@@ -129,6 +143,103 @@ func TestServingContract(t *testing.T) {
 	}
 }
 
+// predictCase is one predict body and the answer both tiers must give
+// it: a status, and either an error code or picks equal to those the
+// same endpoint gives for the body like (a plain request when empty).
+// region, when set, is the region_id the 200 answer must echo.
+type predictCase struct {
+	name, body   string
+	status       int
+	code         string
+	like, region string
+}
+
+// contractGraph is a two-node graph with text as its instruction's text
+// and region as its region_id; node holds extra fields for that node.
+func contractGraph(region, text, node string) string {
+	return `{"region_id":"` + region + `","nodes":[{"kind":"instruction","text":"` + text + `"` + node +
+		`},{"kind":"variable","text":"param double"}],"edges":[{"src":1,"dst":0,"rel":"data"}]}`
+}
+
+// predictBody wraps a graph value in a haswell time-objective request.
+func predictBody(graph string) string {
+	return `{"machine":"haswell","objective":"time","graph":` + graph + `}`
+}
+
+// predictBodyCases pin how a predict body decodes: the encoding/json
+// rules both tiers have always applied (case-folded keys, merged
+// duplicates, integer-only int fields, float64 range, U+FFFD for bad
+// UTF-8, its nesting limit, the first value of the body only).
+func predictBodyCases() []predictCase {
+	plain := contractGraph("r", "load double", "")
+	deep := func(n int) string {
+		return `{"machine":"haswell","objective":"time","extra":` + strings.Repeat("[", n) +
+			strings.Repeat("]", n) + `,"graph":` + plain + `}`
+	}
+	bad := func(name, body string) predictCase {
+		return predictCase{name: name, body: body, status: http.StatusBadRequest, code: api.CodeBadRequest}
+	}
+	ok := func(name, body, like, region string) predictCase {
+		return predictCase{name: name, body: body, status: http.StatusOK, like: like, region: region}
+	}
+	text := func(region, text string) string { return predictBody(contractGraph(region, text, "")) }
+	return []predictCase{
+		ok("plain", predictBody(plain), "", "r"),
+		ok("case-folded keys", `{"Machine":"haswell","OBJECTIVE":"time","Graph":`+plain+`}`, "", "r"),
+		ok("duplicate graph merges", `{"machine":"haswell","objective":"time","graph":`+plain+
+			`,"graph":{"region_id":"dup"}}`, "", "dup"),
+		bad("null graph", predictBody(`null`)),
+		bad("number graph", predictBody(`42`)),
+		bad("array graph", predictBody(`[]`)),
+		bad("string graph", predictBody(`"x"`)),
+		ok("integer token", predictBody(contractGraph("r", "load double", `,"token":7`)), "", "r"),
+		bad("fractional token", predictBody(contractGraph("r", "load double", `,"token":1.0`))),
+		bad("exponent token", predictBody(contractGraph("r", "load double", `,"token":1e2`))),
+		bad("token past int64", predictBody(contractGraph("r", "load double", `,"token":9223372036854775808`))),
+		bad("counter past float64", `{"machine":"haswell","objective":"time","counters":[1e400],"graph":`+plain+`}`),
+		ok("two-byte UTF-8", text("é", "é"), text("r", "é"), "é"),
+		ok("four-byte UTF-8", text(`😀`, "😀"), text("r", "😀"), "😀"),
+		ok("lone surrogate", text(`\ud800`, `\ud800`), text("r", "�"), "�"),
+		ok("invalid UTF-8", text("\xff", "\xff"), text("r", "�"), "�"),
+		ok("nested to the depth limit", deep(9999), "", "r"),
+		bad("nested past the depth limit", deep(10000)),
+		ok("trailing bytes", predictBody(plain)+` }{"trailing`, "", "r"),
+	}
+}
+
+// checkPredict posts tc's body to url and checks the answer.
+func checkPredict(t *testing.T, url string, tc predictCase) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, url+api.PathPredict, strings.NewReader(tc.body))
+	resp := checkResponse(t, req, tc.status, tc.code)
+	if tc.code != "" {
+		return
+	}
+	var got api.PredictResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if tc.region != "" && got.RegionID != tc.region {
+		t.Fatalf("region_id = %q, want %q", got.RegionID, tc.region)
+	}
+	like := tc.like
+	if like == "" {
+		like = predictBody(contractGraph("r", "load double", ""))
+	}
+	want, err := http.Post(url+api.PathPredict, "application/json", strings.NewReader(like))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Body.Close()
+	var ref api.PredictResponse
+	if err := json.NewDecoder(want.Body).Decode(&ref); err != nil || len(ref.Picks) == 0 {
+		t.Fatalf("reference body: status %d, %v", want.StatusCode, err)
+	}
+	if !reflect.DeepEqual(got.Picks, ref.Picks) {
+		t.Fatalf("picks = %+v, want %+v", got.Picks, ref.Picks)
+	}
+}
+
 // checkResponse sends req and checks its status and, for an error, the
 // envelope's code and request_id (which must match the response's
 // X-Request-ID).
@@ -138,9 +249,10 @@ func checkResponse(t *testing.T, req *http.Request, status int, code string) *ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	t.Cleanup(func() { resp.Body.Close() })
 	if resp.StatusCode != status {
-		t.Fatalf("status = %d, want %d", resp.StatusCode, status)
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d, want %d: %s", resp.StatusCode, status, body)
 	}
 	if code == "" {
 		return resp
