@@ -87,9 +87,11 @@ type PredictRequest struct {
 	Machine   string `json:"machine"`
 	Objective string `json:"objective"`
 	Scenario  string `json:"scenario,omitempty"` // default "full"
-	// Graph is the programl.Graph JSON export (programl.Wire), kept raw so
-	// this package stays dependency-free. The gate forwards it unread; the
-	// replica decodes it in the same pass as the rest of the request.
+	// Graph is the programl.Graph JSON export, kept raw so this package
+	// stays dependency-free. Each tier reads it in one pass with the rest
+	// of the request: the gate (programl.RoutePredict) checks its syntax
+	// and keeps only region_id, then forwards the body's bytes; the
+	// replica (programl.DecodePredict) decodes it.
 	Graph    RawObject `json:"graph"`
 	Counters []float64 `json:"counters,omitempty"`
 }

@@ -95,9 +95,14 @@ func Errorf(code, format string, args ...any) *ErrorInfo {
 }
 
 // DecodeError classifies a request body that failed to read or decode:
-// a body over MaxRequestBytes is CodeGraphTooLarge (the graph is what
-// makes a body big), anything else CodeBadRequest.
+// a decoder's own *ErrorInfo is kept, a body over MaxRequestBytes is
+// CodeGraphTooLarge (the graph is what makes a body big), anything else
+// CodeBadRequest.
 func DecodeError(err error) *ErrorInfo {
+	var info *ErrorInfo
+	if errors.As(err, &info) {
+		return info
+	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		return Errorf(CodeGraphTooLarge, "request body over %d bytes", MaxRequestBytes)

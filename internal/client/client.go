@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 )
 
@@ -120,13 +121,14 @@ func ErrorCode(err error) string {
 func IsCode(err error, code string) bool { return ErrorCode(err) == code }
 
 // Predict asks for the model's recommended configurations for one
-// program graph.
+// program graph. The graph goes on the wire as it is, once checked to
+// be one JSON value.
 func (c *Client) Predict(ctx context.Context, req api.PredictRequest) (*api.PredictResponse, error) {
-	var out api.PredictResponse
-	if err := c.do(ctx, http.MethodPost, api.PathPredict, req, &out); err != nil {
-		return nil, err
+	body, err := programl.EncodePredict(req)
+	if err != nil {
+		return nil, fmt.Errorf("pnpserve: encode request: %w", err)
 	}
-	return &out, nil
+	return c.PredictBody(ctx, body)
 }
 
 // PredictBody is Predict for a request already encoded as JSON: body is

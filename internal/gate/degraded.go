@@ -2,7 +2,6 @@ package gate
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"hash/maphash"
 	"strconv"
@@ -113,7 +112,7 @@ func degradedEligible(err error) bool {
 // configuration, the empirically safe pick the paper's baselines
 // measure against. Returns false when the failure is not
 // availability-shaped or the request is too malformed to answer at all.
-func (g *Gate) degradedPredict(key string, req api.PredictRequest, body []byte, routeErr error) (*api.PredictResponse, bool) {
+func (g *Gate) degradedPredict(key string, req api.PredictRequest, regionID string, body []byte, routeErr error) (*api.PredictResponse, bool) {
 	if !degradedEligible(routeErr) {
 		return nil, false
 	}
@@ -122,36 +121,29 @@ func (g *Gate) degradedPredict(key string, req api.PredictRequest, body []byte, 
 		resp.DegradedSource = "cache"
 		return &resp, true
 	}
-	return heuristicPredict(req, body)
+	return heuristicPredict(req, regionID)
 }
 
 // heuristicPredict builds the model-free fallback response. For the
 // time objective that is the default configuration under every power
 // cap; for EDP, the default configuration at the highest cap (the joint
 // point that never throttles). Unknown machines or objectives return
-// false — there is nothing sane to say.
-func heuristicPredict(req api.PredictRequest, body []byte) (*api.PredictResponse, bool) {
+// false — there is nothing sane to say. regionID is the graph's, as the
+// gate's routing pass read it; it is advisory only.
+func heuristicPredict(req api.PredictRequest, regionID string) (*api.PredictResponse, bool) {
 	m, err := hw.ByName(req.Machine)
 	if err != nil {
 		return nil, false
 	}
 	sp := space.New(m)
 	resp := &api.PredictResponse{
+		RegionID:       regionID,
 		Machine:        req.Machine,
 		Objective:      req.Objective,
 		Scenario:       req.Scenario,
 		Degraded:       true,
 		DegradedSource: "heuristic",
 	}
-	// RegionID is advisory, so the graph is read for it only on this
-	// failure path; a graph too malformed to carry one still gets picks.
-	var wire struct {
-		Graph struct {
-			RegionID string `json:"region_id"`
-		} `json:"graph"`
-	}
-	_ = json.Unmarshal(body, &wire)
-	resp.RegionID = wire.Graph.RegionID
 	def := sp.DefaultIndex()
 	switch req.Objective {
 	case "time":

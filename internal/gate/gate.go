@@ -1,7 +1,6 @@
 package gate
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +15,7 @@ import (
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/client"
+	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 )
 
@@ -337,27 +337,27 @@ func (g *Gate) Handler() http.Handler {
 }
 
 // handlePredict proxies POST /v1/predict to the key's replica, with
-// failover (pure compute — idempotent) and cold-key single flight. Only
-// the routing fields are read; the body's first JSON value goes on verbatim.
+// failover (pure compute — idempotent) and cold-key single flight. One
+// pass reads the routing fields and the graph's region_id and checks the
+// graph's syntax without building it; the body's first JSON value goes
+// on verbatim.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "predict requires POST"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
-	var req struct {
-		api.PredictRequest
-		Graph struct{} `json:"graph"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
+	var req api.PredictRequest
+	var regionID string
+	end := 0
 	if err == nil {
-		err = dec.Decode(&req)
+		req, regionID, end, err = programl.RoutePredict(body)
 	}
 	if err != nil {
 		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
-	body = body[:dec.InputOffset()]
+	body = body[:end]
 	if req.Scenario == "" {
 		req.Scenario = defaultScenario
 	}
@@ -376,7 +376,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// failure, answer from the degraded path — the last known good
 		// pick for this exact request, or the model-free heuristic — rather
 		// than turning cluster-wide trouble into a client-visible 503.
-		if resp, ok := g.degradedPredict(key, req.PredictRequest, body, err); ok {
+		if resp, ok := g.degradedPredict(key, req, regionID, body, err); ok {
 			g.degradedHits.Inc()
 			api.WriteJSON(w, http.StatusOK, resp)
 			return

@@ -37,10 +37,9 @@ func (g *Graph) DOT() string {
 	return b.String()
 }
 
-// Wire is the graph's JSON schema, compatible in spirit with PROGRAML's
-// protobuf export. Decoding into a Wire checks only the JSON shape;
-// Graph converts it and checks what the shape cannot.
-type Wire struct {
+// wire is the graph's JSON schema, compatible in spirit with PROGRAML's
+// protobuf export. MarshalJSON writes it; wire.go's decoder reads it.
+type wire struct {
 	RegionID string     `json:"region_id"`
 	Nodes    []jsonNode `json:"nodes"`
 	Edges    []jsonEdge `json:"edges"`
@@ -58,16 +57,9 @@ type jsonEdge struct {
 	Rel string `json:"rel"`
 }
 
-var (
-	kindByName = map[string]NodeKind{
-		"instruction": KindInstruction, "variable": KindVariable, "constant": KindConstant,
-	}
-	relByName = map[string]Relation{"control": RelControl, "data": RelData, "call": RelCall}
-)
-
 // MarshalJSON serializes the graph.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	w := Wire{RegionID: g.RegionID}
+	w := wire{RegionID: g.RegionID}
 	for _, n := range g.Nodes {
 		w.Nodes = append(w.Nodes, jsonNode{Kind: n.Kind.String(), Text: n.Text, Token: n.Token})
 	}
@@ -75,42 +67,4 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		w.Edges = append(w.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Rel: e.Rel.String()})
 	}
 	return json.Marshal(w)
-}
-
-// UnmarshalJSON deserializes a graph produced by MarshalJSON.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	var w Wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("programl: decode graph: %w", err)
-	}
-	out, err := w.Graph()
-	if err != nil {
-		return err
-	}
-	*g = *out
-	return nil
-}
-
-// Graph converts the wire form, rejecting unknown node kinds, unknown
-// relations and edges whose ends are not nodes.
-func (w *Wire) Graph() (*Graph, error) {
-	g := &Graph{RegionID: w.RegionID, Nodes: make([]Node, len(w.Nodes)), Edges: make([]Edge, len(w.Edges))}
-	for i, n := range w.Nodes {
-		k, ok := kindByName[n.Kind]
-		if !ok {
-			return nil, fmt.Errorf("programl: unknown node kind %q", n.Kind)
-		}
-		g.Nodes[i] = Node{Kind: k, Text: n.Text, Token: n.Token}
-	}
-	for i, e := range w.Edges {
-		r, ok := relByName[e.Rel]
-		if !ok {
-			return nil, fmt.Errorf("programl: unknown relation %q", e.Rel)
-		}
-		if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
-			return nil, fmt.Errorf("programl: edge (%d,%d) out of range", e.Src, e.Dst)
-		}
-		g.Edges[i] = Edge{Src: e.Src, Dst: e.Dst, Rel: r}
-	}
-	return g, nil
 }

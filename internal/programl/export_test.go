@@ -1,10 +1,16 @@
 package programl
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"pnptuner/internal/api"
 )
 
 func TestDOTContainsAllNodesAndColors(t *testing.T) {
@@ -68,51 +74,139 @@ func TestUnmarshalRejectsCorruptGraphs(t *testing.T) {
 	}
 }
 
-// FuzzWire: decoding into a Wire and converting it agrees with
-// Graph.UnmarshalJSON on every input — the same graph, or both an
-// error — and an accepted graph has every edge inside its node range
-// and survives a marshal round trip unchanged.
+// referenceGraph is the reflective decode the scanner replaced, kept as
+// FuzzWire's reference: the wire schema through json.Unmarshal, then
+// its kind, relation and edge-range checks and the replica's size
+// limits.
+func referenceGraph(w *wire) (*Graph, error) {
+	if len(w.Nodes) > api.MaxGraphNodes || len(w.Edges) > api.MaxGraphEdges {
+		return nil, errors.New("graph too large")
+	}
+	g := &Graph{RegionID: w.RegionID, Nodes: make([]Node, len(w.Nodes)), Edges: make([]Edge, len(w.Edges))}
+	for i, n := range w.Nodes {
+		k := NodeKind(slices.Index(kindNames, n.Kind))
+		if k < 0 {
+			return nil, fmt.Errorf("unknown node kind %q", n.Kind)
+		}
+		g.Nodes[i] = Node{Kind: k, Text: n.Text, Token: n.Token}
+	}
+	for i, e := range w.Edges {
+		r := Relation(slices.Index(relNames, e.Rel))
+		if r < 0 {
+			return nil, fmt.Errorf("unknown relation %q", e.Rel)
+		}
+		if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
+			return nil, fmt.Errorf("edge (%d,%d) out of range", e.Src, e.Dst)
+		}
+		g.Edges[i] = Edge{Src: e.Src, Dst: e.Dst, Rel: r}
+	}
+	return g, nil
+}
+
+// referencePredict decodes a predict body as both tiers did before the
+// scanner: one json.Decoder value, the replica's graph decoded through
+// referenceGraph, the gate's only checked to be an object or null.
+func referencePredict(body []byte) (req api.PredictRequest, g *Graph, errReplica, errGate error) {
+	var replica struct {
+		api.PredictRequest
+		Graph *wire `json:"graph"`
+	}
+	if errReplica = json.NewDecoder(bytes.NewReader(body)).Decode(&replica); errReplica == nil && replica.Graph != nil {
+		g, errReplica = referenceGraph(replica.Graph)
+	}
+	var gate struct {
+		api.PredictRequest
+		Graph struct{} `json:"graph"`
+	}
+	errGate = json.NewDecoder(bytes.NewReader(body)).Decode(&gate)
+	return replica.PredictRequest, g, errReplica, errGate
+}
+
+// sameGraph reports whether a and b are DeepEqual, taking a nil list
+// and an empty one for the same.
+func sameGraph(a, b *Graph) bool {
+	return a.RegionID == b.RegionID && slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.Edges, b.Edges)
+}
+
+// FuzzWire holds the one-pass decoder to the reflective reference, on
+// every input read both as a graph and as a predict body: both accept
+// or both reject, and what both accept decodes to DeepEqual values. An
+// accepted graph has every edge inside its node range and survives a
+// marshal round trip unchanged, and the routing pass accepts exactly
+// what the gate's reflective decode did.
 func FuzzWire(f *testing.F) {
 	data, err := json.Marshal(buildGraph(f))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	f.Add([]byte(`{"machine":"haswell","objective":"time","counters":[1,2.5e3],"graph":` + string(data) + `} junk`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	for _, src := range corruptGraphs {
 		f.Add([]byte(src))
 	}
+	for _, src := range []string{
+		`{"Machine":"m","graph":{"nodes":[{"kind":"variable","text":"a"},{"kind":"constant"}]},"GRAPH":{"region_id":"\ud800x"}}`,
+		`{"graph":{"nodes":[{"kind":"variable","text":"a"},{"kind":"constant"}],"nodes":[{"text":"é\xff"}]}}`,
+		`{"graph":{"nodes":[{"Kind":"call"}],"edges":[{"src":0,"dst":0,"rel":"call","rel":null}]}}`,
+		`{"graph":{"nodes":[{"kind":"variable","token":1.0}]}}`,
+		`{"graph":null,"counters":[1e400]}`,
+		`{"graph":{"nodes":[]},"graph":null}`,
+		`{"x":[[{"y":"\"\\\/\b\f\n\r\t😀"}]],"graph":{"nodes":[null,{}]}}`,
+		`nullx`,
+	} {
+		f.Add([]byte(src))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var w Wire
-		var viaWire *Graph
-		errWire := json.Unmarshal(data, &w)
-		if errWire == nil {
-			viaWire, errWire = w.Graph()
+		var w wire
+		var want *Graph
+		errWant := json.Unmarshal(data, &w)
+		if errWant == nil {
+			want, errWant = referenceGraph(&w)
 		}
 		var g Graph
 		errGraph := g.UnmarshalJSON(data)
-		if (errWire == nil) != (errGraph == nil) {
-			t.Fatalf("Wire.Graph error %v, UnmarshalJSON error %v", errWire, errGraph)
+		if (errWant == nil) != (errGraph == nil) {
+			t.Fatalf("reference error %v, UnmarshalJSON error %v", errWant, errGraph)
 		}
-		if errWire != nil {
-			return
-		}
-		if !reflect.DeepEqual(*viaWire, g) {
-			t.Fatalf("Wire.Graph gave %+v, UnmarshalJSON %+v", *viaWire, g)
-		}
-		for i, e := range g.Edges {
-			if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
-				t.Fatalf("accepted edge %d (%d→%d) outside %d nodes", i, e.Src, e.Dst, len(g.Nodes))
+		if errWant == nil {
+			if !sameGraph(want, &g) {
+				t.Fatalf("reference gave %+v, UnmarshalJSON %+v", *want, g)
+			}
+			for i, e := range g.Edges {
+				if e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
+					t.Fatalf("accepted edge %d (%d→%d) outside %d nodes", i, e.Src, e.Dst, len(g.Nodes))
+				}
+			}
+			back, err := json.Marshal(&g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again Graph
+			if err := again.UnmarshalJSON(back); err != nil || !sameGraph(&again, &g) {
+				t.Fatalf("round trip of %s: %+v, %v; want %+v", back, again, err, g)
 			}
 		}
-		back, err := json.Marshal(&g)
-		if err != nil {
-			t.Fatal(err)
+
+		wantReq, wantGraph, errReplica, errGate := referencePredict(data)
+		req, body, err := DecodePredict(data)
+		if (errReplica == nil) != (err == nil) {
+			t.Fatalf("reference error %v, DecodePredict error %v", errReplica, err)
 		}
-		var again Graph
-		if err := again.UnmarshalJSON(back); err != nil || !reflect.DeepEqual(again, g) {
-			t.Fatalf("round trip of %s: %+v, %v; want %+v", back, again, err, g)
+		if err == nil && (!reflect.DeepEqual(wantReq, req) || (wantGraph == nil) != (body == nil) ||
+			wantGraph != nil && !sameGraph(wantGraph, body)) {
+			t.Fatalf("reference gave %+v, %+v; DecodePredict %+v, %+v", wantReq, wantGraph, req, body)
+		}
+		routed, _, end, err := RoutePredict(data)
+		if (errGate == nil) != (err == nil) {
+			t.Fatalf("reference error %v, RoutePredict error %v", errGate, err)
+		}
+		if err == nil && !reflect.DeepEqual(wantReq, routed) {
+			t.Fatalf("reference routed %+v, RoutePredict %+v", wantReq, routed)
+		}
+		if err == nil && (end > len(data) || !json.Valid(data[:end])) {
+			t.Fatalf("RoutePredict ended at %d, not after a value", end)
 		}
 	})
 }

@@ -22,17 +22,7 @@ const (
 	KindConstant
 )
 
-func (k NodeKind) String() string {
-	switch k {
-	case KindInstruction:
-		return "instruction"
-	case KindVariable:
-		return "variable"
-	case KindConstant:
-		return "constant"
-	}
-	return "?"
-}
+func (k NodeKind) String() string { return name(kindNames, int(k)) }
 
 // Relation is the typed-edge flavour.
 type Relation int
@@ -46,16 +36,20 @@ const (
 	NumRelations
 )
 
-func (r Relation) String() string {
-	switch r {
-	case RelControl:
-		return "control"
-	case RelData:
-		return "data"
-	case RelCall:
-		return "call"
+func (r Relation) String() string { return name(relNames, int(r)) }
+
+// kindNames and relNames spell the kinds and relations, in value order,
+// as the JSON export writes them.
+var (
+	kindNames = []string{"instruction", "variable", "constant"}
+	relNames  = []string{"control", "data", "call"}
+)
+
+func name(names []string, i int) string {
+	if i < 0 || i >= len(names) {
+		return "?"
 	}
-	return "?"
+	return names[i]
 }
 
 // Node is one graph vertex. Text is the normalized IR token sequence the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -290,13 +291,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, info)
 		return
 	}
-	// One pass: the graph decodes straight into its wire form, which
-	// shadows the embedded raw field.
-	var req struct {
-		api.PredictRequest
-		Graph *programl.Wire `json:"graph"`
+	// One pass: the envelope and the graph decode together, graph
+	// checks and size limits included.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	var req api.PredictRequest
+	var g *programl.Graph
+	if err == nil {
+		req, g, err = programl.DecodePredict(body)
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
+	if err != nil {
 		api.WriteError(w, r, api.DecodeError(err))
 		return
 	}
@@ -308,19 +311,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
-	if req.Graph == nil {
+	if g == nil {
 		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "request has no graph"))
-		return
-	}
-	g, err := req.Graph.Graph()
-	if err != nil {
-		api.WriteError(w, r, api.Errorf(api.CodeBadRequest, "decode graph: %v", err))
-		return
-	}
-	if len(g.Nodes) > api.MaxGraphNodes || len(g.Edges) > api.MaxGraphEdges {
-		api.WriteError(w, r, api.Errorf(api.CodeGraphTooLarge,
-			"graph too large (%d nodes, %d edges; limits %d, %d)",
-			len(g.Nodes), len(g.Edges), api.MaxGraphNodes, api.MaxGraphEdges))
 		return
 	}
 	s.vocab.Annotate(g)

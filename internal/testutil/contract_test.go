@@ -204,6 +204,11 @@ func predictBodyCases() []predictCase {
 		ok("nested to the depth limit", deep(9999), "", "r"),
 		bad("nested past the depth limit", deep(10000)),
 		ok("trailing bytes", predictBody(plain)+` }{"trailing`, "", "r"),
+		// The one deliberate change: the node limit rejects while
+		// decoding, before the kinds are checked, so a graph of too many
+		// kindless nodes is 413 where it used to be 400.
+		{name: "too many nodes", status: http.StatusRequestEntityTooLarge, code: api.CodeGraphTooLarge,
+			body: predictBody(`{"nodes":[{}` + strings.Repeat(`,{}`, api.MaxGraphNodes) + `]}`)},
 	}
 }
 
