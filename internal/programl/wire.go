@@ -251,7 +251,7 @@ func (s *scanner) scalar(str bool, set func([]byte) error) error {
 	if c := s.next(); c == 'n' {
 		return s.lit()
 	} else if str != (c == '"') {
-		return s.fail("null or another type")
+		return s.fail("null or a value of the field's type")
 	}
 	b, err := read()
 	if err == nil {

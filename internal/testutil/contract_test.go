@@ -204,11 +204,15 @@ func predictBodyCases() []predictCase {
 		ok("nested to the depth limit", deep(9999), "", "r"),
 		bad("nested past the depth limit", deep(10000)),
 		ok("trailing bytes", predictBody(plain)+` }{"trailing`, "", "r"),
-		// The one deliberate change: the node limit rejects while
-		// decoding, before the kinds are checked, so a graph of too many
-		// kindless nodes is 413 where it used to be 400.
+		// The deliberate changes. The node limit rejects while decoding,
+		// before the kinds are checked, so a graph of too many kindless
+		// nodes is 413 where it was 400. The replica reads the whole body,
+		// as the gate did, so trailing bytes past the body limit are 413
+		// at both tiers where the replica used to answer 200.
 		{name: "too many nodes", status: http.StatusRequestEntityTooLarge, code: api.CodeGraphTooLarge,
 			body: predictBody(`{"nodes":[{}` + strings.Repeat(`,{}`, api.MaxGraphNodes) + `]}`)},
+		{name: "trailing bytes past the body limit", status: http.StatusRequestEntityTooLarge,
+			code: api.CodeGraphTooLarge, body: predictBody(plain) + strings.Repeat(" ", api.MaxRequestBytes)},
 	}
 }
 
