@@ -37,34 +37,8 @@ func (g *Graph) DOT() string {
 	return b.String()
 }
 
-// wire is the graph's JSON schema, compatible in spirit with PROGRAML's
-// protobuf export. MarshalJSON writes it; wire.go's decoder reads it.
-type wire struct {
-	RegionID string     `json:"region_id"`
-	Nodes    []jsonNode `json:"nodes"`
-	Edges    []jsonEdge `json:"edges"`
-}
-
-type jsonNode struct {
-	Kind  string `json:"kind"`
-	Text  string `json:"text"`
-	Token int    `json:"token"`
-}
-
-type jsonEdge struct {
-	Src int    `json:"src"`
-	Dst int    `json:"dst"`
-	Rel string `json:"rel"`
-}
-
-// MarshalJSON serializes the graph.
+// MarshalJSON serializes the graph in the schema its JSON tags spell.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	w := wire{RegionID: g.RegionID}
-	for _, n := range g.Nodes {
-		w.Nodes = append(w.Nodes, jsonNode{Kind: n.Kind.String(), Text: n.Text, Token: n.Token})
-	}
-	for _, e := range g.Edges {
-		w.Edges = append(w.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Rel: e.Rel.String()})
-	}
-	return json.Marshal(w)
+	type plain Graph // the fields without this method
+	return json.Marshal((*plain)(g))
 }

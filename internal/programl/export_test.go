@@ -74,6 +74,22 @@ func TestUnmarshalRejectsCorruptGraphs(t *testing.T) {
 	}
 }
 
+// wire is the graph's JSON schema as the reflective decode the scanner
+// replaced read it.
+type wire struct {
+	RegionID string `json:"region_id"`
+	Nodes    []struct {
+		Kind  string `json:"kind"`
+		Text  string `json:"text"`
+		Token int    `json:"token"`
+	} `json:"nodes"`
+	Edges []struct {
+		Src int    `json:"src"`
+		Dst int    `json:"dst"`
+		Rel string `json:"rel"`
+	} `json:"edges"`
+}
+
 // referenceGraph is the reflective decode the scanner replaced, kept as
 // FuzzWire's reference: the wire schema through json.Unmarshal, then
 // its kind, relation and edge-range checks and the replica's size

@@ -24,6 +24,9 @@ const (
 
 func (k NodeKind) String() string { return name(kindNames, int(k)) }
 
+// MarshalText spells the kind as the JSON export does.
+func (k NodeKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Relation is the typed-edge flavour.
 type Relation int
 
@@ -37,6 +40,9 @@ const (
 )
 
 func (r Relation) String() string { return name(relNames, int(r)) }
+
+// MarshalText spells the relation as the JSON export does.
+func (r Relation) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
 // kindNames and relNames spell the kinds and relations, in value order,
 // as the JSON export writes them.
@@ -55,22 +61,25 @@ func name(names []string, i int) string {
 // Node is one graph vertex. Text is the normalized IR token sequence the
 // embedding is keyed on; Token is filled by the vocabulary.
 type Node struct {
-	Kind  NodeKind
-	Text  string
-	Token int
+	Kind  NodeKind `json:"kind"`
+	Text  string   `json:"text"`
+	Token int      `json:"token"`
 }
 
 // Edge is one typed, directed edge.
 type Edge struct {
-	Src, Dst int
-	Rel      Relation
+	Src int      `json:"src"`
+	Dst int      `json:"dst"`
+	Rel Relation `json:"rel"`
 }
 
-// Graph is a flow-aware program multigraph for one OpenMP region.
+// Graph is a flow-aware program multigraph for one OpenMP region. Its
+// JSON tags, with the kind and relation names, are the export's schema,
+// compatible in spirit with PROGRAML's protobuf export.
 type Graph struct {
-	RegionID string
-	Nodes    []Node
-	Edges    []Edge
+	RegionID string `json:"region_id"`
+	Nodes    []Node `json:"nodes"`
+	Edges    []Edge `json:"edges"`
 }
 
 // NumNodes returns the vertex count.
