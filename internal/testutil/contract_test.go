@@ -208,9 +208,18 @@ func predictBodyCases() []predictCase {
 		// before the kinds are checked, so a graph of too many kindless
 		// nodes is 413 where it was 400. The replica reads the whole body,
 		// as the gate did, so trailing bytes past the body limit are 413
-		// at both tiers where the replica used to answer 200.
+		// at both tiers where the replica used to answer 200. The limit
+		// also fires before a later duplicate key can replace the list
+		// (that was 200) and before the replica checks the key (an unknown
+		// machine with too many nodes was 400).
 		{name: "too many nodes", status: http.StatusRequestEntityTooLarge, code: api.CodeGraphTooLarge,
 			body: predictBody(`{"nodes":[{}` + strings.Repeat(`,{}`, api.MaxGraphNodes) + `]}`)},
+		{name: "too many nodes, replaced by a later key", status: http.StatusRequestEntityTooLarge,
+			code: api.CodeGraphTooLarge, body: predictBody(`{"region_id":"r","nodes":[{}` +
+				strings.Repeat(`,{}`, api.MaxGraphNodes) + `],` + strings.TrimPrefix(plain, `{"region_id":"r",`))},
+		{name: "unknown machine and too many nodes", status: http.StatusRequestEntityTooLarge,
+			code: api.CodeGraphTooLarge, body: `{"machine":"ghost-machine","objective":"time","graph":{"nodes":[{}` +
+				strings.Repeat(`,{}`, api.MaxGraphNodes) + `]}}`},
 		{name: "trailing bytes past the body limit", status: http.StatusRequestEntityTooLarge,
 			code: api.CodeGraphTooLarge, body: predictBody(plain) + strings.Repeat(" ", api.MaxRequestBytes)},
 	}
