@@ -84,16 +84,15 @@ const (
 // vocabulary, so clients only need node texts. Counters feed models
 // trained with dynamic features and must be omitted otherwise.
 type PredictRequest struct {
-	Machine   string `json:"machine"`
-	Objective string `json:"objective"`
-	Scenario  string `json:"scenario,omitempty"` // default "full"
+	Machine   string    `json:"machine"`
+	Objective string    `json:"objective"`
+	Scenario  string    `json:"scenario,omitempty"` // default "full"
+	Counters  []float64 `json:"counters,omitempty"`
 	// Graph is the programl.Graph JSON export, kept raw so this package
-	// stays dependency-free. Each tier reads it in one pass with the rest
-	// of the request: the gate (programl.RoutePredict) checks its syntax
-	// and keeps only region_id, then forwards the body's bytes; the
-	// replica (programl.DecodePredict) decodes it.
-	Graph    RawObject `json:"graph"`
-	Counters []float64 `json:"counters,omitempty"`
+	// stays dependency-free, and last, so the SDK can append it as it is.
+	// The gate scans it for region_id and valid syntax; the replica
+	// decodes it in the same pass as the rest of the request.
+	Graph RawObject `json:"graph"`
 }
 
 // RawObject is a pass-through JSON value, the api-local equivalent of

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"pnptuner/internal/api"
-	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 )
 
@@ -124,9 +123,17 @@ func IsCode(err error, code string) bool { return ErrorCode(err) == code }
 // program graph. The graph goes on the wire as it is, once checked to
 // be one JSON value.
 func (c *Client) Predict(ctx context.Context, req api.PredictRequest) (*api.PredictResponse, error) {
-	body, err := programl.EncodePredict(req)
+	graph := req.Graph
+	req.Graph = nil // the envelope's last field: written as null, then replaced
+	body, err := json.Marshal(req)
+	if err == nil && len(graph) > 0 && !json.Valid(graph) {
+		err = errors.New("graph is not one JSON value")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("pnpserve: encode request: %w", err)
+	}
+	if len(graph) > 0 {
+		body = append(append(body[:len(body)-len("null}")], graph...), '}')
 	}
 	return c.PredictBody(ctx, body)
 }

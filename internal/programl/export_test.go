@@ -138,12 +138,6 @@ func referencePredict(body []byte) (req api.PredictRequest, g *Graph, errReplica
 	return replica.PredictRequest, g, errReplica, errGate
 }
 
-// sameGraph reports whether a and b are DeepEqual, taking a nil list
-// and an empty one for the same.
-func sameGraph(a, b *Graph) bool {
-	return a.RegionID == b.RegionID && slices.Equal(a.Nodes, b.Nodes) && slices.Equal(a.Edges, b.Edges)
-}
-
 // FuzzWire holds the one-pass decoder to the reflective reference, on
 // every input read both as a graph and as a predict body: both accept
 // or both reject, and what both accept decodes to DeepEqual values. An
@@ -187,7 +181,7 @@ func FuzzWire(f *testing.F) {
 			t.Fatalf("reference error %v, UnmarshalJSON error %v", errWant, errGraph)
 		}
 		if errWant == nil {
-			if !sameGraph(want, &g) {
+			if !reflect.DeepEqual(*want, g) {
 				t.Fatalf("reference gave %+v, UnmarshalJSON %+v", *want, g)
 			}
 			for i, e := range g.Edges {
@@ -200,7 +194,7 @@ func FuzzWire(f *testing.F) {
 				t.Fatal(err)
 			}
 			var again Graph
-			if err := again.UnmarshalJSON(back); err != nil || !sameGraph(&again, &g) {
+			if err := again.UnmarshalJSON(back); err != nil || !reflect.DeepEqual(again, g) {
 				t.Fatalf("round trip of %s: %+v, %v; want %+v", back, again, err, g)
 			}
 		}
@@ -210,8 +204,7 @@ func FuzzWire(f *testing.F) {
 		if (errReplica == nil) != (err == nil) {
 			t.Fatalf("reference error %v, DecodePredict error %v", errReplica, err)
 		}
-		if err == nil && (!reflect.DeepEqual(wantReq, req) || (wantGraph == nil) != (body == nil) ||
-			wantGraph != nil && !sameGraph(wantGraph, body)) {
+		if err == nil && (!reflect.DeepEqual(wantReq, req) || !reflect.DeepEqual(wantGraph, body)) {
 			t.Fatalf("reference gave %+v, %+v; DecodePredict %+v, %+v", wantReq, wantGraph, req, body)
 		}
 		routed, _, end, err := RoutePredict(data)

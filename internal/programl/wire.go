@@ -2,7 +2,6 @@ package programl
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -14,14 +13,13 @@ import (
 )
 
 // This file is the one reader of the predict wire format: the request
-// envelope and its graph, in a single pass over the body, under
-// encoding/json's rules. Keys match exactly or else case-folded, a
-// repeated key merges into what the earlier one decoded, null leaves a
-// field as it was, int fields take integer literals only, invalid UTF-8
-// and lone surrogates decode to U+FFFD, and nesting stops at depth
-// 10000. It is also the one home of the graph checks: node kinds, edge
-// relations and ranges, and the api.MaxGraphNodes/MaxGraphEdges limits,
-// which reject while decoding.
+// envelope and its graph, in a single pass, under encoding/json's rules.
+// Keys match exactly or else case-folded, a repeated key merges into what
+// the earlier one decoded, null leaves a field as it was, int fields take
+// integer literals only, invalid UTF-8 and lone surrogates decode to
+// U+FFFD, and nesting stops at depth 10000. It is also the one home of
+// the graph checks: node kinds, edge relations and ranges, and the
+// api.MaxGraphNodes/MaxGraphEdges limits, which reject while decoding.
 
 const maxDepth = 10000 // encoding/json's nesting limit
 
@@ -38,64 +36,49 @@ func DecodePredict(body []byte) (req api.PredictRequest, g *Graph, err error) {
 }
 
 // RoutePredict reads what a proxy needs of a predict body, the envelope
-// and the graph's region_id, checks the rest of the graph's syntax
-// without building it, and returns the offset past the first value.
+// and the graph's region_id (when a string), checks the rest of the
+// graph's syntax without building it, and returns the offset past the
+// first value.
 func RoutePredict(body []byte) (req api.PredictRequest, regionID string, end int, err error) {
 	s := scanner{data: body}
-	err = s.request(&req, routed{&regionID})
+	err = s.request(&req, func() error {
+		return s.container('{', func(key []byte) error {
+			if bytes.EqualFold(key, []byte("region_id")) && s.next() == '"' {
+				return s.into(&regionID)
+			}
+			return s.skip()
+		})
+	})
 	return req, regionID, s.pos, err
 }
-
-// routed stands in for a graph that is only routed: its region_id is
-// kept (when a string) and the rest only checked to be JSON.
-type routed struct{ regionID *string }
 
 func (s *scanner) request(req *api.PredictRequest, graph any) error {
 	return s.fields([]string{"machine", "objective", "scenario", "counters", "graph"},
 		&req.Machine, &req.Objective, &req.Scenario, &req.Counters, graph)
 }
 
-// EncodePredict encodes a predict request: the envelope through
-// encoding/json, then the graph as it is, once checked to be one value.
-func EncodePredict(req api.PredictRequest) ([]byte, error) {
-	graph := []byte(req.Graph)
-	if len(graph) == 0 {
-		graph = []byte("null")
-	}
-	s := scanner{data: graph}
-	if err := s.whole(s.skip); err != nil {
-		return nil, err
-	}
-	head, err := json.Marshal(struct {
-		Machine   string    `json:"machine"`
-		Objective string    `json:"objective"`
-		Scenario  string    `json:"scenario,omitempty"`
-		Counters  []float64 `json:"counters,omitempty"`
-	}{req.Machine, req.Objective, req.Scenario, req.Counters})
-	if err != nil {
-		return nil, err
-	}
-	return append(append(append(head[:len(head)-1], `,"graph":`...), graph...), '}'), nil
-}
-
 // UnmarshalJSON decodes a graph produced by MarshalJSON.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	out := &Graph{}
+	var out Graph
 	s := scanner{data: data}
-	err := s.whole(func() error { return s.into(out) })
+	err := s.into(&out)
+	if s.next(); err == nil && s.pos < len(data) {
+		err = s.fail("the end")
+	} else if err == nil {
+		err = out.settle()
+	}
 	if err == nil {
-		if err = out.settle(); err == nil {
-			*g = *out
-		}
+		*g = out
 	}
 	return err
 }
 
-// settle turns the kinds and relations, stored one up so that 0 marks a
-// missing or unknown name, back into their values, and checks that each
-// edge joins two nodes. It runs once the whole value is read: a later
-// duplicate key may still replace an earlier field.
+// settle runs once the whole graph is read, as a later duplicate key may
+// still replace a field. It turns the kinds and relations, stored one up
+// so that 0 marks a missing or unknown name, back into their values,
+// checks that each edge joins two nodes, and makes absent lists empty.
 func (g *Graph) settle() error {
+	g.Nodes, g.Edges = nonNil(g.Nodes), nonNil(g.Edges)
 	for i := range g.Nodes {
 		if g.Nodes[i].Kind--; g.Nodes[i].Kind < 0 {
 			return fmt.Errorf("programl: node %d has no known kind", i)
@@ -103,12 +86,19 @@ func (g *Graph) settle() error {
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
-		if e.Rel--; e.Rel < 0 || e.Src < 0 || e.Src >= len(g.Nodes) || e.Dst < 0 || e.Dst >= len(g.Nodes) {
-			return fmt.Errorf("programl: edge %d (%d→%d) has no known relation or leaves [0,%d)",
-				i, e.Src, e.Dst, len(g.Nodes))
+		if e.Rel--; e.Rel < 0 || min(e.Src, e.Dst) < 0 || max(e.Src, e.Dst) >= len(g.Nodes) {
+			return fmt.Errorf("programl: edge %d has no known relation or leaves node range [0,%d)", i, len(g.Nodes))
 		}
 	}
 	return nil
+}
+
+// nonNil returns v, or an empty list when v is nil.
+func nonNil[T any](v []T) []T {
+	if v == nil {
+		return []T{}
+	}
+	return v
 }
 
 // scanner reads JSON from data at pos.
@@ -118,10 +108,7 @@ type scanner struct {
 }
 
 func (s *scanner) fail(want string) error {
-	if s.pos >= len(s.data) {
-		return fmt.Errorf("programl: unexpected end of JSON input, want %s", want)
-	}
-	return fmt.Errorf("programl: invalid character %q at offset %d, want %s", s.data[s.pos], s.pos, want)
+	return fmt.Errorf("programl: invalid JSON at offset %d of %d, want %s", s.pos, len(s.data), want)
 }
 
 // next skips whitespace and returns the byte there, 0 at the end.
@@ -134,17 +121,6 @@ func (s *scanner) next() byte {
 	return 0
 }
 
-// whole runs read, which must consume all of data but trailing spaces.
-func (s *scanner) whole(read func() error) error {
-	if err := read(); err != nil {
-		return err
-	}
-	if s.next(); s.pos < len(s.data) {
-		return s.fail("the end")
-	}
-	return nil
-}
-
 // into reads the value at pos into what p points at. A null leaves it
 // as it was, but for a list or a graph, which it drops.
 func (s *scanner) into(p any) error {
@@ -155,10 +131,10 @@ func (s *scanner) into(p any) error {
 		return s.scalar(false, func(b []byte) (err error) { *p, err = strconv.Atoi(string(b)); return err })
 	case *float64:
 		return s.scalar(false, func(b []byte) (err error) { *p, err = strconv.ParseFloat(string(b), 64); return err })
-	case *NodeKind:
-		return enum(s, p, kindNames)
+	case *NodeKind: // stored one up, as settle expects
+		return s.scalar(true, func(b []byte) error { *p = NodeKind(index(kindNames, b) + 1); return nil })
 	case *Relation:
-		return enum(s, p, relNames)
+		return s.scalar(true, func(b []byte) error { *p = Relation(index(relNames, b) + 1); return nil })
 	case *[]float64:
 		return list(s, p, -1)
 	case *[]Node:
@@ -180,13 +156,8 @@ func (s *scanner) into(p any) error {
 			*p = &Graph{}
 		}
 		return s.into(*p)
-	case routed:
-		return s.object(func(key []byte) error {
-			if bytes.EqualFold(key, []byte("region_id")) && s.next() == '"' {
-				return s.into(p.regionID)
-			}
-			return s.skip()
-		})
+	case func() error: // a caller's own reader
+		return p()
 	}
 	return fmt.Errorf("programl: no wire form for %T", p)
 }
@@ -195,8 +166,8 @@ func (s *scanner) into(p any) error {
 // ptrs[i], matching names as encoding/json does: exactly, else under
 // Unicode case folding. Other members are skipped.
 func (s *scanner) fields(names []string, ptrs ...any) error {
-	return s.object(func(key []byte) error {
-		i := slices.IndexFunc(names, func(n string) bool { return string(key) == n })
+	return s.container('{', func(key []byte) error {
+		i := index(names, key)
 		if i < 0 {
 			i = slices.IndexFunc(names, func(n string) bool { return bytes.EqualFold(key, []byte(n)) })
 		}
@@ -207,6 +178,11 @@ func (s *scanner) fields(names []string, ptrs ...any) error {
 	})
 }
 
+// index returns the position of b in names, -1 if it is not there.
+func index(names []string, b []byte) int {
+	return slices.IndexFunc(names, func(n string) bool { return string(b) == n })
+}
+
 // list reads an array into *p as encoding/json does: element i merges
 // into what *p's backing array holds there, and [] leaves *p empty. More
 // than limit elements is graph_too_large.
@@ -214,30 +190,17 @@ func list[T any](s *scanner, p *[]T, limit int) error {
 	if s.next() == 'n' {
 		*p = nil
 		return s.lit()
-	} else if s.next() != '[' {
-		return s.fail("an array")
 	}
 	v := (*p)[:0]
-	err := s.container(func() error {
+	err := s.container('[', func([]byte) error {
 		if len(v) == limit {
 			return api.Errorf(api.CodeGraphTooLarge, "programl: graph has a list over %d long", limit)
 		}
 		v = slices.Grow(v, 1)[:len(v)+1]
 		return s.into(&v[len(v)-1])
 	})
-	if *p = v; len(v) == 0 {
-		*p = []T{}
-	}
+	*p = nonNil(v)
 	return err
-}
-
-// enum reads one of names into *p as its index plus one, 0 for any
-// other string, which settle rejects.
-func enum[T ~int](s *scanner, p *T, names []string) error {
-	return s.scalar(true, func(b []byte) error {
-		*p = T(slices.IndexFunc(names, func(n string) bool { return string(b) == n }) + 1)
-		return nil
-	})
 }
 
 // scalar reads a null, which changes nothing, or a string (a number when
@@ -260,49 +223,38 @@ func (s *scanner) scalar(str bool, set func([]byte) error) error {
 	return err
 }
 
-// object reads an object through member, called with each member's name
-// before its value, which member must consume; a null changes nothing.
-func (s *scanner) object(member func(key []byte) error) error {
-	if s.next() == 'n' {
+// container reads the object or array that open starts, or a null,
+// which changes nothing, calling elem on each member: in an object, with
+// its name, once that and the ':' are read.
+func (s *scanner) container(open byte, elem func(key []byte) error) error {
+	if c := s.next(); c == 'n' {
 		return s.lit()
-	} else if s.next() != '{' {
-		return s.fail("an object")
+	} else if c != open {
+		return s.fail(string(open))
 	}
-	return s.container(func() error {
-		key, err := s.str()
-		if err == nil && s.next() != ':' {
-			err = s.fail("':'")
+	if s.depth++; s.depth > maxDepth {
+		return s.fail(fmt.Sprint("nesting at most ", maxDepth, " deep"))
+	}
+	s.pos++
+	for more := s.next() != open+2; more; more = s.next() == ',' && s.skipByte(',') {
+		var key []byte
+		var err error
+		if open == '{' {
+			if key, err = s.str(); err == nil && s.next() != ':' {
+				err = s.fail("':'")
+			}
+			s.pos++
+		}
+		if err == nil {
+			err = elem(key)
 		}
 		if err != nil {
 			return err
 		}
-		s.pos++
-		return member(key)
-	})
-}
-
-// container reads the object or array opening at pos, calling elem to
-// read each member.
-func (s *scanner) container(elem func() error) error {
-	end := s.data[s.pos] + 2 // '{'+2 is '}', '['+2 is ']'
-	if s.depth++; s.depth > maxDepth {
-		return fmt.Errorf("programl: nesting past depth %d at offset %d", maxDepth, s.pos)
 	}
-	if s.pos++; s.next() != end {
-		for {
-			if err := elem(); err != nil {
-				return err
-			}
-			if s.next() != ',' {
-				break
-			}
-			s.pos++
-		}
+	if s.next(); !s.skipByte(open + 2) { // '{'+2 is '}', '['+2 is ']'
+		return s.fail("',' or " + string(open+2))
 	}
-	if s.next() != end {
-		return s.fail("',' or " + string(end))
-	}
-	s.pos++
 	s.depth--
 	return nil
 }
@@ -310,11 +262,9 @@ func (s *scanner) container(elem func() error) error {
 // skip reads any one value, checking its syntax.
 func (s *scanner) skip() error {
 	var err error
-	switch s.next() {
-	case '{':
-		return s.object(func([]byte) error { return s.skip() })
-	case '[':
-		return s.container(s.skip)
+	switch c := s.next(); c {
+	case '{', '[':
+		return s.container(c, func([]byte) error { return s.skip() })
 	case '"':
 		_, err = s.str()
 	case 't', 'f', 'n':
@@ -354,6 +304,7 @@ func (s *scanner) number() ([]byte, error) {
 	return s.data[start:s.pos], nil
 }
 
+// skipByte steps over the byte at pos if it is c.
 func (s *scanner) skipByte(c byte) bool {
 	ok := s.pos < len(s.data) && s.data[s.pos] == c
 	if ok {
@@ -386,31 +337,26 @@ func (s *scanner) str() ([]byte, error) {
 	}
 	b := append([]byte(nil), d[start:i]...)
 	for s.pos = i; s.pos < len(d); {
-		c := d[s.pos]
+		r, n := utf8.DecodeRune(d[s.pos:]) // invalid UTF-8 is U+FFFD
 		switch esc := strings.IndexByte(`"\/bfnrt`, d[min(s.pos+1, len(d)-1)]); {
-		case c == '"':
+		case r == '"':
 			s.pos++
 			return b, nil
-		case c < ' ':
+		case r < ' ':
 			return nil, s.fail("a string character")
-		case c >= utf8.RuneSelf:
-			r, n := utf8.DecodeRune(d[s.pos:])
+		case r != '\\':
 			b, s.pos = utf8.AppendRune(b, r), s.pos+n
-		case c != '\\':
-			b, s.pos = append(b, c), s.pos+1
 		case esc >= 0 && s.pos+1 < len(d):
 			b, s.pos = append(b, "\"\\/\b\f\n\r\t"[esc]), s.pos+2
 		default:
-			// A surrogate pair decodes to one rune; a lone half is U+FFFD,
-			// and whatever follows it is read on its own.
-			r := hex4(d[s.pos:])
-			if s.pos++; r < 0 {
+			// A surrogate pair decodes to one rune; a lone half, which
+			// AppendRune writes as U+FFFD, leaves what follows it alone.
+			if r = hex4(d[s.pos:]); r < 0 {
 				return nil, s.fail("an escape")
 			}
-			if s.pos += 5; utf16.IsSurrogate(r) {
-				if r = utf16.DecodeRune(r, hex4(d[s.pos:])); r != utf8.RuneError {
-					s.pos += 6
-				}
+			s.pos += 6
+			if pair := utf16.DecodeRune(r, hex4(d[s.pos:])); pair != utf8.RuneError {
+				r, s.pos = pair, s.pos+6
 			}
 			b = utf8.AppendRune(b, r)
 		}
@@ -420,12 +366,10 @@ func (s *scanner) str() ([]byte, error) {
 
 // hex4 decodes a \uXXXX escape at the start of b, or returns -1.
 func hex4(b []byte) rune {
-	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
-		return -1
+	if len(b) >= 6 && b[0] == '\\' && b[1] == 'u' {
+		if r, err := strconv.ParseUint(string(b[2:6]), 16, 16); err == nil {
+			return rune(r)
+		}
 	}
-	r, err := strconv.ParseUint(string(b[2:6]), 16, 16)
-	if err != nil {
-		return -1
-	}
-	return rune(r)
+	return -1
 }

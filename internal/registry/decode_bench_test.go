@@ -13,14 +13,13 @@ import (
 // is the replica's one-pass decode and gate the gate's routing pass,
 // both over one generated ~1.2k-node body (serve-large's shape); corpus
 // is gate plus replica over one corpus body (serve-steady's), cycling
-// through all of them; sdk is the SDK encoding the large request.
+// through all of them.
 func BenchmarkDecodePredict(b *testing.B) {
 	graph, err := json.Marshal(bigGraph(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := api.PredictRequest{Machine: "haswell", Objective: ObjectiveTime, Graph: graph}
-	big, err := json.Marshal(req)
+	big, err := json.Marshal(api.PredictRequest{Machine: "haswell", Objective: ObjectiveTime, Graph: graph})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,10 +52,6 @@ func BenchmarkDecodePredict(b *testing.B) {
 			return err
 		}
 		_, _, err := programl.DecodePredict(body)
-		return err
-	})
-	run("sdk", len(big), func(int) error {
-		_, err := programl.EncodePredict(req)
 		return err
 	})
 }
