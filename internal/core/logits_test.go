@@ -21,7 +21,7 @@ func float64Logits(m *Model, cgs []*rgcn.CompiledGraph, exs [][]float64, h int) 
 // float32Logits returns head h's raw logits for every graph of cgs from
 // the float32 Quantize snapshot.
 func float32Logits(q *CompiledModel, cgs []*rgcn.CompiledGraph, exs [][]float64, h int) []float32 {
-	return q.heads[h].Forward(q.encodeCompiled(cgs, exs)).Data
+	return q.Logits(q.EncodeCompiled(cgs, exs), h).Data
 }
 
 // logitsDigests trains the test model on every region of d and returns

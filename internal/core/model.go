@@ -78,19 +78,23 @@ func DefaultModelConfig() ModelConfig {
 	}
 }
 
-// Encoder is the GNN half of the model: embedding, RGCN stack, readout.
-// Its parameters are the ones shared in the Haswell→Skylake transfer.
-// Forward encodes one graph; ForwardBatch encodes a whole block-diagonal
-// batch in a single pass, which is the parallel hot path.
-type Encoder struct {
-	Emb    *rgcn.Embedding
-	Layers []*rgcn.Layer
-	Acts   []*nn.LeakyReLU
-	Pool   rgcn.MeanPool
+// EncoderOf is the GNN half of the model at precision T: embedding, RGCN
+// stack, readout. Its parameters are the ones shared in the
+// Haswell→Skylake transfer. Forward encodes one graph; ForwardBatch
+// encodes a whole block-diagonal batch in a single pass, which is the
+// parallel hot path.
+type EncoderOf[T tensor.Float] struct {
+	Emb    *rgcn.EmbeddingOf[T]
+	Layers []*rgcn.LayerOf[T]
+	Acts   []*nn.LeakyReLUOf[T]
+	Pool   rgcn.MeanPoolOf[T]
 	// BatchPool is the segment-aware readout the batched path uses.
-	BatchPool nn.SegmentPool
+	BatchPool nn.SegmentPoolOf[T]
 	Hidden    int
 }
+
+// Encoder is the float64 encoder that training runs.
+type Encoder = EncoderOf[float64]
 
 // NewEncoder builds the graph encoder.
 func NewEncoder(cfg ModelConfig, vocabSize int, rng *tensor.RNG) *Encoder {
@@ -107,9 +111,20 @@ func NewEncoder(cfg ModelConfig, vocabSize int, rng *tensor.RNG) *Encoder {
 	return e
 }
 
+// convertEncoder returns a forward-only copy of e with its weights at
+// precision T.
+func convertEncoder[T tensor.Float](e *Encoder) *EncoderOf[T] {
+	q := &EncoderOf[T]{Emb: rgcn.ConvertEmbedding[T](e.Emb), Hidden: e.Hidden}
+	for i, l := range e.Layers {
+		q.Layers = append(q.Layers, rgcn.ConvertLayer[T](l))
+		q.Acts = append(q.Acts, &nn.LeakyReLUOf[T]{Alpha: T(e.Acts[i].Alpha)})
+	}
+	return q
+}
+
 // Forward encodes a graph into a 1×Hidden pooled vector. The adjacency
 // must be the one built from g.
-func (e *Encoder) Forward(g *kernels.Region, adj *rgcn.Adjacency) *tensor.Matrix {
+func (e *EncoderOf[T]) Forward(g *kernels.Region, adj *rgcn.Adjacency) *tensor.MatrixOf[T] {
 	h := e.Emb.Forward(g.Graph)
 	for i, l := range e.Layers {
 		l.SetGraph(adj)
@@ -120,7 +135,7 @@ func (e *Encoder) Forward(g *kernels.Region, adj *rgcn.Adjacency) *tensor.Matrix
 
 // Backward propagates the pooled gradient through the stack, accumulating
 // parameter gradients.
-func (e *Encoder) Backward(dpool *tensor.Matrix) {
+func (e *EncoderOf[T]) Backward(dpool *tensor.MatrixOf[T]) {
 	d := e.Pool.Backward(dpool)
 	for i := len(e.Layers) - 1; i >= 0; i-- {
 		d = e.Layers[i].Backward(e.Acts[i].Backward(d))
@@ -132,7 +147,7 @@ func (e *Encoder) Backward(dpool *tensor.Matrix) {
 // row g of the result is the pooled vector of b.Graphs[g]. One set of big
 // matrix operations replaces NumGraphs small ones, so the relational
 // convolutions and scatter-adds fan out across the worker pool.
-func (e *Encoder) ForwardBatch(b *rgcn.Batch) *tensor.Matrix {
+func (e *EncoderOf[T]) ForwardBatch(b *rgcn.Batch) *tensor.MatrixOf[T] {
 	h := e.Emb.ForwardBatch(b)
 	for i, l := range e.Layers {
 		l.SetGraph(b.Adj)
@@ -143,7 +158,7 @@ func (e *Encoder) ForwardBatch(b *rgcn.Batch) *tensor.Matrix {
 
 // BackwardBatch propagates per-graph pooled gradients (row g for graph g,
 // matching the last ForwardBatch) through the stack in one batched pass.
-func (e *Encoder) BackwardBatch(dpool *tensor.Matrix) {
+func (e *EncoderOf[T]) BackwardBatch(dpool *tensor.MatrixOf[T]) {
 	d := e.BatchPool.Backward(dpool)
 	for i := len(e.Layers) - 1; i >= 0; i-- {
 		d = e.Layers[i].Backward(e.Acts[i].Backward(d))
@@ -152,7 +167,7 @@ func (e *Encoder) BackwardBatch(dpool *tensor.Matrix) {
 }
 
 // Params returns every encoder parameter.
-func (e *Encoder) Params() []*nn.Param {
+func (e *EncoderOf[T]) Params() []*nn.ParamOf[T] {
 	out := e.Emb.Params()
 	for _, l := range e.Layers {
 		out = append(out, l.Params()...)
@@ -160,36 +175,130 @@ func (e *Encoder) Params() []*nn.Param {
 	return out
 }
 
-// Model is the full PnP network: shared encoder plus one or more dense
-// classifier heads. Scenario 1 uses one head per power cap (each over the
-// per-cap configuration space); scenario 2 and the cap-conditioned
-// variant use a single head.
-type Model struct {
+// net is the batched forward pass of the PnP network at precision T:
+// merge compiled graphs, encode, pool, append the extra features, and
+// score every dense head. Model embeds the float64 net it trains;
+// Quantize converts its weights into the float32 net CompiledModel
+// serves from. A net is not goroutine-safe: its layers and merger reuse
+// scratch buffers.
+type net[T tensor.Float] struct {
 	Cfg      ModelConfig
-	Enc      *Encoder
-	Heads    []*nn.Sequential
+	Enc      *EncoderOf[T]
+	Heads    []*nn.SequentialOf[T]
 	ExtraDim int // counters (+ cap feature) width
 	Classes  int
 
 	// merger assembles block-diagonal minibatches from compile-once
-	// region artifacts with zero steady-state allocations. It is per-model
-	// state with the same ownership rule as the layers: a Model is not
-	// goroutine-safe.
-	merger rgcn.Merger
-	// cgs and the assembly bufs are reusable scratch for Batch/Encode.
+	// region artifacts with zero steady-state allocations.
+	merger   rgcn.Merger
+	extraBuf tensor.BufOf[T]
+}
+
+// NumHeads returns the number of classifier heads.
+func (n *net[T]) NumHeads() int { return len(n.Heads) }
+
+// Inputs returns the vocabulary size and the extra-feature width that a
+// request must match.
+func (n *net[T]) Inputs() (vocab, extras int) { return n.Enc.Emb.VocabSize, n.ExtraDim }
+
+// EncodeCompiled encodes precompiled graphs in one batched pass: row i is
+// the dense-head input for cgs[i]. This is the zero-rebuild serving hot
+// path — request goroutines compile in parallel, the model merges plans
+// in O(edges) and runs one block-diagonal forward.
+func (n *net[T]) EncodeCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) *tensor.MatrixOf[T] {
+	return n.encode(n.merger.Merge(cgs), extras)
+}
+
+// encode runs the encoder over a merged batch and widens each pooled row
+// with its extra features, rounded to T. extras may be nil when the model
+// uses no extra features.
+func (n *net[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[T] {
+	pooled := n.Enc.ForwardBatch(b)
+	if n.ExtraDim == 0 {
+		return pooled
+	}
+	hidden := n.Cfg.Hidden
+	full := n.extraBuf.Get(pooled.Rows, hidden+n.ExtraDim)
+	for i := 0; i < pooled.Rows; i++ {
+		if len(extras[i]) != n.ExtraDim {
+			panic(fmt.Sprintf("core: %d extra features for row %d, model wants %d",
+				len(extras[i]), i, n.ExtraDim))
+		}
+		row := full.Row(i)
+		copy(row[:hidden], pooled.Row(i))
+		for c, v := range extras[i] {
+			row[hidden+c] = T(v)
+		}
+	}
+	return full
+}
+
+// Logits computes head h's class scores for an encoded batch. The result
+// is owned by the head and valid until its next Forward.
+func (n *net[T]) Logits(encoded *tensor.MatrixOf[T], h int) *tensor.MatrixOf[T] {
+	return n.Heads[h].Forward(encoded)
+}
+
+// PredictCompiled scores precompiled graphs in one encoder pass: out[i][h]
+// is head h's pick for cgs[i]. This is the micro-batched serving hot
+// path: N concurrent requests cost one block-diagonal forward instead of
+// N, and each head scores the whole window with a single matrix multiply.
+func (n *net[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
+	enc := n.EncodeCompiled(cgs, extras)
+	out := make([][]int, len(cgs))
+	flat := make([]int, len(cgs)*len(n.Heads))
+	for i := range out {
+		out[i] = flat[i*len(n.Heads) : (i+1)*len(n.Heads)]
+	}
+	for h := range n.Heads {
+		logits := n.Logits(enc, h)
+		for i := range cgs {
+			out[i][h] = nn.Argmax(logits, i)
+		}
+	}
+	return out
+}
+
+// TopKCompiled scores precompiled graphs in one encoder pass and
+// returns each graph's k best classes per head, best first: out[i][h]
+// lists head h's top-k picks for cgs[i]. k=1 reproduces PredictCompiled;
+// larger k feeds hybrid tuning sessions their proposal shortlists.
+func (n *net[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
+	enc := n.EncodeCompiled(cgs, extras)
+	out := make([][][]int, len(cgs))
+	for i := range out {
+		out[i] = make([][]int, len(n.Heads))
+	}
+	for h := range n.Heads {
+		logits := n.Logits(enc, h)
+		for i := range cgs {
+			out[i][h] = nn.TopK(logits, i, k)
+		}
+	}
+	return out
+}
+
+// Model is the full PnP network: shared encoder plus one or more dense
+// classifier heads, in float64 (its Cfg, Enc, Heads, ExtraDim and Classes
+// fields come from the embedded net). Scenario 1 uses one head per power
+// cap (each over the per-cap configuration space); scenario 2 and the
+// cap-conditioned variant use a single head.
+type Model struct {
+	net[float64]
+
+	// cgs and scoreBuf are reusable scratch for Batch and ScoreAll.
 	cgs      []*rgcn.CompiledGraph
-	extraBuf tensor.Buf
 	scoreBuf tensor.Buf
 }
 
 // NewModel builds a model with nHeads heads of `classes` outputs each.
 func NewModel(cfg ModelConfig, vocabSize, nHeads, classes int) *Model {
 	rng := tensor.NewRNG(cfg.Seed + 0x5eed)
-	m := &Model{
+	m := &Model{net: net[float64]{
 		Cfg:     cfg,
 		Enc:     NewEncoder(cfg, vocabSize, rng),
 		Classes: classes,
-	}
+	}}
 	if cfg.UseCounters {
 		m.ExtraDim += papi.NumFeatures
 	}
@@ -212,6 +321,38 @@ func NewModel(cfg ModelConfig, vocabSize, nHeads, classes int) *Model {
 	return m
 }
 
+// CompiledModel is the float32 serving snapshot of a trained Model: the
+// same forward code at float32, with every weight converted once by
+// Quantize. It cannot train, and like Model it is not goroutine-safe, so
+// serving funnels it through a single batcher goroutine.
+type CompiledModel struct{ net[float32] }
+
+// Quantize converts the model's weights once into a float32
+// CompiledModel. The snapshot predicts independently of the source model
+// afterwards (weights are copied, not shared), so the source can keep
+// training while the snapshot serves.
+func (m *Model) Quantize() (*CompiledModel, error) {
+	q := &CompiledModel{net[float32]{Cfg: m.Cfg, Enc: convertEncoder[float32](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}}
+	for _, h := range m.Heads {
+		qh, err := nn.ConvertSequential[float32](h)
+		if err != nil {
+			return nil, fmt.Errorf("core: quantize: %w", err)
+		}
+		q.Heads = append(q.Heads, qh)
+	}
+	return q, nil
+}
+
+// MustQuantize is Quantize for model shapes known to be quantizable
+// (every model this package builds is); it panics on failure.
+func (m *Model) MustQuantize() *CompiledModel {
+	q, err := m.Quantize()
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 // Adjacency returns the region's message-passing structure — the
 // finalized adjacency of its compile-once artifact, built once per
 // process and shared across models and folds.
@@ -222,7 +363,7 @@ func (m *Model) Adjacency(r *kernels.Region) *rgcn.Adjacency {
 // Batch merges regions' compile-once artifacts into one block-diagonal
 // rgcn.Batch; row i of the batched readout is regions[i]. The batch is
 // backed by the model's merger buffers and valid until the next Batch,
-// EncodeBatch, EncodeGraphs, or EncodeCompiled call on this model.
+// EncodeBatch, or EncodeCompiled call on this model.
 func (m *Model) Batch(regions []*kernels.Region) *rgcn.Batch {
 	if cap(m.cgs) < len(regions) {
 		m.cgs = make([]*rgcn.CompiledGraph, len(regions))
@@ -259,46 +400,7 @@ func (m *Model) Encode(r *kernels.Region, extras []float64) *tensor.Matrix {
 // region's extra features: row i is the dense-head input for regions[i].
 // extras may be nil when the model uses no extra features.
 func (m *Model) EncodeBatch(regions []*kernels.Region, extras [][]float64) *tensor.Matrix {
-	return m.appendExtras(m.Enc.ForwardBatch(m.Batch(regions)), extras)
-}
-
-// EncodeGraphs encodes raw program graphs in one batched pass, compiling
-// each graph on the spot — the serving path for graphs that arrive over
-// the wire rather than from the compiled corpus. Row i is the dense-head
-// input for graphs[i]. Callers holding graphs they will score repeatedly
-// should compile once (rgcn.CompileGraph) and use EncodeCompiled.
-func (m *Model) EncodeGraphs(graphs []*programl.Graph, extras [][]float64) *tensor.Matrix {
-	cgs := make([]*rgcn.CompiledGraph, len(graphs))
-	for i, g := range graphs {
-		cgs[i] = rgcn.CompileGraph(g)
-	}
-	return m.EncodeCompiled(cgs, extras)
-}
-
-// EncodeCompiled encodes precompiled graphs in one batched pass: row i is
-// the dense-head input for cgs[i]. This is the zero-rebuild serving hot
-// path — request goroutines compile in parallel, the model merges plans
-// in O(edges) and runs one block-diagonal forward.
-func (m *Model) EncodeCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) *tensor.Matrix {
-	return m.appendExtras(m.Enc.ForwardBatch(m.merger.Merge(cgs)), extras)
-}
-
-// appendExtras widens a pooled batch row-wise with per-row extra features.
-func (m *Model) appendExtras(pooled *tensor.Matrix, extras [][]float64) *tensor.Matrix {
-	if m.ExtraDim == 0 {
-		return pooled
-	}
-	full := m.extraBuf.Get(pooled.Rows, m.Cfg.Hidden+m.ExtraDim)
-	for i := 0; i < pooled.Rows; i++ {
-		if len(extras[i]) != m.ExtraDim {
-			panic(fmt.Sprintf("core: %d extra features for row %d, model wants %d",
-				len(extras[i]), i, m.ExtraDim))
-		}
-		row := full.Row(i)
-		copy(row[:m.Cfg.Hidden], pooled.Row(i))
-		copy(row[m.Cfg.Hidden:], extras[i])
-	}
-	return full
+	return m.encode(m.Batch(regions), extras)
 }
 
 // PredictGraphs scores a batch of raw graphs in one encoder pass and
@@ -310,45 +412,6 @@ func (m *Model) PredictGraphs(graphs []*programl.Graph, extras [][]float64) [][]
 		cgs[i] = rgcn.CompileGraph(g)
 	}
 	return m.PredictCompiled(cgs, extras)
-}
-
-// PredictCompiled scores precompiled graphs in one encoder pass: out[i][h]
-// is head h's pick for cgs[i]. This is the micro-batched serving hot
-// path: N concurrent requests cost one block-diagonal forward instead of
-// N, and each head scores the whole window with a single matrix multiply.
-func (m *Model) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
-	enc := m.EncodeCompiled(cgs, extras)
-	out := make([][]int, len(cgs))
-	flat := make([]int, len(cgs)*len(m.Heads))
-	for i := range out {
-		out[i] = flat[i*len(m.Heads) : (i+1)*len(m.Heads)]
-	}
-	for h := range m.Heads {
-		logits := m.Logits(enc, h)
-		for i := range cgs {
-			out[i][h] = nn.Argmax(logits, i)
-		}
-	}
-	return out
-}
-
-// TopKCompiled scores precompiled graphs in one encoder pass and
-// returns each graph's k best classes per head, best first: out[i][h]
-// lists head h's top-k picks for cgs[i]. k=1 reproduces PredictCompiled;
-// larger k feeds hybrid tuning sessions their proposal shortlists.
-func (m *Model) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
-	enc := m.EncodeCompiled(cgs, extras)
-	out := make([][][]int, len(cgs))
-	for i := range out {
-		out[i] = make([][]int, len(m.Heads))
-	}
-	for h := range m.Heads {
-		logits := m.Logits(enc, h)
-		for i := range cgs {
-			out[i][h] = nn.TopK(logits, i, k)
-		}
-	}
-	return out
 }
 
 // ScoreAll broadcasts one pooled graph vector against every candidate's
@@ -375,11 +438,6 @@ func (m *Model) ScoreAll(pooled *tensor.Matrix, extras [][]float64, h int) *tens
 		copy(row[m.Cfg.Hidden:], ex)
 	}
 	return m.Logits(in, h)
-}
-
-// Logits computes head h's class scores for an encoded vector.
-func (m *Model) Logits(encoded *tensor.Matrix, h int) *tensor.Matrix {
-	return m.Heads[h].Forward(encoded)
 }
 
 // Predict returns the argmax class of head h for region r.

@@ -7,10 +7,12 @@ package core
 // drift by float32 epsilon, but the argmax/top-k decisions must not.
 
 import (
+	"math"
 	"testing"
 
 	"pnptuner/internal/dataset"
 	"pnptuner/internal/hw"
+	"pnptuner/internal/nn"
 	"pnptuner/internal/rgcn"
 )
 
@@ -95,5 +97,38 @@ func TestQuantizeIndependentOfSource(t *testing.T) {
 	after := q.PredictCompiled(cgs, exs)[0][0]
 	if before != after {
 		t.Fatalf("quantized pick drifted with source training: %d → %d", before, after)
+	}
+}
+
+// TestConvertedNetMatchesModel: Quantize is a weight conversion into the
+// same forward code, so converting to float64 instead of float32 must
+// reproduce the model's logits bit for bit.
+func TestConvertedNetMatchesModel(t *testing.T) {
+	d := dataset.MustBuild(hw.Haswell())
+	cfg := testConfig()
+	cfg.UseCounters = true
+	m := NewModel(cfg, d.Corpus.Vocab.Size(), 2, 16)
+	n := &net[float64]{Cfg: m.Cfg, Enc: convertEncoder[float64](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}
+	for _, h := range m.Heads {
+		ch, err := nn.ConvertSequential[float64](h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Heads = append(n.Heads, ch)
+	}
+	cgs := make([]*rgcn.CompiledGraph, 9)
+	exs := make([][]float64, len(cgs))
+	for i := range cgs {
+		rd := d.Regions[i*7]
+		cgs[i], exs[i] = rd.Region.CompiledGraph(), extras(cfg, rd.Counters, 0)
+	}
+	for h := range m.Heads {
+		want := float64Logits(m, cgs, exs, h)
+		got := n.Logits(n.EncodeCompiled(cgs, exs), h).Data
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("head %d logit %d: converted %v, model %v", h, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"pnptuner/internal/kernels"
 	"pnptuner/internal/nn"
 	"pnptuner/internal/papi"
+	"pnptuner/internal/rgcn"
 	"pnptuner/internal/tensor"
 )
 
@@ -38,7 +39,7 @@ func TrainPower(d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) *PowerRe
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
 	samples := powerSamples(d, fold.Train, cfg)
 	stats := m.Fit(samples)
-	return &PowerResult{Model: m, Stats: stats, Pred: predictPower(d, m, cfg, fold.Val)}
+	return &PowerResult{Model: m, Stats: stats, Pred: PredictPower(d, m, fold.Val)}
 }
 
 // TransferPower trains a scenario-1 model for d reusing a source model's
@@ -52,7 +53,7 @@ func TransferPower(src *Model, d *dataset.Dataset, fold dataset.Fold, cfg ModelC
 	}
 	samples := powerSamples(d, fold.Train, cfg)
 	stats := m.FitFrozen(samples)
-	return &PowerResult{Model: m, Stats: stats, Pred: predictPower(d, m, cfg, fold.Val)}, nil
+	return &PowerResult{Model: m, Stats: stats, Pred: PredictPower(d, m, fold.Val)}, nil
 }
 
 // softTargets builds the near-optimal label distribution: p ∝ (best/v)^γ
@@ -134,25 +135,40 @@ func encodeRegions(m *Model, cfg ModelConfig, val []*dataset.RegionData, capNorm
 	return m.EncodeBatch(regions, exs)
 }
 
-// predictPower scores every validation region in one batched encoder pass,
-// then reads each head's argmax row-wise. Per-region pick slices share one
-// flat backing array, so a full sweep costs a handful of allocations.
-func predictPower(d *dataset.Dataset, m *Model, cfg ModelConfig, val []*dataset.RegionData) map[string][]int {
+// regionPicks scores every validation region in one batched encoder pass
+// (capNorm 0) and returns each region's argmax pick of every head.
+// Per-region pick slices share one flat backing array, so a full sweep
+// costs a handful of allocations.
+func regionPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) [][]int {
+	cgs := make([]*rgcn.CompiledGraph, len(val))
+	exs := make([][]float64, len(val))
+	for i, rd := range val {
+		cgs[i] = rd.Region.CompiledGraph()
+		exs[i] = extras(n.Cfg, rd.Counters, 0)
+	}
+	return n.PredictCompiled(cgs, exs)
+}
+
+// powerPicks maps each validation region to its per-cap config picks.
+func powerPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string][]int {
 	pred := make(map[string][]int, len(val))
 	if len(val) == 0 {
 		return pred
 	}
-	enc := encodeRegions(m, cfg, val, 0)
-	nCaps := len(d.Space.Caps())
-	flat := make([]int, len(val)*nCaps)
-	for i, rd := range val {
-		pred[rd.Region.ID] = flat[i*nCaps : (i+1)*nCaps]
+	for i, picks := range regionPicks(n, val) {
+		pred[val[i].Region.ID] = picks
 	}
-	for h := 0; h < nCaps; h++ {
-		logits := m.Logits(enc, h)
-		for i := range val {
-			flat[i*nCaps+h] = nn.Argmax(logits, i)
-		}
+	return pred
+}
+
+// edpPicks maps each validation region to its joint (cap, config) pick.
+func edpPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string]int {
+	pred := make(map[string]int, len(val))
+	if len(val) == 0 {
+		return pred
+	}
+	for i, picks := range regionPicks(n, val) {
+		pred[val[i].Region.ID] = picks[0]
 	}
 	return pred
 }
@@ -161,21 +177,23 @@ func predictPower(d *dataset.Dataset, m *Model, cfg ModelConfig, val []*dataset.
 // scenario-1 model (e.g. one restored by LoadModel), returning per-region
 // per-cap config picks — the train-once/predict-many path.
 func PredictPower(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string][]int {
-	return predictPower(d, m, m.Cfg, val)
+	return powerPicks(&m.net, val)
+}
+
+// PredictPowerQuantized is PredictPower on the float32 snapshot.
+func PredictPowerQuantized(q *CompiledModel, val []*dataset.RegionData) map[string][]int {
+	return powerPicks(&q.net, val)
 }
 
 // PredictEDP scores validation regions with an already-trained scenario-2
 // model, returning per-region joint (cap, config) picks.
 func PredictEDP(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string]int {
-	pred := make(map[string]int, len(val))
-	if len(val) == 0 {
-		return pred
-	}
-	logits := m.Logits(encodeRegions(m, m.Cfg, val, 0), 0)
-	for i, rd := range val {
-		pred[rd.Region.ID] = nn.Argmax(logits, i)
-	}
-	return pred
+	return edpPicks(&m.net, val)
+}
+
+// PredictEDPQuantized is PredictEDP on the float32 snapshot.
+func PredictEDPQuantized(q *CompiledModel, val []*dataset.RegionData) map[string]int {
+	return edpPicks(&q.net, val)
 }
 
 // EDPResult is a trained scenario-2 model plus its held-out predictions.

@@ -13,46 +13,62 @@ import (
 	"pnptuner/internal/tensor"
 )
 
-// Param is a learnable weight matrix with its gradient accumulator.
-type Param struct {
+// ParamOf is a learnable weight matrix of T with its gradient
+// accumulator.
+type ParamOf[T tensor.Float] struct {
 	Name string
-	W    *tensor.Matrix
-	Grad *tensor.Matrix
+	W    *tensor.MatrixOf[T]
+	Grad *tensor.MatrixOf[T]
 }
+
+// Param is the float64 parameter that training updates.
+type Param = ParamOf[float64]
 
 // NewParam allocates a named parameter of the given shape.
 func NewParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
-// Layer is a differentiable module.
-type Layer interface {
-	// Forward computes the layer output for x, caching whatever the
-	// backward pass needs.
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	// Backward receives ∂L/∂output and returns ∂L/∂input, accumulating
-	// parameter gradients along the way.
-	Backward(dout *tensor.Matrix) *tensor.Matrix
-	// Params returns the layer's learnable parameters.
-	Params() []*Param
+// ConvertParam returns a copy of p's weights at precision T, with no
+// gradient: the forward-only parameter of a quantized layer.
+func ConvertParam[T tensor.Float](p *Param) *ParamOf[T] {
+	return &ParamOf[T]{Name: p.Name, W: tensor.Convert[T](p.W)}
 }
 
-// Linear is a fully connected layer: y = x·W + b.
-type Linear struct {
+// ZeroGrad clears the gradient accumulator.
+func (p *ParamOf[T]) ZeroGrad() { p.Grad.Zero() }
+
+// LayerOf is a differentiable module over matrices of T.
+type LayerOf[T tensor.Float] interface {
+	// Forward computes the layer output for x, caching whatever the
+	// backward pass needs.
+	Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T]
+	// Backward receives ∂L/∂output and returns ∂L/∂input, accumulating
+	// parameter gradients along the way.
+	Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T]
+	// Params returns the layer's learnable parameters.
+	Params() []*ParamOf[T]
+}
+
+// Layer is the float64 layer that training runs.
+type Layer = LayerOf[float64]
+
+// LinearOf is a fully connected layer: y = x·W + b.
+type LinearOf[T tensor.Float] struct {
 	In, Out int
-	Weight  *Param // In×Out
-	Bias    *Param // 1×Out
-	x       *tensor.Matrix
+	Weight  *ParamOf[T] // In×Out
+	Bias    *ParamOf[T] // 1×Out
+	x       *tensor.MatrixOf[T]
 
 	// Reusable output/gradient buffers: forward and backward results are
 	// valid until the next call on this layer.
-	outBuf  tensor.Buf
-	dxBuf   tensor.Buf
-	colSums []float64
+	outBuf  tensor.BufOf[T]
+	dxBuf   tensor.BufOf[T]
+	colSums []T
 }
+
+// Linear is the float64 fully connected layer.
+type Linear = LinearOf[float64]
 
 // NewLinear builds a Linear layer with Xavier-initialized weights.
 func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
@@ -67,7 +83,7 @@ func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 
 // Forward computes x·W + b. The result is owned by the layer and valid
 // until the next Forward.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (l *LinearOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: linear %d→%d got input width %d", l.In, l.Out, x.Cols))
 	}
@@ -83,10 +99,10 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward accumulates dW = xᵀ·dout, db = Σrows dout and returns
 // dx = dout·Wᵀ, owned by the layer and valid until the next Backward.
-func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (l *LinearOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	tensor.MatMulTAAddInto(l.x, dout, l.Weight.Grad)
 	if l.colSums == nil {
-		l.colSums = make([]float64, l.Out)
+		l.colSums = make([]T, l.Out)
 	}
 	dout.ColSumsInto(l.colSums)
 	for c, v := range l.colSums {
@@ -98,16 +114,20 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 }
 
 // Params returns the weight and bias.
-func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
+func (l *LinearOf[T]) Params() []*ParamOf[T] { return []*ParamOf[T]{l.Weight, l.Bias} }
 
-// LeakyReLU applies max(x, alpha·x) elementwise. Alpha 0 gives plain ReLU.
-type LeakyReLU struct {
-	Alpha float64
-	x     *tensor.Matrix
+// LeakyReLUOf applies max(x, alpha·x) elementwise. Alpha 0 gives plain
+// ReLU.
+type LeakyReLUOf[T tensor.Float] struct {
+	Alpha T
+	x     *tensor.MatrixOf[T]
 
-	yBuf  tensor.Buf
-	dxBuf tensor.Buf
+	yBuf  tensor.BufOf[T]
+	dxBuf tensor.BufOf[T]
 }
+
+// LeakyReLU is the float64 activation.
+type LeakyReLU = LeakyReLUOf[float64]
 
 // NewLeakyReLU builds the activation with negative-side slope alpha.
 func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
@@ -123,7 +143,7 @@ const actParallelThreshold = 1 << 15
 // valid until the next Forward. The sequential path avoids the closure
 // allocation of the pooled path, so single-worker passes allocate
 // nothing; elementwise independence keeps both paths bit-identical.
-func (a *LeakyReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (a *LeakyReLUOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	a.x = x
 	y := a.yBuf.Get(x.Rows, x.Cols)
 	if len(x.Data) < actParallelThreshold || tensor.Workers() == 1 {
@@ -134,7 +154,7 @@ func (a *LeakyReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-func leakyRange(alpha float64, x, y []float64, lo, hi int) {
+func leakyRange[T tensor.Float](alpha T, x, y []T, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if v := x[i]; v > 0 {
 			y[i] = v
@@ -146,7 +166,7 @@ func leakyRange(alpha float64, x, y []float64, lo, hi int) {
 
 // Backward gates the upstream gradient by the activation derivative. The
 // result is owned by the layer and valid until the next Backward.
-func (a *LeakyReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (a *LeakyReLUOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	dx := a.dxBuf.Get(dout.Rows, dout.Cols)
 	if len(dout.Data) < actParallelThreshold || tensor.Workers() == 1 {
 		leakyGradRange(a.Alpha, a.x.Data, dout.Data, dx.Data, 0, len(dout.Data))
@@ -158,7 +178,7 @@ func (a *LeakyReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-func leakyGradRange(alpha float64, x, dout, dx []float64, lo, hi int) {
+func leakyGradRange[T tensor.Float](alpha T, x, dout, dx []T, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if x[i] > 0 {
 			dx[i] = dout[i]
@@ -169,7 +189,7 @@ func leakyGradRange(alpha float64, x, dout, dx []float64, lo, hi int) {
 }
 
 // Params returns nil; activations are parameter-free.
-func (a *LeakyReLU) Params() []*Param { return nil }
+func (a *LeakyReLUOf[T]) Params() []*ParamOf[T] { return nil }
 
 // Dropout zeroes activations with probability P during training,
 // rescaling survivors by 1/(1-P) (inverted dropout).
@@ -220,14 +240,37 @@ func (d *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns nil.
 func (d *Dropout) Params() []*Param { return nil }
 
-// Sequential chains layers.
-type Sequential struct{ Layers []Layer }
+// SequentialOf chains layers.
+type SequentialOf[T tensor.Float] struct{ Layers []LayerOf[T] }
+
+// Sequential is the float64 layer chain that training runs.
+type Sequential = SequentialOf[float64]
 
 // NewSequential builds a layer pipeline.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
+// ConvertSequential returns a forward-only copy of s at precision T: its
+// Linear and LeakyReLU layers with converted weights, and no Dropout,
+// which is the identity at inference.
+func ConvertSequential[T tensor.Float](s *Sequential) (*SequentialOf[T], error) {
+	out := &SequentialOf[T]{}
+	for _, l := range s.Layers {
+		switch l := l.(type) {
+		case *Linear:
+			out.Layers = append(out.Layers, &LinearOf[T]{In: l.In, Out: l.Out,
+				Weight: ConvertParam[T](l.Weight), Bias: ConvertParam[T](l.Bias)})
+		case *LeakyReLU:
+			out.Layers = append(out.Layers, &LeakyReLUOf[T]{Alpha: T(l.Alpha)})
+		case *Dropout:
+		default:
+			return nil, fmt.Errorf("nn: cannot convert layer %T", l)
+		}
+	}
+	return out, nil
+}
+
 // Forward runs every layer in order.
-func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (s *SequentialOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	for _, l := range s.Layers {
 		x = l.Forward(x)
 	}
@@ -235,7 +278,7 @@ func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward runs every layer's backward pass in reverse order.
-func (s *Sequential) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (s *SequentialOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dout = s.Layers[i].Backward(dout)
 	}
@@ -243,8 +286,8 @@ func (s *Sequential) Backward(dout *tensor.Matrix) *tensor.Matrix {
 }
 
 // Params concatenates all layer parameters.
-func (s *Sequential) Params() []*Param {
-	var out []*Param
+func (s *SequentialOf[T]) Params() []*ParamOf[T] {
+	var out []*ParamOf[T]
 	for _, l := range s.Layers {
 		out = append(out, l.Params()...)
 	}
@@ -381,8 +424,9 @@ func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Argmax returns the index of the largest value in row r of m.
-func Argmax(m *tensor.Matrix, r int) int {
+// Argmax returns the index of the largest value in row r of m, the first
+// maximum winning ties.
+func Argmax[T tensor.Float](m *tensor.MatrixOf[T], r int) int {
 	row := m.Row(r)
 	best, bv := 0, row[0]
 	for c, v := range row[1:] {
@@ -394,7 +438,7 @@ func Argmax(m *tensor.Matrix, r int) int {
 }
 
 // TopK returns the indices of the k largest values in row r, best first.
-func TopK(m *tensor.Matrix, r, k int) []int {
+func TopK[T tensor.Float](m *tensor.MatrixOf[T], r, k int) []int {
 	row := m.Row(r)
 	if k > len(row) {
 		k = len(row)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -373,19 +374,31 @@ func TestCheckpointFileIO(t *testing.T) {
 	}
 }
 
-func TestArgmaxAndTopK(t *testing.T) {
-	m := tensor.FromSlice(2, 4, []float64{1, 9, 3, 7, 0, 0, 5, 1})
+func argmaxAndTopK[T tensor.Float](t *testing.T) {
+	m := &tensor.MatrixOf[T]{Rows: 3, Cols: 4, Data: []T{1, 9, 3, 7, 0, 0, 5, 1, 2, 8, 8, 2}}
 	if Argmax(m, 0) != 1 || Argmax(m, 1) != 2 {
 		t.Fatal("argmax wrong")
 	}
-	top := TopK(m, 0, 3)
-	want := []int{1, 3, 2}
-	for i, w := range want {
-		if top[i] != w {
-			t.Fatalf("topk = %v, want %v", top, want)
+	if Argmax(m, 2) != 1 {
+		t.Fatal("argmax tie: the first maximum must win")
+	}
+	for _, c := range []struct {
+		r, k int
+		want []int
+	}{
+		{0, 3, []int{1, 3, 2}},
+		{0, 99, []int{1, 3, 2, 0}},
+		{2, 2, []int{1, 2}},
+	} {
+		if got := TopK(m, c.r, c.k); !slices.Equal(got, c.want) {
+			t.Fatalf("TopK(row %d, %d) = %v, want %v", c.r, c.k, got, c.want)
 		}
 	}
-	if got := TopK(m, 0, 99); len(got) != 4 {
-		t.Fatalf("topk overflow len = %d", len(got))
-	}
+}
+
+// TestArgmaxAndTopK runs at both precisions: quantized serving must break
+// ties as float64 serving does.
+func TestArgmaxAndTopK(t *testing.T) {
+	t.Run("float64", argmaxAndTopK[float64])
+	t.Run("float32", argmaxAndTopK[float32])
 }

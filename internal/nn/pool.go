@@ -6,24 +6,27 @@ import (
 	"pnptuner/internal/tensor"
 )
 
-// SegmentPool is the batch-aware mean-pool readout: row segment g of the
+// SegmentPoolOf is the batch-aware mean-pool readout: row segment g of the
 // input — rows [offsets[g], offsets[g+1]), one graph of a block-diagonal
 // batch — pools to output row g. It generalizes the single-graph MeanPool
 // (offsets {0, n} reproduce it exactly) so one batched forward pass yields
 // every graph's pooled vector at once.
-type SegmentPool struct {
+type SegmentPoolOf[T tensor.Float] struct {
 	offsets []int
 	cols    int
 
-	outBuf tensor.Buf
-	dxBuf  tensor.Buf
+	outBuf tensor.BufOf[T]
+	dxBuf  tensor.BufOf[T]
 }
+
+// SegmentPool is the float64 segment readout.
+type SegmentPool = SegmentPoolOf[float64]
 
 // Forward mean-pools each row segment of x, returning a
 // (len(offsets)-1)×Cols matrix. offsets must be non-decreasing, start at
 // 0, and end at x.Rows. The result is owned by the pool and valid until
 // the next Forward.
-func (p *SegmentPool) Forward(x *tensor.Matrix, offsets []int) *tensor.Matrix {
+func (p *SegmentPoolOf[T]) Forward(x *tensor.MatrixOf[T], offsets []int) *tensor.MatrixOf[T] {
 	if len(offsets) < 1 || offsets[0] != 0 || offsets[len(offsets)-1] != x.Rows {
 		panic(fmt.Sprintf("nn: segment pool offsets %v over %d rows", offsets, x.Rows))
 	}
@@ -41,7 +44,7 @@ func (p *SegmentPool) Forward(x *tensor.Matrix, offsets []int) *tensor.Matrix {
 				orow[c] += v
 			}
 		}
-		inv := 1 / float64(hi-lo)
+		inv := 1 / T(hi-lo)
 		for c := range orow {
 			orow[c] *= inv
 		}
@@ -52,7 +55,7 @@ func (p *SegmentPool) Forward(x *tensor.Matrix, offsets []int) *tensor.Matrix {
 // Backward broadcasts each pooled-row gradient back over its segment,
 // scaled by 1/segment size — the batched analogue of MeanPool.Backward.
 // The result is owned by the pool and valid until the next Backward.
-func (p *SegmentPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (p *SegmentPoolOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if dout.Rows != len(p.offsets)-1 || dout.Cols != p.cols {
 		panic(fmt.Sprintf("nn: segment pool backward %dx%d, want %dx%d",
 			dout.Rows, dout.Cols, len(p.offsets)-1, p.cols))
@@ -63,7 +66,7 @@ func (p *SegmentPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		if lo == hi {
 			continue
 		}
-		inv := 1 / float64(hi-lo)
+		inv := 1 / T(hi-lo)
 		drow := dout.Row(g)
 		for r := lo; r < hi; r++ {
 			row := dx.Row(r)

@@ -61,17 +61,26 @@ type request struct {
 	enq time.Time
 }
 
+// forwarder is the model a batcher runs its windows on: a *core.Model,
+// or the float32 *core.CompiledModel its Quantize converts. Both run the
+// same forward code.
+type forwarder interface {
+	TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int
+	NumHeads() int
+	Inputs() (vocab, extras int)
+}
+
 // Batcher funnels concurrent predictions into micro-batches without
 // waiting: whenever the model is free it runs everything already queued
 // (up to maxBatch) as one block-diagonal forward pass, and requests that
 // arrive meanwhile form the next window, so windows grow with load. A
-// Model is not goroutine-safe (layers cache per-call state), so the
+// model is not goroutine-safe (layers cache per-call state), so the
 // single batcher goroutine is also the serialization point — batching is
 // what turns that constraint into throughput instead of a bottleneck.
 type Batcher struct {
-	model    *core.Model
-	quant    *core.CompiledModel // non-nil: forward on the float32 snapshot
-	maxBatch int
+	model           forwarder
+	vocab, extraDim int // the model's Inputs
+	maxBatch        int
 
 	// Meta is the served model's metadata (notably Meta.Version, which
 	// responses echo). Set it before the batcher is published to other
@@ -95,23 +104,10 @@ type Batcher struct {
 // (min 1). maxWait is ignored: a window never waits for company. The
 // parameter stays only so existing callers keep compiling.
 func NewBatcher(m *core.Model, maxBatch int, maxWait time.Duration) *Batcher {
-	return newBatcher(m, nil, maxBatch)
+	return newBatcher(m, maxBatch)
 }
 
-// NewQuantizedBatcher starts a batcher that forwards on a float32
-// quantized snapshot of m (converted once, here) instead of the float64
-// model. Request validation still reads m's shape; m itself is never
-// forwarded on, so it stays free for background retraining. Fails only
-// for model shapes Quantize cannot mirror. maxWait is ignored.
-func NewQuantizedBatcher(m *core.Model, maxBatch int, maxWait time.Duration) (*Batcher, error) {
-	q, err := m.Quantize()
-	if err != nil {
-		return nil, err
-	}
-	return newBatcher(m, q, maxBatch), nil
-}
-
-func newBatcher(m *core.Model, q *core.CompiledModel, maxBatch int) *Batcher {
+func newBatcher(m forwarder, maxBatch int) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -124,21 +120,18 @@ func newBatcher(m *core.Model, q *core.CompiledModel, maxBatch int) *Batcher {
 	}
 	b := &Batcher{
 		model:    m,
-		quant:    q,
 		maxBatch: maxBatch,
 		reqs:     make(chan *request, queueCap),
 		done:     make(chan struct{}),
 		exit:     make(chan struct{}),
 	}
+	b.vocab, b.extraDim = m.Inputs()
 	go b.loop()
 	return b
 }
 
 // NumHeads returns the width of every reply (one pick per model head).
-func (b *Batcher) NumHeads() int { return len(b.model.Heads) }
-
-// Quantized reports whether the batcher forwards on a float32 snapshot.
-func (b *Batcher) Quantized() bool { return b.quant != nil }
+func (b *Batcher) NumHeads() int { return b.model.NumHeads() }
 
 // Predict queues a request and blocks for its result: the argmax class of
 // every model head, index-aligned with the heads (per-cap picks for a
@@ -256,17 +249,17 @@ func (b *Batcher) validate(req Request) error {
 	}
 	// Tokens past the model's vocabulary would silently embed as the
 	// unknown token — a client/model mismatch worth failing loudly.
-	if vocab := b.model.Enc.Emb.VocabSize; vocab > 0 {
+	if b.vocab > 0 {
 		for i, n := range req.Graph.Nodes {
-			if n.Token >= vocab {
+			if n.Token >= b.vocab {
 				return fmt.Errorf("registry: node %d token %d outside the model's %d-token vocabulary",
-					i, n.Token, vocab)
+					i, n.Token, b.vocab)
 			}
 		}
 	}
-	if want := b.model.ExtraDim; len(req.Extras) != want {
+	if len(req.Extras) != b.extraDim {
 		return fmt.Errorf("registry: request has %d extra features, model wants %d",
-			len(req.Extras), want)
+			len(req.Extras), b.extraDim)
 	}
 	return nil
 }
@@ -358,7 +351,7 @@ func (b *Batcher) run(batch []*request) {
 	}
 	cgs := make([]*rgcn.CompiledGraph, len(batch))
 	var extras [][]float64
-	if b.model.ExtraDim > 0 {
+	if b.extraDim > 0 {
 		extras = make([][]float64, len(batch))
 	}
 	maxK := 1
@@ -414,8 +407,5 @@ func (b *Batcher) forward(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) 
 		}
 	}()
 	// k=1 is exactly the argmax of PredictCompiled (first-max tie-break).
-	if b.quant != nil {
-		return b.quant.TopKCompiled(cgs, extras, k), nil
-	}
 	return b.model.TopKCompiled(cgs, extras, k), nil
 }

@@ -47,14 +47,8 @@ func TestQuantizedBatcherMatchesFloat64(t *testing.T) {
 	m, _ := tinyModel(Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime})
 	ref := NewBatcher(m, 4, time.Millisecond)
 	defer ref.Close()
-	qb, err := NewQuantizedBatcher(m, 4, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qb := newBatcher(m.MustQuantize(), 4)
 	defer qb.Close()
-	if !qb.Quantized() || ref.Quantized() {
-		t.Fatal("Quantized() flags wrong")
-	}
 
 	c := kernels.MustCompile()
 	for _, idx := range []int{0, 3, 7} {
@@ -105,8 +99,8 @@ func TestServerQuantizedServesIdenticalPicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Quantized() {
-		t.Fatal("quantized server built a float64 batcher")
+	if _, ok := b.model.(*core.CompiledModel); !ok {
+		t.Fatalf("quantized server built a batcher over %T", b.model)
 	}
 }
 

@@ -83,8 +83,8 @@ type ServerConfig struct {
 	// work (default 1024, negative = unlimited).
 	MaxInflight int
 	// Quantize serves every model through a float32 quantized snapshot
-	// (batcher forwards run the CompiledModel kernels). Picks are parity-
-	// gated bit-equal to the float64 path; default off.
+	// (batchers forward on a core.CompiledModel). Picks are parity-gated
+	// bit-equal to the float64 path; default off.
 	Quantize bool
 }
 
@@ -213,19 +213,19 @@ func (s *Server) Close() {
 // (not goroutine-safe) *core.Model back out for an evicted key, and two
 // batchers must never forward on one model concurrently.
 // newServingBatcher builds the batcher for one registry entry, honoring
-// the server's quantized-serving mode. A model that cannot quantize
-// (never one this registry trains) falls back to float64 serving rather
-// than failing the request.
+// the server's quantized-serving mode: the batcher then forwards on a
+// float32 snapshot converted once here, and the entry's model stays free
+// for background retraining. A model that cannot quantize (never one
+// this registry trains) falls back to float64 serving rather than
+// failing the request.
 func (s *Server) newServingBatcher(entry *Entry) *Batcher {
-	var b *Batcher
+	var m forwarder = entry.Model
 	if s.quantize {
-		if qb, err := NewQuantizedBatcher(entry.Model, s.maxBatch, 0); err == nil {
-			b = qb
+		if q, err := entry.Model.Quantize(); err == nil {
+			m = q
 		}
 	}
-	if b == nil {
-		b = NewBatcher(entry.Model, s.maxBatch, 0)
-	}
+	b := newBatcher(m, s.maxBatch)
 	b.Meta = entry.Meta
 	b.obs = s.tele.batch
 	return b

@@ -331,13 +331,13 @@ func (s *Server) modelShortlists(ctx context.Context, key Key, rd *dataset.Regio
 		return nil, 0, err
 	}
 	var extras []float64
-	switch b.model.ExtraDim {
+	switch b.extraDim {
 	case 0:
 	case papi.NumFeatures:
 		f := rd.Counters.Features()
 		extras = f[:]
 	default:
-		return nil, 0, fmt.Errorf("registry: model %s wants %d extra features; tuning can only supply corpus counters", key, b.model.ExtraDim)
+		return nil, 0, fmt.Errorf("registry: model %s wants %d extra features; tuning can only supply corpus counters", key, b.extraDim)
 	}
 	lists, err := b.PredictTopKContext(ctx, Request{Graph: rd.Region.Graph, Extras: extras}, k)
 	if err != nil {

@@ -77,15 +77,15 @@ func (a *Adjacency) Finalize() *Adjacency {
 // The sequential path calls the range helper directly (no closure), so a
 // single-worker pass allocates nothing; per-row independence makes both
 // paths bit-identical.
-func (p *csrPlan) gather(norm []float64, h, out *tensor.Matrix) {
+func gather[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T]) {
 	if len(p.dstSrc)*h.Cols < parallelMinWork || tensor.Workers() == 1 {
-		p.gatherRange(norm, h, out, 0, out.Rows)
+		gatherRange(p, norm, h, out, 0, out.Rows)
 		return
 	}
-	tensor.ParallelFor(out.Rows, func(lo, hi int) { p.gatherRange(norm, h, out, lo, hi) })
+	tensor.ParallelFor(out.Rows, func(lo, hi int) { gatherRange(p, norm, h, out, lo, hi) })
 }
 
-func (p *csrPlan) gatherRange(norm []float64, h, out *tensor.Matrix, lo, hi int) {
+func gatherRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := p.dstPtr[i], p.dstPtr[i+1]
 		if start == end {
@@ -97,7 +97,7 @@ func (p *csrPlan) gatherRange(norm []float64, h, out *tensor.Matrix, lo, hi int)
 				orow[c] += v
 			}
 		}
-		w := norm[i]
+		w := T(norm[i])
 		for c := range orow {
 			orow[c] *= w
 		}
@@ -106,15 +106,15 @@ func (p *csrPlan) gatherRange(norm []float64, h, out *tensor.Matrix, lo, hi int)
 
 // gatherT computes out[i] = Σ_{i→dst} norm[dst] · h[dst] — the transpose
 // of gather, grouped by source so backward scatter is also race-free.
-func (p *csrPlan) gatherT(norm []float64, h, out *tensor.Matrix) {
+func gatherT[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T]) {
 	if len(p.srcDst)*h.Cols < parallelMinWork || tensor.Workers() == 1 {
-		p.gatherTRange(norm, h, out, 0, out.Rows)
+		gatherTRange(p, norm, h, out, 0, out.Rows)
 		return
 	}
-	tensor.ParallelFor(out.Rows, func(lo, hi int) { p.gatherTRange(norm, h, out, lo, hi) })
+	tensor.ParallelFor(out.Rows, func(lo, hi int) { gatherTRange(p, norm, h, out, lo, hi) })
 }
 
-func (p *csrPlan) gatherTRange(norm []float64, h, out *tensor.Matrix, lo, hi int) {
+func gatherTRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := p.srcPtr[i], p.srcPtr[i+1]
 		if start == end {
@@ -122,7 +122,7 @@ func (p *csrPlan) gatherTRange(norm []float64, h, out *tensor.Matrix, lo, hi int
 		}
 		orow := out.Row(i)
 		for _, dn := range p.srcDst[start:end] {
-			w := norm[dn]
+			w := T(norm[dn])
 			for c, v := range h.Row(int(dn)) {
 				orow[c] += w * v
 			}
@@ -220,7 +220,7 @@ func (b *Batch) Segment(g int) (lo, hi int) { return b.Offsets[g], b.Offsets[g+1
 // gather straight from the flat token/kind arrays; both paths write into
 // the embedding's reusable output buffer, which stays valid until the
 // next Forward/ForwardBatch on this embedding.
-func (e *Embedding) ForwardBatch(b *Batch) *tensor.Matrix {
+func (e *EmbeddingOf[T]) ForwardBatch(b *Batch) *tensor.MatrixOf[T] {
 	n := b.NumNodes()
 	out := e.out.Get(n, e.Dim+3)
 	e.tokens = growInts(e.tokens, n)

@@ -2,6 +2,7 @@ package rgcn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"pnptuner/internal/programl"
@@ -114,34 +115,49 @@ func TestMergerReuseIsStateless(t *testing.T) {
 }
 
 // TestCompiledGraphClampsTokens checks compile-time clamping of negative
-// tokens and gather-time clamping of tokens past the model vocabulary.
+// tokens and gather-time clamping of tokens past the model vocabulary, at
+// both precisions.
 func TestCompiledGraphClampsTokens(t *testing.T) {
-	g := &programl.Graph{
-		RegionID: "clamp",
-		Nodes: []programl.Node{
-			{Token: -3},
-			{Token: 2},
-			{Token: 999, Kind: programl.NodeKind(2)},
-		},
-	}
-	cg := CompileGraph(g)
-	if cg.Tokens[0] != 0 {
-		t.Fatalf("negative token not clamped: %d", cg.Tokens[0])
-	}
-	if cg.Tokens[2] != 999 {
-		t.Fatalf("in-range clamp too early: %d", cg.Tokens[2])
-	}
 	emb := NewEmbedding("e", 10, 4, tensor.NewRNG(1))
-	out := emb.ForwardBatch(MergeCompiled([]*CompiledGraph{cg}))
-	// Node 2's token (999) exceeds the 10-token vocabulary: it must gather
-	// row 0, exactly like the raw-graph path.
-	for c := 0; c < emb.Dim; c++ {
-		if out.At(2, c) != emb.Table.W.At(0, c) {
-			t.Fatalf("out-of-vocab token did not clamp to row 0 at col %d", c)
+	for _, c := range []struct {
+		token    int
+		compiled int32 // the CompiledGraph.Tokens entry
+		row      int   // the table row gathered from the 10-token vocabulary
+	}{
+		{-3, 0, 0},
+		{2, 2, 2},
+		{999, 999, 0},
+		{math.MaxInt32, math.MaxInt32, 0},
+	} {
+		g := &programl.Graph{
+			RegionID: "clamp",
+			Nodes:    []programl.Node{{Token: 1}, {Token: c.token, Kind: programl.NodeKind(2)}},
+		}
+		cg := CompileGraph(g)
+		if cg.Tokens[1] != c.compiled {
+			t.Errorf("token %d compiled to %d, want %d", c.token, cg.Tokens[1], c.compiled)
+			continue
+		}
+		b := MergeCompiled([]*CompiledGraph{cg})
+		checkGather(t, c.token, emb.ForwardBatch(b), emb.Table.W, c.row)
+		q := ConvertEmbedding[float32](emb)
+		checkGather(t, c.token, q.ForwardBatch(b), q.Table.W, c.row)
+	}
+}
+
+// checkGather checks that node 1 of out gathered table row want and
+// carries kind tag 2.
+func checkGather[T tensor.Float](t *testing.T, token int, out, table *tensor.MatrixOf[T], want int) {
+	t.Helper()
+	dim := table.Cols
+	for c := 0; c < dim; c++ {
+		if out.At(1, c) != table.At(want, c) {
+			t.Errorf("%T token %d did not gather row %d at col %d", out, token, want, c)
+			return
 		}
 	}
-	if out.At(2, emb.Dim+2) != 1 {
-		t.Fatal("kind tag not set")
+	if out.At(1, dim+2) != 1 {
+		t.Errorf("%T token %d: kind tag not set", out, token)
 	}
 }
 

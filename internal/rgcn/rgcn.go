@@ -79,21 +79,22 @@ func (a *Adjacency) EdgeCount(d int) int {
 // walk the edge list sequentially (the reference path).
 func (a *Adjacency) propagate(d int, h *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(h.Rows, h.Cols)
-	a.propagateInto(d, h, out)
+	propagateInto(a, d, h, out)
 	return out
 }
 
 // propagateInto accumulates out += Â_d·h into a zeroed target — the
-// buffer-reusing form of propagate on the forward hot path.
-func (a *Adjacency) propagateInto(d int, h, out *tensor.Matrix) {
+// buffer-reusing form of propagate on the forward hot path. Each norm is
+// rounded to T before it multiplies.
+func propagateInto[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T]) {
 	if a.plans != nil {
-		a.plans[d].gather(a.Norm[d], h, out)
+		gather(&a.plans[d], a.Norm[d], h, out)
 		return
 	}
 	norm := a.Norm[d]
 	for _, e := range a.Edges[d] {
 		src, dst := e[0], e[1]
-		w := norm[dst]
+		w := T(norm[dst])
 		hrow := h.Row(int(src))
 		orow := out.Row(int(dst))
 		for c, v := range hrow {
@@ -105,21 +106,21 @@ func (a *Adjacency) propagateInto(d int, h, out *tensor.Matrix) {
 // propagateT computes out = Â_dᵀ·h (the backward direction of propagate).
 func (a *Adjacency) propagateT(d int, h *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(h.Rows, h.Cols)
-	a.propagateTInto(d, h, out)
+	propagateTInto(a, d, h, out)
 	return out
 }
 
 // propagateTInto accumulates out += Â_dᵀ·h, saving the temporary on the
 // backward hot path.
-func (a *Adjacency) propagateTInto(d int, h, out *tensor.Matrix) {
+func propagateTInto[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T]) {
 	if a.plans != nil {
-		a.plans[d].gatherT(a.Norm[d], h, out)
+		gatherT(&a.plans[d], a.Norm[d], h, out)
 		return
 	}
 	norm := a.Norm[d]
 	for _, e := range a.Edges[d] {
 		src, dst := e[0], e[1]
-		w := norm[dst]
+		w := T(norm[dst])
 		hrow := h.Row(int(dst))
 		orow := out.Row(int(src))
 		for c, v := range hrow {
@@ -128,30 +129,34 @@ func (a *Adjacency) propagateTInto(d int, h, out *tensor.Matrix) {
 	}
 }
 
-// Layer is one relational graph convolution. It is graph-dependent: the
-// caller sets the adjacency (SetGraph) before Forward/Backward, which lets
-// one parameter set serve every graph in the corpus.
-type Layer struct {
+// LayerOf is one relational graph convolution over features of T. It is
+// graph-dependent: the caller sets the adjacency (SetGraph) before
+// Forward/Backward, which lets one parameter set serve every graph in the
+// corpus.
+type LayerOf[T tensor.Float] struct {
 	In, Out int
-	WSelf   *nn.Param
-	WRel    [NumDirections]*nn.Param
-	Bias    *nn.Param
+	WSelf   *nn.ParamOf[T]
+	WRel    [NumDirections]*nn.ParamOf[T]
+	Bias    *nn.ParamOf[T]
 
 	adj *Adjacency
 	// caches for backward
-	x    *tensor.Matrix
-	msgs [NumDirections]*tensor.Matrix
+	x    *tensor.MatrixOf[T]
+	msgs [NumDirections]*tensor.MatrixOf[T]
 
 	// Epoch-persistent scratch: each activation the layer produces lives
 	// in a buffer that grows to the largest minibatch seen, so steady-state
 	// forward/backward passes allocate nothing. Outputs are valid until
 	// the next Forward/Backward on this layer.
-	outBuf  tensor.Buf
-	msgBufs [NumDirections]tensor.Buf
-	dxBuf   tensor.Buf
-	backBuf tensor.Buf
-	colSums []float64
+	outBuf  tensor.BufOf[T]
+	msgBufs [NumDirections]tensor.BufOf[T]
+	dxBuf   tensor.BufOf[T]
+	backBuf tensor.BufOf[T]
+	colSums []T
 }
+
+// Layer is the float64 relational convolution that training runs.
+type Layer = LayerOf[float64]
 
 // NewLayer builds an RGCN layer with Xavier-initialized transforms.
 func NewLayer(name string, in, out int, rng *tensor.RNG) *Layer {
@@ -168,13 +173,23 @@ func NewLayer(name string, in, out int, rng *tensor.RNG) *Layer {
 	return l
 }
 
+// ConvertLayer returns a forward-only copy of l with its weights at
+// precision T.
+func ConvertLayer[T tensor.Float](l *Layer) *LayerOf[T] {
+	q := &LayerOf[T]{In: l.In, Out: l.Out, WSelf: nn.ConvertParam[T](l.WSelf), Bias: nn.ConvertParam[T](l.Bias)}
+	for d := range l.WRel {
+		q.WRel[d] = nn.ConvertParam[T](l.WRel[d])
+	}
+	return q
+}
+
 // SetGraph binds the layer to one graph's adjacency for the next
 // forward/backward pair.
-func (l *Layer) SetGraph(adj *Adjacency) { l.adj = adj }
+func (l *LayerOf[T]) SetGraph(adj *Adjacency) { l.adj = adj }
 
 // Forward computes the relational convolution for the bound graph. The
 // returned matrix is owned by the layer and valid until the next Forward.
-func (l *Layer) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (l *LayerOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if l.adj == nil {
 		panic("rgcn: Forward before SetGraph")
 	}
@@ -190,7 +205,7 @@ func (l *Layer) Forward(x *tensor.Matrix) *tensor.Matrix {
 			continue
 		}
 		msg := l.msgBufs[d].GetZeroed(x.Rows, x.Cols)
-		l.adj.propagateInto(d, x, msg)
+		propagateInto(l.adj, d, x, msg)
 		l.msgs[d] = msg
 		tensor.MatMulAddInto(msg, l.WRel[d].W, out)
 	}
@@ -201,10 +216,10 @@ func (l *Layer) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward accumulates parameter gradients and returns ∂L/∂x. The
 // returned gradient is owned by the layer and valid until the next
 // Backward.
-func (l *Layer) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (l *LayerOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	// Bias gradient.
 	if l.colSums == nil {
-		l.colSums = make([]float64, l.Out)
+		l.colSums = make([]T, l.Out)
 	}
 	dout.ColSumsInto(l.colSums)
 	for c, v := range l.colSums {
@@ -223,28 +238,32 @@ func (l *Layer) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		// ∂L/∂x += Â_dᵀ·(dout·W_dᵀ)
 		back := l.backBuf.Get(dout.Rows, l.In)
 		tensor.MatMulTBInto(dout, l.WRel[d].W, back)
-		l.adj.propagateTInto(d, back, dx)
+		propagateTInto(l.adj, d, back, dx)
 	}
 	return dx
 }
 
 // Params returns all transforms and the bias.
-func (l *Layer) Params() []*nn.Param {
-	out := []*nn.Param{l.WSelf}
+func (l *LayerOf[T]) Params() []*nn.ParamOf[T] {
+	out := []*nn.ParamOf[T]{l.WSelf}
 	for d := 0; d < NumDirections; d++ {
 		out = append(out, l.WRel[d])
 	}
 	return append(out, l.Bias)
 }
 
-// Embedding maps node tokens (plus a node-kind tag) to dense features.
-type Embedding struct {
+// EmbeddingOf maps node tokens (plus a node-kind tag) to dense features
+// of T.
+type EmbeddingOf[T tensor.Float] struct {
 	VocabSize, Dim int
-	Table          *nn.Param
+	Table          *nn.ParamOf[T]
 	tokens         []int
 	// out is the reusable gather target for ForwardBatch.
-	out tensor.Buf
+	out tensor.BufOf[T]
 }
+
+// Embedding is the float64 token embedding that training runs.
+type Embedding = EmbeddingOf[float64]
 
 // NewEmbedding builds a learnable token-embedding table.
 func NewEmbedding(name string, vocabSize, dim int, rng *tensor.RNG) *Embedding {
@@ -253,11 +272,17 @@ func NewEmbedding(name string, vocabSize, dim int, rng *tensor.RNG) *Embedding {
 	return e
 }
 
+// ConvertEmbedding returns a forward-only copy of e with its table at
+// precision T.
+func ConvertEmbedding[T tensor.Float](e *Embedding) *EmbeddingOf[T] {
+	return &EmbeddingOf[T]{VocabSize: e.VocabSize, Dim: e.Dim, Table: nn.ConvertParam[T](e.Table)}
+}
+
 // Forward gathers embedding rows for the graph's node tokens and appends a
 // 3-wide one-hot node-kind tag.
-func (e *Embedding) Forward(g *programl.Graph) *tensor.Matrix {
+func (e *EmbeddingOf[T]) Forward(g *programl.Graph) *tensor.MatrixOf[T] {
 	n := len(g.Nodes)
-	out := tensor.New(n, e.Dim+3)
+	out := tensor.NewOf[T](n, e.Dim+3)
 	e.tokens = growInts(e.tokens, n)
 	for i, node := range g.Nodes {
 		tok := node.Token
@@ -272,30 +297,33 @@ func (e *Embedding) Forward(g *programl.Graph) *tensor.Matrix {
 }
 
 // OutDim returns the width of Forward's output.
-func (e *Embedding) OutDim() int { return e.Dim + 3 }
+func (e *EmbeddingOf[T]) OutDim() int { return e.Dim + 3 }
 
 // Backward scatters ∂L/∂features into the table gradient. Large batches
 // scatter in parallel with per-worker scratch tables.
-func (e *Embedding) Backward(dout *tensor.Matrix) {
+func (e *EmbeddingOf[T]) Backward(dout *tensor.MatrixOf[T]) {
 	tensor.ScatterAddRows(e.Table.Grad, e.tokens, dout, e.Dim)
 }
 
 // Params returns the embedding table.
-func (e *Embedding) Params() []*nn.Param { return []*nn.Param{e.Table} }
+func (e *EmbeddingOf[T]) Params() []*nn.ParamOf[T] { return []*nn.ParamOf[T]{e.Table} }
 
-// MeanPool is the graph-level readout: the mean of node features.
-type MeanPool struct{ rows int }
+// MeanPoolOf is the graph-level readout: the mean of node features.
+type MeanPoolOf[T tensor.Float] struct{ rows int }
+
+// MeanPool is the float64 readout.
+type MeanPool = MeanPoolOf[float64]
 
 // Forward returns the 1×d mean of node features.
-func (m *MeanPool) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (m *MeanPoolOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	m.rows = x.Rows
 	return x.MeanRow()
 }
 
 // Backward broadcasts the pooled gradient back to every node.
-func (m *MeanPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(m.rows, dout.Cols)
-	inv := 1 / float64(m.rows)
+func (m *MeanPoolOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
+	dx := tensor.NewOf[T](m.rows, dout.Cols)
+	inv := 1 / T(m.rows)
 	for r := 0; r < m.rows; r++ {
 		row := dx.Row(r)
 		for c, v := range dout.Row(0) {

@@ -76,7 +76,7 @@ func refTA(a, b, out *Matrix) {
 	}
 }
 
-func ref32(a, b, out *Mat32) {
+func ref32(a, b, out *MatrixOf[float32]) {
 	for i := 0; i < a.Rows; i++ {
 		orow := out.Row(i)
 		for k, av := range a.Row(i) {
@@ -175,12 +175,12 @@ func checkKernels(r *RNG, m, k, n int) error {
 		return fmt.Errorf("MatMulTBInto %dx%d·(%dx%d)ᵀ: %v", m, k, n, k, err)
 	}
 
-	a32, b32 := Quantize32(a), Quantize32(b)
-	got32, want32 := Quantize32(out), Quantize32(out)
-	MatMul32AddInto(a32, b32, got32)
+	a32, b32 := Convert[float32](a), Convert[float32](b)
+	got32, want32 := Convert[float32](out), Convert[float32](out)
+	MatMulAddInto(a32, b32, got32)
 	ref32(a32, b32, want32)
 	if err := sameFloats32(got32.Data, want32.Data); err != nil {
-		return fmt.Errorf("MatMul32AddInto %dx%d·%dx%d: %v", m, k, k, n, err)
+		return fmt.Errorf("float32 MatMulAddInto %dx%d·%dx%d: %v", m, k, k, n, err)
 	}
 	return nil
 }

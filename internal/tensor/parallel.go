@@ -109,7 +109,7 @@ func reductionChunks(n, work int) int {
 // private scratch copies of dst and merges them afterwards in chunk order
 // — each destination row is merged by exactly one goroutine, keeping
 // results race-free and bit-identical across worker counts.
-func ScatterAddRows(dst *Matrix, idx []int, src *Matrix, cols int) {
+func ScatterAddRows[T Float](dst *MatrixOf[T], idx []int, src *MatrixOf[T], cols int) {
 	if len(idx) != src.Rows {
 		panic(fmt.Sprintf("tensor: scatter %d indices for %d rows", len(idx), src.Rows))
 	}
@@ -129,10 +129,10 @@ func ScatterAddRows(dst *Matrix, idx []int, src *Matrix, cols int) {
 	}
 	chunk := reductionChunks(len(idx), work)
 	nChunks := (len(idx) + chunk - 1) / chunk
-	scratch := make([]*Matrix, nChunks)
+	scratch := make([]*MatrixOf[T], nChunks)
 	ParallelFor(nChunks, func(clo, chi int) {
 		for ci := clo; ci < chi; ci++ {
-			s := New(dst.Rows, cols)
+			s := NewOf[T](dst.Rows, cols)
 			scratch[ci] = s
 			lo, hi := ci*chunk, (ci+1)*chunk
 			if hi > len(idx) {

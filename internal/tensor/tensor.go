@@ -1,7 +1,9 @@
-// Package tensor provides the dense float64 matrix math under the neural
-// network stack: allocation, BLAS-level-3 style multiplies (parallelized
-// across goroutines for large operands), elementwise kernels, and a
-// deterministic RNG for reproducible initialization.
+// Package tensor provides the dense matrix math under the neural network
+// stack: allocation, BLAS-level-3 style multiplies (parallelized across
+// goroutines for large operands), elementwise kernels, and a
+// deterministic RNG for reproducible initialization. Matrices are generic
+// over float32 and float64: training runs in float64, and quantized
+// serving runs the same kernels in float32.
 package tensor
 
 import (
@@ -9,18 +11,37 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major float64 matrix.
-type Matrix struct {
+// Float is the element type of a matrix.
+type Float interface{ float32 | float64 }
+
+// MatrixOf is a dense row-major matrix of T.
+type MatrixOf[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// New allocates a zeroed rows×cols matrix.
-func New(rows, cols int) *Matrix {
+// Matrix is the float64 matrix that training and default serving use.
+type Matrix = MatrixOf[float64]
+
+// New allocates a zeroed rows×cols float64 matrix.
+func New(rows, cols int) *Matrix { return NewOf[float64](rows, cols) }
+
+// NewOf allocates a zeroed rows×cols matrix of T.
+func NewOf[T Float](rows, cols int) *MatrixOf[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &MatrixOf[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
+}
+
+// Convert returns a copy of m with every element converted to T: the
+// one-time weight conversion of quantized serving.
+func Convert[T Float](m *Matrix) *MatrixOf[T] {
+	out := NewOf[T](m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = T(v)
+	}
+	return out
 }
 
 // FromSlice wraps data (len rows*cols) without copying.
@@ -32,43 +53,43 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // At returns element (r, c).
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
+func (m *MatrixOf[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
 
 // Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
+func (m *MatrixOf[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
 
 // Row returns a view of row r (shared backing array).
-func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+func (m *MatrixOf[T]) Row(r int) []T { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // RowMatrix returns row r as a 1×Cols matrix view (shared backing array),
 // letting single-sample code address one row of a batched result.
-func (m *Matrix) RowMatrix(r int) *Matrix {
-	return &Matrix{Rows: 1, Cols: m.Cols, Data: m.Row(r)}
+func (m *MatrixOf[T]) RowMatrix(r int) *MatrixOf[T] {
+	return &MatrixOf[T]{Rows: 1, Cols: m.Cols, Data: m.Row(r)}
 }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *MatrixOf[T]) Clone() *MatrixOf[T] {
+	out := NewOf[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
 // Zero clears all elements in place.
-func (m *Matrix) Zero() {
+func (m *MatrixOf[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // sameShape panics unless a and b have identical shapes.
-func sameShape(op string, a, b *Matrix) {
+func sameShape[T Float](op string, a, b *MatrixOf[T]) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
 
 // AddInPlace computes m += o.
-func (m *Matrix) AddInPlace(o *Matrix) {
+func (m *MatrixOf[T]) AddInPlace(o *MatrixOf[T]) {
 	sameShape("add", m, o)
 	for i, v := range o.Data {
 		m.Data[i] += v
@@ -76,7 +97,7 @@ func (m *Matrix) AddInPlace(o *Matrix) {
 }
 
 // AxpyInPlace computes m += alpha*o.
-func (m *Matrix) AxpyInPlace(alpha float64, o *Matrix) {
+func (m *MatrixOf[T]) AxpyInPlace(alpha T, o *MatrixOf[T]) {
 	sameShape("axpy", m, o)
 	for i, v := range o.Data {
 		m.Data[i] += alpha * v
@@ -84,7 +105,7 @@ func (m *Matrix) AxpyInPlace(alpha float64, o *Matrix) {
 }
 
 // ScaleInPlace computes m *= k.
-func (m *Matrix) ScaleInPlace(k float64) {
+func (m *MatrixOf[T]) ScaleInPlace(k T) {
 	for i := range m.Data {
 		m.Data[i] *= k
 	}
@@ -101,7 +122,7 @@ func Hadamard(a, b *Matrix) *Matrix {
 }
 
 // AddRowVec adds vector v (len Cols) to every row of m in place.
-func (m *Matrix) AddRowVec(v []float64) {
+func (m *MatrixOf[T]) AddRowVec(v []T) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: row vec len %d vs cols %d", len(v), m.Cols))
 	}
@@ -114,15 +135,15 @@ func (m *Matrix) AddRowVec(v []float64) {
 }
 
 // ColSums returns the per-column sums (used for bias gradients).
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
+func (m *MatrixOf[T]) ColSums() []T {
+	out := make([]T, m.Cols)
 	m.ColSumsInto(out)
 	return out
 }
 
 // ColSumsInto overwrites dst (len Cols) with the per-column sums — the
 // allocation-free form for layer-owned scratch.
-func (m *Matrix) ColSumsInto(dst []float64) {
+func (m *MatrixOf[T]) ColSumsInto(dst []T) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: col sums into len %d, want %d", len(dst), m.Cols))
 	}
@@ -138,13 +159,13 @@ func (m *Matrix) ColSumsInto(dst []float64) {
 }
 
 // MeanRow returns the column-wise mean as a 1×Cols matrix (mean pooling).
-func (m *Matrix) MeanRow() *Matrix {
-	out := New(1, m.Cols)
+func (m *MatrixOf[T]) MeanRow() *MatrixOf[T] {
+	out := NewOf[T](1, m.Cols)
 	if m.Rows == 0 {
 		return out
 	}
 	sums := m.ColSums()
-	inv := 1.0 / float64(m.Rows)
+	inv := 1 / T(m.Rows)
 	for c, s := range sums {
 		out.Data[c] = s * inv
 	}
@@ -152,12 +173,12 @@ func (m *Matrix) MeanRow() *Matrix {
 }
 
 // FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
+func (m *MatrixOf[T]) FrobeniusNorm() float64 {
+	var s T
 	for _, v := range m.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(float64(s))
 }
 
 // parallelThreshold is the operand volume above which MatMul fans out
@@ -176,7 +197,7 @@ func MatMul(a, b *Matrix) *Matrix {
 // (and its zeroing) that MatMul-then-AddInPlace would allocate — the
 // per-relation transforms of the RGCN hot path hit this many times per
 // layer.
-func MatMulAddInto(a, b, out *Matrix) {
+func MatMulAddInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul %dx%d · %dx%d into %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
@@ -199,11 +220,11 @@ func MatMulAddInto(a, b, out *Matrix) {
 // so there the kernels match the plain loops bit for bit.
 
 // matmulRows computes rows [lo,hi) of out += a·b over row-major slices
-// (a is ·×kk, b is kk×n) in ikj order, two a columns per pass. It is the
-// kernel of both MatMulAddInto and MatMul32AddInto. The pair loop is
+// (a is ·×kk, b is kk×n) in ikj order, two a columns per pass. The pair
+// loop is
 // axpy2's body written out in place: a call per pair cost the float32
 // serving sweep ~13 % at corpus graph sizes.
-func matmulRows[T float32 | float64](a, b, out []T, kk, n, lo, hi int) {
+func matmulRows[T Float](a, b, out []T, kk, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*kk : (i+1)*kk]
 		orow := out[i*n : (i+1)*n]
@@ -239,7 +260,7 @@ func matmulRows[T float32 | float64](a, b, out []T, kk, n, lo, hi int) {
 }
 
 // axpy computes y += a·x over len(y) elements, 4-wide unrolled.
-func axpy[T float32 | float64](a T, x, y []T) {
+func axpy[T Float](a T, x, y []T) {
 	x = x[:len(y)]
 	j := 0
 	for ; j+3 < len(y); j += 4 {
@@ -260,7 +281,7 @@ func axpy[T float32 | float64](a T, x, y []T) {
 // coefficient drops its term, exactly as two separate axpy calls guarded
 // by a != 0 would. Passing the rows as one slice keeps every argument in
 // registers; a separate x1 slice spills to the stack.
-func axpy2[T float32 | float64](a0, a1 T, x, y []T) {
+func axpy2[T Float](a0, a1 T, x, y []T) {
 	n := len(y)
 	x0, x1 := x[:n], x[n:2*n]
 	switch {
@@ -298,7 +319,7 @@ func MatMulTA(a, b *Matrix) *Matrix {
 // their k rows into shape-determined chunks computed into scratch
 // accumulators (out is only m×n) merged in chunk order, so results are
 // bit-identical across worker counts and machines.
-func MatMulTAAddInto(a, b, out *Matrix) {
+func MatMulTAAddInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTA %dx%d · %dx%d into %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
@@ -310,10 +331,10 @@ func MatMulTAAddInto(a, b, out *Matrix) {
 	}
 	chunk := reductionChunks(a.Rows, work)
 	nChunks := (a.Rows + chunk - 1) / chunk
-	scratch := make([]*Matrix, nChunks)
+	scratch := make([]*MatrixOf[T], nChunks)
 	ParallelFor(nChunks, func(clo, chi int) {
 		for ci := clo; ci < chi; ci++ {
-			s := New(out.Rows, out.Cols)
+			s := NewOf[T](out.Rows, out.Cols)
 			scratch[ci] = s
 			lo, hi := ci*chunk, (ci+1)*chunk
 			if hi > a.Rows {
@@ -336,7 +357,7 @@ func MatMulTAAddInto(a, b, out *Matrix) {
 
 // matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b, two k
 // rows per pass through axpy2.
-func matmulTARange(a, b, out *Matrix, lo, hi int) {
+func matmulTARange[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 	m, n := a.Cols, b.Cols
 	k := lo
 	for ; k+1 < hi; k += 2 {
@@ -369,7 +390,7 @@ func MatMulTB(a, b *Matrix) *Matrix {
 // fanning rows across the worker pool for large operands. Every output
 // row is an independent dot-product sweep, so the parallel split is
 // bit-identical to the sequential one.
-func MatMulTBInto(a, b, out *Matrix) {
+func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTB %dx%d · %dx%d into %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
@@ -384,7 +405,7 @@ func MatMulTBInto(a, b, out *Matrix) {
 // matmulTBRange computes rows [lo, hi) of out = a·bᵀ, four output
 // columns per sweep of the a row with one accumulator each. Every term is
 // added, zero or not, as the plain dot-product loop does.
-func matmulTBRange(a, b, out *Matrix, lo, hi int) {
+func matmulTBRange[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 	kk, n := a.Cols, b.Rows
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*kk : (i+1)*kk]
@@ -395,7 +416,7 @@ func matmulTBRange(a, b, out *Matrix, lo, hi int) {
 			b1 := b.Data[(j+1)*kk : (j+2)*kk][:len(arow)]
 			b2 := b.Data[(j+2)*kk : (j+3)*kk][:len(arow)]
 			b3 := b.Data[(j+3)*kk : (j+4)*kk][:len(arow)]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			for k, av := range arow {
 				s0 += av * b0[k]
 				s1 += av * b1[k]
@@ -406,7 +427,7 @@ func matmulTBRange(a, b, out *Matrix, lo, hi int) {
 		}
 		for ; j < n; j++ {
 			brow := b.Data[j*kk : (j+1)*kk][:len(arow)]
-			s := 0.0
+			var s T
 			for k, av := range arow {
 				s += av * brow[k]
 			}
@@ -497,15 +518,15 @@ func (r *RNG) PermInto(p []int) {
 }
 
 // FillUniform fills m with uniform values in [-a, a].
-func (m *Matrix) FillUniform(r *RNG, a float64) {
+func (m *MatrixOf[T]) FillUniform(r *RNG, a float64) {
 	for i := range m.Data {
-		m.Data[i] = (2*r.Float64() - 1) * a
+		m.Data[i] = T((2*r.Float64() - 1) * a)
 	}
 }
 
 // XavierInit fills m with the Glorot uniform distribution for a layer with
 // the given fan-in and fan-out.
-func (m *Matrix) XavierInit(r *RNG, fanIn, fanOut int) {
+func (m *MatrixOf[T]) XavierInit(r *RNG, fanIn, fanOut int) {
 	a := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	m.FillUniform(r, a)
 }
