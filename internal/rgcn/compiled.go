@@ -11,6 +11,8 @@
 package rgcn
 
 import (
+	"math"
+
 	"pnptuner/internal/programl"
 )
 
@@ -22,9 +24,10 @@ import (
 type CompiledGraph struct {
 	// Adj is the graph's finalized adjacency (plans built).
 	Adj *Adjacency
-	// Tokens[i] is node i's embedding row (negative tokens clamp to 0 at
-	// compile time; tokens past a model's vocabulary clamp at gather time,
-	// since vocabulary size is a model property).
+	// Tokens[i] is node i's embedding row. Tokens that int32 cannot hold,
+	// and negative ones, clamp to 0 (the unknown token) at compile time;
+	// tokens past a model's vocabulary clamp at gather time, since
+	// vocabulary size is a model property.
 	Tokens []int32
 	// Kinds[i] is node i's one-hot kind-tag offset (0..2).
 	Kinds []uint8
@@ -40,7 +43,7 @@ func CompileGraph(g *programl.Graph) *CompiledGraph {
 	}
 	for i, n := range g.Nodes {
 		tok := n.Token
-		if tok < 0 {
+		if tok < 0 || tok > math.MaxInt32 {
 			tok = 0
 		}
 		cg.Tokens[i] = int32(tok)

@@ -115,8 +115,8 @@ func TestMergerReuseIsStateless(t *testing.T) {
 }
 
 // TestCompiledGraphClampsTokens checks compile-time clamping of negative
-// tokens and gather-time clamping of tokens past the model vocabulary, at
-// both precisions.
+// tokens and of tokens int32 cannot hold, and gather-time clamping of
+// tokens past the model vocabulary, at both precisions.
 func TestCompiledGraphClampsTokens(t *testing.T) {
 	emb := NewEmbedding("e", 10, 4, tensor.NewRNG(1))
 	for _, c := range []struct {
@@ -128,6 +128,7 @@ func TestCompiledGraphClampsTokens(t *testing.T) {
 		{2, 2, 2},
 		{999, 999, 0},
 		{math.MaxInt32, math.MaxInt32, 0},
+		{math.MaxInt, 0, 0},
 	} {
 		g := &programl.Graph{
 			RegionID: "clamp",
