@@ -175,13 +175,13 @@ func (e *EncoderOf[T]) Params() []*nn.ParamOf[T] {
 	return out
 }
 
-// net is the batched forward pass of the PnP network at precision T:
+// network is the batched forward pass of the PnP network at precision T:
 // merge compiled graphs, encode, pool, append the extra features, and
-// score every dense head. Model embeds the float64 net it trains;
-// Quantize converts its weights into the float32 net CompiledModel
-// serves from. A net is not goroutine-safe: its layers and merger reuse
-// scratch buffers.
-type net[T tensor.Float] struct {
+// score every dense head. Model embeds the float64 network it trains;
+// Quantize converts its weights into the float32 network CompiledModel
+// serves from. A network is not goroutine-safe: its layers and merger
+// reuse scratch buffers.
+type network[T tensor.Float] struct {
 	Cfg      ModelConfig
 	Enc      *EncoderOf[T]
 	Heads    []*nn.SequentialOf[T]
@@ -195,24 +195,24 @@ type net[T tensor.Float] struct {
 }
 
 // NumHeads returns the number of classifier heads.
-func (n *net[T]) NumHeads() int { return len(n.Heads) }
+func (n *network[T]) NumHeads() int { return len(n.Heads) }
 
 // Inputs returns the vocabulary size and the extra-feature width that a
 // request must match.
-func (n *net[T]) Inputs() (vocab, extras int) { return n.Enc.Emb.VocabSize, n.ExtraDim }
+func (n *network[T]) Inputs() (vocab, extras int) { return n.Enc.Emb.VocabSize, n.ExtraDim }
 
 // EncodeCompiled encodes precompiled graphs in one batched pass: row i is
 // the dense-head input for cgs[i]. This is the zero-rebuild serving hot
 // path — request goroutines compile in parallel, the model merges plans
 // in O(edges) and runs one block-diagonal forward.
-func (n *net[T]) EncodeCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) *tensor.MatrixOf[T] {
+func (n *network[T]) EncodeCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) *tensor.MatrixOf[T] {
 	return n.encode(n.merger.Merge(cgs), extras)
 }
 
 // encode runs the encoder over a merged batch and widens each pooled row
 // with its extra features, rounded to T. extras may be nil when the model
 // uses no extra features.
-func (n *net[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[T] {
+func (n *network[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[T] {
 	pooled := n.Enc.ForwardBatch(b)
 	if n.ExtraDim == 0 {
 		return pooled
@@ -235,7 +235,7 @@ func (n *net[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[T] {
 
 // Logits computes head h's class scores for an encoded batch. The result
 // is owned by the head and valid until its next Forward.
-func (n *net[T]) Logits(encoded *tensor.MatrixOf[T], h int) *tensor.MatrixOf[T] {
+func (n *network[T]) Logits(encoded *tensor.MatrixOf[T], h int) *tensor.MatrixOf[T] {
 	return n.Heads[h].Forward(encoded)
 }
 
@@ -243,7 +243,7 @@ func (n *net[T]) Logits(encoded *tensor.MatrixOf[T], h int) *tensor.MatrixOf[T] 
 // is head h's pick for cgs[i]. This is the micro-batched serving hot
 // path: N concurrent requests cost one block-diagonal forward instead of
 // N, and each head scores the whole window with a single matrix multiply.
-func (n *net[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
+func (n *network[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
 	enc := n.EncodeCompiled(cgs, extras)
 	out := make([][]int, len(cgs))
 	flat := make([]int, len(cgs)*len(n.Heads))
@@ -263,7 +263,7 @@ func (n *net[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) 
 // returns each graph's k best classes per head, best first: out[i][h]
 // lists head h's top-k picks for cgs[i]. k=1 reproduces PredictCompiled;
 // larger k feeds hybrid tuning sessions their proposal shortlists.
-func (n *net[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
+func (n *network[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
 	enc := n.EncodeCompiled(cgs, extras)
 	out := make([][][]int, len(cgs))
 	for i := range out {
@@ -280,11 +280,11 @@ func (n *net[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k i
 
 // Model is the full PnP network: shared encoder plus one or more dense
 // classifier heads, in float64 (its Cfg, Enc, Heads, ExtraDim and Classes
-// fields come from the embedded net). Scenario 1 uses one head per power
-// cap (each over the per-cap configuration space); scenario 2 and the
-// cap-conditioned variant use a single head.
+// fields come from the embedded network). Scenario 1 uses one head per
+// power cap (each over the per-cap configuration space); scenario 2 and
+// the cap-conditioned variant use a single head.
 type Model struct {
-	net[float64]
+	network[float64]
 
 	// cgs and scoreBuf are reusable scratch for Batch and ScoreAll.
 	cgs      []*rgcn.CompiledGraph
@@ -294,7 +294,7 @@ type Model struct {
 // NewModel builds a model with nHeads heads of `classes` outputs each.
 func NewModel(cfg ModelConfig, vocabSize, nHeads, classes int) *Model {
 	rng := tensor.NewRNG(cfg.Seed + 0x5eed)
-	m := &Model{net: net[float64]{
+	m := &Model{network: network[float64]{
 		Cfg:     cfg,
 		Enc:     NewEncoder(cfg, vocabSize, rng),
 		Classes: classes,
@@ -325,14 +325,14 @@ func NewModel(cfg ModelConfig, vocabSize, nHeads, classes int) *Model {
 // same forward code at float32, with every weight converted once by
 // Quantize. It cannot train, and like Model it is not goroutine-safe, so
 // serving funnels it through a single batcher goroutine.
-type CompiledModel struct{ net[float32] }
+type CompiledModel struct{ network[float32] }
 
 // Quantize converts the model's weights once into a float32
 // CompiledModel. The snapshot predicts independently of the source model
 // afterwards (weights are copied, not shared), so the source can keep
 // training while the snapshot serves.
 func (m *Model) Quantize() (*CompiledModel, error) {
-	q := &CompiledModel{net[float32]{Cfg: m.Cfg, Enc: convertEncoder[float32](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}}
+	q := &CompiledModel{network[float32]{Cfg: m.Cfg, Enc: convertEncoder[float32](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}}
 	for _, h := range m.Heads {
 		qh, err := nn.ConvertSequential[float32](h)
 		if err != nil {

@@ -108,7 +108,7 @@ func TestConvertedNetMatchesModel(t *testing.T) {
 	cfg := testConfig()
 	cfg.UseCounters = true
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), 2, 16)
-	n := &net[float64]{Cfg: m.Cfg, Enc: convertEncoder[float64](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}
+	n := &network[float64]{Cfg: m.Cfg, Enc: convertEncoder[float64](m.Enc), ExtraDim: m.ExtraDim, Classes: m.Classes}
 	for _, h := range m.Heads {
 		ch, err := nn.ConvertSequential[float64](h)
 		if err != nil {

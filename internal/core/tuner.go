@@ -139,7 +139,7 @@ func encodeRegions(m *Model, cfg ModelConfig, val []*dataset.RegionData, capNorm
 // (capNorm 0) and returns each region's argmax pick of every head.
 // Per-region pick slices share one flat backing array, so a full sweep
 // costs a handful of allocations.
-func regionPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) [][]int {
+func regionPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) [][]int {
 	cgs := make([]*rgcn.CompiledGraph, len(val))
 	exs := make([][]float64, len(val))
 	for i, rd := range val {
@@ -150,7 +150,7 @@ func regionPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) [][]int {
 }
 
 // powerPicks maps each validation region to its per-cap config picks.
-func powerPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string][]int {
+func powerPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) map[string][]int {
 	pred := make(map[string][]int, len(val))
 	if len(val) == 0 {
 		return pred
@@ -162,7 +162,7 @@ func powerPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string
 }
 
 // edpPicks maps each validation region to its joint (cap, config) pick.
-func edpPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string]int {
+func edpPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) map[string]int {
 	pred := make(map[string]int, len(val))
 	if len(val) == 0 {
 		return pred
@@ -177,23 +177,23 @@ func edpPicks[T tensor.Float](n *net[T], val []*dataset.RegionData) map[string]i
 // scenario-1 model (e.g. one restored by LoadModel), returning per-region
 // per-cap config picks — the train-once/predict-many path.
 func PredictPower(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string][]int {
-	return powerPicks(&m.net, val)
+	return powerPicks(&m.network, val)
 }
 
 // PredictPowerQuantized is PredictPower on the float32 snapshot.
 func PredictPowerQuantized(q *CompiledModel, val []*dataset.RegionData) map[string][]int {
-	return powerPicks(&q.net, val)
+	return powerPicks(&q.network, val)
 }
 
 // PredictEDP scores validation regions with an already-trained scenario-2
 // model, returning per-region joint (cap, config) picks.
 func PredictEDP(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string]int {
-	return edpPicks(&m.net, val)
+	return edpPicks(&m.network, val)
 }
 
 // PredictEDPQuantized is PredictEDP on the float32 snapshot.
 func PredictEDPQuantized(q *CompiledModel, val []*dataset.RegionData) map[string]int {
-	return edpPicks(&q.net, val)
+	return edpPicks(&q.network, val)
 }
 
 // EDPResult is a trained scenario-2 model plus its held-out predictions.

@@ -261,7 +261,7 @@ func ConvertSequential[T tensor.Float](s *Sequential) (*SequentialOf[T], error) 
 				Weight: ConvertParam[T](l.Weight), Bias: ConvertParam[T](l.Bias)})
 		case *LeakyReLU:
 			out.Layers = append(out.Layers, &LeakyReLUOf[T]{Alpha: T(l.Alpha)})
-		case *Dropout:
+		case *Dropout: // the identity at inference
 		default:
 			return nil, fmt.Errorf("nn: cannot convert layer %T", l)
 		}
