@@ -185,11 +185,33 @@ func checkKernels(r *RNG, m, k, n int) error {
 	return nil
 }
 
+// kernelPaths are the two forward kernels a test or benchmark can pin:
+// "asm" leaves useAVX2 as the CPU check set it, "go" clears it so the Go
+// loop computes every column.
+var kernelPaths = []struct {
+	name string
+	asm  bool
+}{{"asm", true}, {"go", false}}
+
+// useKernel runs the forward kernel named by asm and returns the restore.
+// It skips the "asm" path on a machine without the AVX2 kernel, where it
+// would only repeat the "go" path.
+func useKernel(tb testing.TB, asm bool) (restore func()) {
+	if asm && !useAVX2 {
+		tb.Skipf("no AVX2 kernel on this %s machine", runtime.GOARCH)
+	}
+	old := useAVX2
+	useAVX2 = asm
+	return func() { useAVX2 = old }
+}
+
 // TestQuickKernelsMatchReference holds the blocked kernels to the plain
 // loops bit for bit: same summation order, same zero skip. Shapes cover
-// odd and even k (a trailing unpaired column or row) and every n % 4
-// remainder; a fixed tall case crosses parallelThreshold so the pooled
-// row split and MatMulTAAddInto's chunked reduction engage.
+// odd and even k (a trailing unpaired column or row), every n % 4
+// remainder and n on both sides of the AVX2 kernel's sixteen-column
+// block; a fixed tall case crosses parallelThreshold so the pooled row
+// split and MatMulTAAddInto's chunked reduction engage. Each worker cap
+// runs on the AVX2 forward kernel and again on the Go one.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
@@ -197,21 +219,120 @@ func TestQuickKernelsMatchReference(t *testing.T) {
 	for _, workers := range []int{1, 0} {
 		t.Run(fmt.Sprintf("workercap=%d", workers), func(t *testing.T) {
 			defer SetWorkerCap(workers)()
-			f := func(seed uint64) bool {
-				r := NewRNG(seed)
-				m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
-				if err := checkKernels(r, m, k, n); err != nil {
-					t.Logf("seed %d: %v", seed, err)
-					return false
+			for _, path := range kernelPaths {
+				t.Run(path.name, func(t *testing.T) {
+					defer useKernel(t, path.asm)()
+					f := func(seed uint64) bool {
+						r := NewRNG(seed)
+						m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
+						if err := checkKernels(r, m, k, n); err != nil {
+							t.Logf("seed %d: %v", seed, err)
+							return false
+						}
+						return true
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
+						if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// edgeFill fills m from vals, starting at offset off and skipping by a
+// stride prime to len(vals), so rows, columns and neighbouring elements
+// all meet different values.
+func edgeFill[T Float](m *MatrixOf[T], vals []T, off int) {
+	for i := range m.Data {
+		m.Data[i] = vals[(off+7*i)%len(vals)]
+	}
+}
+
+// alignGoNaNs copies want's NaN into got wherever both are NaN in a
+// column the Go kernel computed (column goCol on). gc commutes a scalar
+// multiply or add when it allocates registers, and the pair loop's four
+// unrolled lanes do not even agree, so which of two meeting NaNs survives
+// is not an invariant of the Go kernel. It is one of the AVX2 kernel,
+// whose columns keep their payloads.
+func alignGoNaNs[T Float](got, want []T, n, goCol int) {
+	for i := range got {
+		if i%n >= goCol && got[i] != got[i] && want[i] != want[i] {
+			got[i] = want[i]
+		}
+	}
+}
+
+// TestMatMulEdgeCasesBitExact pins the forward kernel to refRange and
+// ref32 bit for bit on the values whose handling the order rule exists
+// for: three NaNs with distinct payloads, one each in a, b and out, so a
+// wrong factor or addend order in the AVX2 kernel surfaces as the wrong
+// payload; ±0 in a, whose term is skipped even against ±Inf in b; and
+// ±Inf in b against a finite or NaN a. k = 0 and 1 are the empty and
+// single-term sums; n runs one below, at and above the sixteen-column
+// block and across several blocks with a tail, so the AVX2 kernel's
+// columns and the Go tail meet in one row.
+func TestMatMulEdgeCasesBitExact(t *testing.T) {
+	nanA64 := math.Float64frombits(0x7ff8_0000_0000_00a1)
+	nanB64 := math.Float64frombits(0xfff8_0000_0000_00b2)
+	nanO64 := math.Float64frombits(0x7ff8_0000_0000_00c3)
+	neg0 := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	aVals := []float64{1.5, nanA64, neg0, -2.25, 0, 0.1, -3, nanA64, 7}
+	bVals := []float64{0.75, nanB64, inf, -1.125, math.Inf(-1), 1e300, -0.3, 2, nanB64, neg0, 5}
+	oVals := []float64{nanO64, 0.5, neg0, -4, 1e-300, 3.25, inf}
+	f32 := func(vals []float64, nan float64, bits uint32) []float32 {
+		out := make([]float32, len(vals))
+		for i, v := range vals {
+			out[i] = float32(v)
+			if math.Float64bits(v) == math.Float64bits(nan) {
+				out[i] = math.Float32frombits(bits)
+			}
+		}
+		return out
+	}
+	aVals32 := f32(aVals, nanA64, 0x7fc0_00a1)
+	bVals32 := f32(bVals, nanB64, 0xffc0_00b2)
+	oVals32 := f32(oVals, nanO64, 0x7fc0_00c3)
+
+	for _, path := range kernelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			defer useKernel(t, path.asm)()
+			for _, n := range []int{15, 16, 17, 31, 33, 127} {
+				goCol := 0
+				if path.asm {
+					goCol = n &^ 15
 				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
-				if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
-					t.Fatal(err)
+				for _, k := range []int{0, 1, 2, 5} {
+					const m = 5
+					a, b, out := New(m, k), New(k, n), New(m, n)
+					edgeFill(a, aVals, 0)
+					edgeFill(b, bVals, k)
+					edgeFill(out, oVals, n)
+					got, want := out.Clone(), out.Clone()
+					MatMulAddInto(a, b, got)
+					refRange(a, b, want, 0, m)
+					alignGoNaNs(got.Data, want.Data, n, goCol)
+					if err := sameFloats(got.Data, want.Data); err != nil {
+						t.Errorf("float64 %dx%d·%dx%d: %v", m, k, k, n, err)
+					}
+
+					a32, b32, out32 := NewOf[float32](m, k), NewOf[float32](k, n), NewOf[float32](m, n)
+					edgeFill(a32, aVals32, 0)
+					edgeFill(b32, bVals32, k)
+					edgeFill(out32, oVals32, n)
+					got32, want32 := out32.Clone(), out32.Clone()
+					MatMulAddInto(a32, b32, got32)
+					ref32(a32, b32, want32)
+					alignGoNaNs(got32.Data, want32.Data, n, goCol)
+					if err := sameFloats32(got32.Data, want32.Data); err != nil {
+						t.Errorf("float32 %dx%d·%dx%d: %v", m, k, k, n, err)
+					}
 				}
 			}
 		})
@@ -244,13 +365,19 @@ func benchKernel(b *testing.B, run func(m, k, n int) func()) {
 	}
 }
 
-// BenchmarkMatMulAddInto times the forward transform out += x·W.
+// BenchmarkMatMulAddInto times the forward transform out += x·W on the
+// AVX2 kernel ("asm") and on the Go one ("go").
 func BenchmarkMatMulAddInto(b *testing.B) {
-	benchKernel(b, func(m, k, n int) func() {
-		r := NewRNG(1)
-		x, w, out := randMat(m, k, r), randMat(k, n, r), New(m, n)
-		return func() { MatMulAddInto(x, w, out) }
-	})
+	for _, path := range kernelPaths {
+		b.Run(path.name, func(b *testing.B) {
+			defer useKernel(b, path.asm)()
+			benchKernel(b, func(m, k, n int) func() {
+				r := NewRNG(1)
+				x, w, out := randMat(m, k, r), randMat(k, n, r), New(m, n)
+				return func() { MatMulAddInto(x, w, out) }
+			})
+		})
+	}
 }
 
 // BenchmarkMatMulTAAddInto times the weight gradient dW += xᵀ·dY.

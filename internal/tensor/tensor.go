@@ -220,27 +220,33 @@ func MatMulAddInto[T Float](a, b, out *MatrixOf[T]) {
 // so there the kernels match the plain loops bit for bit.
 
 // matmulRows computes rows [lo,hi) of out += a·b over row-major slices
-// (a is ·×kk, b is kk×n) in ikj order, two a columns per pass. The pair
-// loop is
+// (a is ·×kk, b is kk×n). On amd64 with AVX2 the assembly kernel
+// (matmul_amd64.s) takes the first n&^15 columns, sixteen at a time, and
+// the Go loop below finishes the rest; elsewhere the Go loop runs every
+// column. It works in ikj order, two a columns per pass. The pair loop is
 // axpy2's body written out in place: a call per pair cost the float32
 // serving sweep ~13 % at corpus graph sizes.
 func matmulRows[T Float](a, b, out []T, kk, n, lo, hi int) {
+	j0 := matmulRowsAsm(a, b, out, kk, n, lo, hi)
+	if j0 == n {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		arow := a[i*kk : (i+1)*kk]
-		orow := out[i*n : (i+1)*n]
+		orow := out[i*n+j0 : (i+1)*n]
 		k := 0
 		for ; k+1 < kk; k += 2 {
 			a0, a1 := arow[k], arow[k+1]
 			if a0 == 0 || a1 == 0 {
 				if a0 != 0 {
-					axpy(a0, b[k*n:(k+1)*n], orow)
+					axpy(a0, b[k*n+j0:(k+1)*n], orow)
 				} else if a1 != 0 {
-					axpy(a1, b[(k+1)*n:(k+2)*n], orow)
+					axpy(a1, b[(k+1)*n+j0:(k+2)*n], orow)
 				}
 				continue
 			}
-			b0 := b[k*n : (k+1)*n][:len(orow)]
-			b1 := b[(k+1)*n : (k+2)*n][:len(orow)]
+			b0 := b[k*n+j0 : (k+1)*n][:len(orow)]
+			b1 := b[(k+1)*n+j0 : (k+2)*n][:len(orow)]
 			j := 0
 			for ; j+3 < len(orow); j += 4 {
 				o0 := orow[j] + a0*b0[j] + a1*b1[j]
@@ -254,7 +260,7 @@ func matmulRows[T Float](a, b, out []T, kk, n, lo, hi int) {
 			}
 		}
 		if k < kk && arow[k] != 0 {
-			axpy(arow[k], b[k*n:(k+1)*n], orow)
+			axpy(arow[k], b[k*n+j0:(k+1)*n], orow)
 		}
 	}
 }
