@@ -4,12 +4,13 @@
 // ascending, over `rows` rows and the first n&^15 columns, sixteen
 // columns per pass held in YMM accumulators and stored once. A ±0 a[i, k]
 // adds no term; a NaN one does (VUCOMIS sets PF on an unordered compare).
-// Multiply and add stay separate instructions, never an FMA, with a as the
-// first factor and out as the first addend, so each element is rounded
-// and NaN-propagated exactly as the Go loop does it. Only VEX-encoded
-// instructions appear between VZEROUPPER-free entry and the final
-// VZEROUPPER: a legacy-SSE instruction with dirty upper YMM halves costs a
-// state transition on every iteration.
+// Multiply and add stay separate instructions, never an FMA, so every
+// element rounds exactly as the Go loop's o += a*b. Their operands sit in
+// the order gc emits for that loop, which decides the payload when two
+// NaNs meet: the product is b·a with b as the first source, the sum
+// (b·a) + o with the product first. Only VEX-encoded instructions appear,
+// and VZEROUPPER ends each kernel: one legacy-SSE instruction beside dirty
+// upper YMM halves costs a state transition on every iteration.
 
 // func matmulRowsF64(a, b, out *float64, kk, n, rows int)
 TEXT ·matmulRowsF64(SB), NOSPLIT, $0-48
@@ -48,11 +49,11 @@ term64:
 	VMOVUPD      32(BX), Y6
 	VMOVUPD      64(BX), Y7
 	VMOVUPD      96(BX), Y8
-	VMULPD       Y4, Y5, Y5
+	VMULPD       Y4, Y5, Y5 // Y5 = b·a
 	VMULPD       Y4, Y6, Y6
 	VMULPD       Y4, Y7, Y7
 	VMULPD       Y4, Y8, Y8
-	VADDPD       Y0, Y5, Y0
+	VADDPD       Y0, Y5, Y0 // Y0 = Y5 + o
 	VADDPD       Y1, Y6, Y1
 	VADDPD       Y2, Y7, Y2
 	VADDPD       Y3, Y8, Y3
