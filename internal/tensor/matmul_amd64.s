@@ -3,14 +3,17 @@
 // The row kernels compute out[i, j] = out[i, j] + a[i, k]·b[k, j] for k
 // ascending, over `rows` rows and the first n&^15 columns, sixteen
 // columns per pass held in YMM accumulators and stored once. A ±0 a[i, k]
-// adds no term; a NaN one does (VUCOMIS sets PF on an unordered compare).
+// adds no term; a NaN one does (VUCOMIS sets PF on an unordered compare,
+// so JPC skips only an ordered zero).
 // Multiply and add stay separate instructions, never an FMA, so every
 // element rounds exactly as the Go loop's o += a*b. Their operands sit in
 // the order gc emits for that loop, which decides the payload when two
 // NaNs meet: the product is b·a with b as the first source, the sum
 // (b·a) + o with the product first. Only VEX-encoded instructions appear,
 // and VZEROUPPER ends each kernel: one legacy-SSE instruction beside dirty
-// upper YMM halves costs a state transition on every iteration.
+// upper YMM halves costs a state transition on every iteration. The
+// caller guarantees rows ≥ 1, kk ≥ 1 and n ≥ 16, so every loop runs at
+// least once.
 
 // func matmulRowsF64(a, b, out *float64, kk, n, rows int)
 TEXT ·matmulRowsF64(SB), NOSPLIT, $0-48
@@ -40,8 +43,7 @@ k64:
 	VMOVSD   (SI)(AX*8), X4
 	VUCOMISD X15, X4
 	JNE      term64
-	JPS      term64
-	JMP      next64
+	JPC      next64           // equal and ordered: a is ±0
 
 term64:
 	VBROADCASTSD X4, Y4
@@ -105,8 +107,7 @@ k32:
 	VMOVSS   (SI)(AX*4), X4
 	VUCOMISS X15, X4
 	JNE      term32
-	JPS      term32
-	JMP      next32
+	JPC      next32           // equal and ordered: a is ±0
 
 term32:
 	VBROADCASTSS X4, Y4
