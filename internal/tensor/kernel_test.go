@@ -245,9 +245,9 @@ func TestQuickKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// edgeFill fills m from vals, starting at offset off and skipping by a
-// stride prime to len(vals), so rows, columns and neighbouring elements
-// all meet different values.
+// edgeFill fills m from vals, starting at offset off and stepping by 7,
+// so rows, columns and neighbouring elements all meet different values
+// as long as len(vals) is not a multiple of 7.
 func edgeFill[T Float](m *MatrixOf[T], vals []T, off int) {
 	for i := range m.Data {
 		m.Data[i] = vals[(off+7*i)%len(vals)]
@@ -285,7 +285,7 @@ func TestMatMulEdgeCasesBitExact(t *testing.T) {
 	inf := math.Inf(1)
 	aVals := []float64{1.5, nanA64, neg0, -2.25, 0, 0.1, -3, nanA64, 7}
 	bVals := []float64{0.75, nanB64, inf, -1.125, math.Inf(-1), 1e300, -0.3, 2, nanB64, neg0, 5}
-	oVals := []float64{nanO64, 0.5, neg0, -4, 1e-300, 3.25, inf}
+	oVals := []float64{nanO64, 0.5, neg0, -4, 1e-300, 3.25, inf, -0.125}
 	f32 := func(vals []float64, nan float64, bits uint32) []float32 {
 		out := make([]float32, len(vals))
 		for i, v := range vals {
