@@ -28,7 +28,7 @@ func refRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-func refTARange(a, b, out *Matrix, lo, hi int) {
+func refTARange[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 	for k := lo; k < hi; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
@@ -44,13 +44,13 @@ func refTARange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-func refTBRange(a, b, out *Matrix, lo, hi int) {
+func refTBRange[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for j := 0; j < b.Rows; j++ {
 			brow := b.Row(j)
-			s := 0.0
+			var s T
 			for k, av := range arow {
 				s += av * brow[k]
 			}
@@ -62,15 +62,15 @@ func refTBRange(a, b, out *Matrix, lo, hi int) {
 // refTA is MatMulTAAddInto's reduction with refTARange inside: tall
 // operands sum shape-determined chunks into zeroed scratch and merge them
 // into out in chunk order.
-func refTA(a, b, out *Matrix) {
+func refTA[T Float](a, b, out *MatrixOf[T]) {
 	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
+	if work < reductionThreshold {
 		refTARange(a, b, out, 0, a.Rows)
 		return
 	}
 	chunk := reductionChunks(a.Rows, work)
 	for lo := 0; lo < a.Rows; lo += chunk {
-		s := New(out.Rows, out.Cols)
+		s := NewOf[T](out.Rows, out.Cols)
 		refTARange(a, b, s, lo, min(lo+chunk, a.Rows))
 		out.AddInPlace(s)
 	}
@@ -139,6 +139,14 @@ func sameFloats32(got, want []float32) error {
 	return nil
 }
 
+// sameBits is sameFloats or sameFloats32, by T.
+func sameBits[T Float](got, want []T) error {
+	if g, ok := any(got).([]float32); ok {
+		return sameFloats32(g, any(want).([]float32))
+	}
+	return sameFloats(any(got).([]float64), any(want).([]float64))
+}
+
 // checkKernels runs every kernel on one m×k·k×n problem against its
 // reference, accumulating into the same non-zero out on both sides.
 func checkKernels(r *RNG, m, k, n int) error {
@@ -185,15 +193,15 @@ func checkKernels(r *RNG, m, k, n int) error {
 	return nil
 }
 
-// kernelPaths are the two forward kernels a test or benchmark can pin:
-// "asm" leaves useAVX2 as the CPU check set it, "go" clears it so the Go
-// loop computes every column.
+// kernelPaths are the two kernels a test or benchmark can pin: "asm"
+// leaves useAVX2 as the CPU check set it, "go" clears it so the Go loops
+// compute every column of all three products.
 var kernelPaths = []struct {
 	name string
 	asm  bool
 }{{"asm", true}, {"go", false}}
 
-// useKernel runs the forward kernel named by asm and returns the restore.
+// useKernel runs the kernels named by asm and returns the restore.
 // It skips the "asm" path on a machine without the AVX2 kernel, where it
 // would only repeat the "go" path.
 func useKernel(tb testing.TB, asm bool) (restore func()) {
@@ -209,9 +217,10 @@ func useKernel(tb testing.TB, asm bool) (restore func()) {
 // loops bit for bit: same summation order, same zero skip. Shapes cover
 // odd and even k (a trailing unpaired column or row), every n % 4
 // remainder and n on both sides of the AVX2 kernel's sixteen-column
-// block; a fixed tall case crosses parallelThreshold so the pooled row
-// split and MatMulTAAddInto's chunked reduction engage. Each worker cap
-// runs on the AVX2 forward kernel and again on the Go one.
+// block; a fixed tall case crosses parallelThreshold and
+// reductionThreshold so the pooled row split and MatMulTAAddInto's
+// chunked reduction engage. Each worker cap runs on the AVX2 kernel and
+// again on the Go ones.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
@@ -254,6 +263,38 @@ func edgeFill[T Float](m *MatrixOf[T], vals []T, off int) {
 	}
 }
 
+// The edge value sets, one per operand role of the forward product:
+// three NaNs with distinct payloads, one in each role, so a wrong factor
+// or addend order surfaces as the wrong payload; ±0 where a term is
+// skipped; ±Inf and 1e300 where products overflow or meet a zero. None
+// has a multiple of 7 elements (see edgeFill).
+var (
+	nanA64 = math.Float64frombits(0x7ff8_0000_0000_00a1)
+	nanB64 = math.Float64frombits(0xfff8_0000_0000_00b2)
+	nanO64 = math.Float64frombits(0x7ff8_0000_0000_00c3)
+	neg0   = math.Copysign(0, -1)
+	inf    = math.Inf(1)
+
+	edgeA = []float64{1.5, nanA64, neg0, -2.25, 0, 0.1, -3, nanA64, 7}
+	edgeB = []float64{0.75, nanB64, inf, -1.125, math.Inf(-1), 1e300, -0.3, 2, nanB64, neg0, 5}
+	edgeO = []float64{nanO64, 0.5, neg0, -4, 1e-300, 3.25, inf, -0.125}
+)
+
+// edgeSet converts vals to T. A float32 NaN keeps its float64 twin's sign
+// and low payload bits (0x7ff8…a1 becomes 0x7fc000a1), which a plain
+// conversion would drop.
+func edgeSet[T Float](vals []float64) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = T(v)
+		if p, ok := any(&out[i]).(*float32); ok && v != v {
+			bits := math.Float64bits(v)
+			*p = math.Float32frombits(uint32(bits>>63)<<31 | 0x7fc0_0000 | uint32(bits&0xfff))
+		}
+	}
+	return out
+}
+
 // alignGoNaNs copies want's NaN into got wherever both are NaN in a
 // column the Go kernel computed (column goCol on). gc commutes a scalar
 // multiply or add when it allocates registers, and the pair loop's four
@@ -278,27 +319,8 @@ func alignGoNaNs[T Float](got, want []T, n, goCol int) {
 // block and across several blocks with a tail, so the AVX2 kernel's
 // columns and the Go tail meet in one row.
 func TestMatMulEdgeCasesBitExact(t *testing.T) {
-	nanA64 := math.Float64frombits(0x7ff8_0000_0000_00a1)
-	nanB64 := math.Float64frombits(0xfff8_0000_0000_00b2)
-	nanO64 := math.Float64frombits(0x7ff8_0000_0000_00c3)
-	neg0 := math.Copysign(0, -1)
-	inf := math.Inf(1)
-	aVals := []float64{1.5, nanA64, neg0, -2.25, 0, 0.1, -3, nanA64, 7}
-	bVals := []float64{0.75, nanB64, inf, -1.125, math.Inf(-1), 1e300, -0.3, 2, nanB64, neg0, 5}
-	oVals := []float64{nanO64, 0.5, neg0, -4, 1e-300, 3.25, inf, -0.125}
-	f32 := func(vals []float64, nan float64, bits uint32) []float32 {
-		out := make([]float32, len(vals))
-		for i, v := range vals {
-			out[i] = float32(v)
-			if math.Float64bits(v) == math.Float64bits(nan) {
-				out[i] = math.Float32frombits(bits)
-			}
-		}
-		return out
-	}
-	aVals32 := f32(aVals, nanA64, 0x7fc0_00a1)
-	bVals32 := f32(bVals, nanB64, 0xffc0_00b2)
-	oVals32 := f32(oVals, nanO64, 0x7fc0_00c3)
+	aVals, bVals, oVals := edgeA, edgeB, edgeO
+	aVals32, bVals32, oVals32 := edgeSet[float32](edgeA), edgeSet[float32](edgeB), edgeSet[float32](edgeO)
 
 	for _, path := range kernelPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -336,6 +358,116 @@ func TestMatMulEdgeCasesBitExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMatMulBackwardEdgeCasesBitExact pins the two backward products to
+// their plain loops, refTA and refTBRange, on the edge value sets, at both
+// precisions and on both kernels, over the forward table's k and n.
+//
+//   - dW += xᵀ·dY (MatMulTAAddInto) takes x from edgeA, dY from edgeB and
+//     dW from edgeO: the forward roles, with a's column as the kernel row.
+//   - dX = dY·Wᵀ (MatMulTBInto) with a finite W (edgeW, with ±0) takes
+//     dY from edgeDY (two NaN payloads, ±0, ±Inf); from n = 16 on the
+//     AVX2 kernel runs it as the forward product of bᵀ, skipping the zero
+//     dY terms the plain loop adds.
+//   - dX = dY·Wᵀ with ±Inf and NaN in W (edgeB) beside a dY that is
+//     mostly ±0 (edgeZeroDY): the plain loop adds 0·Inf = NaN, which the
+//     forward product would skip, so this pins the fallback to the Go
+//     dot-product kernel.
+//
+// Columns the AVX2 kernel computed for dW must carry the plain loop's
+// payload. Columns a Go kernel computed are compared NaN-to-NaN
+// (alignGoNaNs): gc does not keep one operand order across the unrolled
+// lanes of axpy, axpy2 and the pair loop, so which of two meeting NaNs
+// survives is no invariant of those loops. dX is compared NaN-to-NaN on
+// every column: where two NaN payloads meet, the forward kernel keeps the
+// later term's and the plain dot product the earlier's (see the order
+// rule in tensor.go), and every other bit must match.
+func TestMatMulBackwardEdgeCasesBitExact(t *testing.T) {
+	for _, path := range kernelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			defer useKernel(t, path.asm)()
+			bothPrecisions(t, backwardEdgeCases[float64], backwardEdgeCases[float32])
+		})
+	}
+}
+
+var (
+	edgeDY     = []float64{1.5, nanA64, neg0, -2.25, 0, inf, 0.1, -3, nanB64, 7, math.Inf(-1), 1e300}
+	edgeW      = []float64{0.75, -1.125, 1e300, -0.3, 2, neg0, 5, 0}
+	edgeZeroDY = []float64{0, neg0, 0, 1.5, neg0, 0}
+)
+
+func backwardEdgeCases[T Float](t *testing.T) {
+	const m = 5
+	xs, dys, dws := edgeSet[T](edgeA), edgeSet[T](edgeB), edgeSet[T](edgeO)
+	for _, n := range []int{15, 16, 17, 31, 33, 127} {
+		asmCol := 0 // columns [0, asmCol) come from the AVX2 kernel
+		if useAVX2 {
+			asmCol = n &^ 15
+		}
+		for _, k := range []int{0, 1, 2, 5} {
+			x, dy, dw := NewOf[T](k, m), NewOf[T](k, n), NewOf[T](m, n)
+			edgeFill(x, xs, 0)
+			edgeFill(dy, dys, k)
+			edgeFill(dw, dws, n)
+			got, want := dw.Clone(), dw.Clone()
+			MatMulTAAddInto(x, dy, got)
+			refTA(x, dy, want)
+			alignGoNaNs(got.Data, want.Data, n, asmCol)
+			if err := sameBits(got.Data, want.Data); err != nil {
+				t.Errorf("MatMulTAAddInto %dx%dᵀ·%dx%d: %v", k, m, k, n, err)
+			}
+
+			for _, c := range []struct {
+				name  string
+				dy, w []float64
+			}{
+				{"finite W", edgeDY, edgeW},
+				{"non-finite W", edgeZeroDY, edgeB},
+			} {
+				dy, w := NewOf[T](m, k), NewOf[T](n, k)
+				edgeFill(dy, edgeSet[T](c.dy), 0)
+				edgeFill(w, edgeSet[T](c.w), k)
+				got, want := NewOf[T](m, n), NewOf[T](m, n)
+				edgeFill(got, dws, n) // every element must be overwritten
+				MatMulTBInto(dy, w, got)
+				refTBRange(dy, w, want, 0, m)
+				alignGoNaNs(got.Data, want.Data, n, 0)
+				if err := sameBits(got.Data, want.Data); err != nil {
+					t.Errorf("MatMulTBInto %s %dx%d·(%dx%d)ᵀ: %v", c.name, m, k, n, k, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulBackwardAllocFree: below the pool thresholds both backward
+// products allocate nothing, on both kernels and at both precisions; on
+// the AVX2 kernel MatMulTBInto takes its bᵀ scratch from a sync.Pool. The
+// shapes are the 127-class head's at 32 rows. Under the race detector
+// sync.Pool drops about a quarter of its Puts on purpose, costing two
+// allocations each time; AllocsPerRun's whole-number average over 100
+// runs still reads 0 unless half the Puts are dropped.
+func TestMatMulBackwardAllocFree(t *testing.T) {
+	for _, path := range kernelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			defer useKernel(t, path.asm)()
+			bothPrecisions(t, backwardAllocFree[float64], backwardAllocFree[float32])
+		})
+	}
+}
+
+func backwardAllocFree[T Float](t *testing.T) {
+	r := NewRNG(4)
+	dy, w, dx := Convert[T](randMat(32, 127, r)), Convert[T](randMat(16, 127, r)), NewOf[T](32, 16)
+	x, dw := Convert[T](randMat(32, 16, r)), NewOf[T](16, 127)
+	if n := testing.AllocsPerRun(100, func() { MatMulTBInto(dy, w, dx) }); n != 0 {
+		t.Errorf("MatMulTBInto 32x127·(16x127)ᵀ allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { MatMulTAAddInto(x, dy, dw) }); n != 0 {
+		t.Errorf("MatMulTAAddInto 32x16ᵀ·32x127 allocates %v times per call", n)
 	}
 }
 
@@ -380,20 +512,33 @@ func BenchmarkMatMulAddInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTAAddInto times the weight gradient dW += xᵀ·dY.
+// BenchmarkMatMulTAAddInto times the weight gradient dW += xᵀ·dY on the
+// AVX2 kernel ("asm") and on the Go one ("go").
 func BenchmarkMatMulTAAddInto(b *testing.B) {
-	benchKernel(b, func(m, k, n int) func() {
-		r := NewRNG(2)
-		x, dy, dw := randMat(m, k, r), randMat(m, n, r), New(k, n)
-		return func() { MatMulTAAddInto(x, dy, dw) }
-	})
+	for _, path := range kernelPaths {
+		b.Run(path.name, func(b *testing.B) {
+			defer useKernel(b, path.asm)()
+			benchKernel(b, func(m, k, n int) func() {
+				r := NewRNG(2)
+				x, dy, dw := randMat(m, k, r), randMat(m, n, r), New(k, n)
+				return func() { MatMulTAAddInto(x, dy, dw) }
+			})
+		})
+	}
 }
 
-// BenchmarkMatMulTBInto times the input gradient dX = dY·Wᵀ.
+// BenchmarkMatMulTBInto times the input gradient dX = dY·Wᵀ on the AVX2
+// kernel ("asm") and on the Go one ("go"). The first layer's shape (W has
+// 12 rows) runs on the Go kernel on both.
 func BenchmarkMatMulTBInto(b *testing.B) {
-	benchKernel(b, func(m, k, n int) func() {
-		r := NewRNG(3)
-		dy, w, dx := randMat(m, n, r), randMat(k, n, r), New(m, k)
-		return func() { MatMulTBInto(dy, w, dx) }
-	})
+	for _, path := range kernelPaths {
+		b.Run(path.name, func(b *testing.B) {
+			defer useKernel(b, path.asm)()
+			benchKernel(b, func(m, k, n int) func() {
+				r := NewRNG(3)
+				dy, w, dx := randMat(m, n, r), randMat(k, n, r), New(m, k)
+				return func() { MatMulTBInto(dy, w, dx) }
+			})
+		})
+	}
 }

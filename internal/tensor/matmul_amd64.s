@@ -2,7 +2,11 @@
 
 // The row kernels compute out[i, j] = out[i, j] + a[i, k]·b[k, j] for k
 // ascending, over `rows` rows and the first n&^15 columns, sixteen
-// columns per pass held in YMM accumulators and stored once. A ±0 a[i, k]
+// columns per pass held in YMM accumulators and stored once. a[i, k] sits
+// at a + i·ra + k·ka elements: the forward product passes (ka, ra) =
+// (1, kk), a row-major a; the weight gradient xᵀ·dy passes (m, 1), so
+// output row i walks column i of the m-wide x down k and no operand is
+// ever transposed. b and out are row-major with row stride n. A ±0 a[i, k]
 // adds no term; a NaN one does (VUCOMIS sets PF on an unordered compare,
 // so JPC skips only an ordered zero).
 // Multiply and add stay separate instructions, never an FMA, so every
@@ -15,14 +19,17 @@
 // caller guarantees rows ≥ 1, kk ≥ 1 and n ≥ 16, so every loop runs at
 // least once.
 
-// func matmulRowsF64(a, b, out *float64, kk, n, rows int)
-TEXT ·matmulRowsF64(SB), NOSPLIT, $0-48
+// func matmulRowsF64(a, b, out *float64, kk, n, rows, ka, ra int)
+TEXT ·matmulRowsF64(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
 	MOVQ out+16(FP), DI
-	MOVQ kk+24(FP), CX
 	MOVQ n+32(FP), R8
 	MOVQ rows+40(FP), R9
+	MOVQ ka+48(FP), R12
+	MOVQ ra+56(FP), R13
+	SHLQ $3, R12           // a's k stride in bytes
+	SHLQ $3, R13           // a's row stride in bytes
 	SHLQ $3, R8            // b and out row stride in bytes
 	MOVQ R8, R10
 	ANDQ $-128, R10        // bytes of the sixteen-column blocks
@@ -37,10 +44,11 @@ block64:
 	VMOVUPD 64(DI)(R11*1), Y2
 	VMOVUPD 96(DI)(R11*1), Y3
 	LEAQ    (DX)(R11*1), BX // &b[k, j]
-	XORQ    AX, AX          // k
+	MOVQ    SI, CX          // &a[i, k]
+	MOVQ    kk+24(FP), AX   // k terms left
 
 k64:
-	VMOVSD   (SI)(AX*8), X4
+	VMOVSD   (CX), X4
 	VUCOMISD X15, X4
 	JNE      term64
 	JPC      next64           // equal and ordered: a is ±0
@@ -62,9 +70,9 @@ term64:
 
 next64:
 	ADDQ R8, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  k64
+	ADDQ R12, CX
+	DECQ AX
+	JNZ  k64
 
 	VMOVUPD Y0, 0(DI)(R11*1)
 	VMOVUPD Y1, 32(DI)(R11*1)
@@ -74,21 +82,24 @@ next64:
 	CMPQ    R11, R10
 	JLT     block64
 
-	LEAQ (SI)(CX*8), SI
+	ADDQ R13, SI
 	ADDQ R8, DI
 	DECQ R9
 	JNZ  row64
 	VZEROUPPER
 	RET
 
-// func matmulRowsF32(a, b, out *float32, kk, n, rows int)
-TEXT ·matmulRowsF32(SB), NOSPLIT, $0-48
+// func matmulRowsF32(a, b, out *float32, kk, n, rows, ka, ra int)
+TEXT ·matmulRowsF32(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
 	MOVQ out+16(FP), DI
-	MOVQ kk+24(FP), CX
 	MOVQ n+32(FP), R8
 	MOVQ rows+40(FP), R9
+	MOVQ ka+48(FP), R12
+	MOVQ ra+56(FP), R13
+	SHLQ $2, R12
+	SHLQ $2, R13
 	SHLQ $2, R8            // b and out row stride in bytes
 	MOVQ R8, R10
 	ANDQ $-64, R10         // bytes of the sixteen-column blocks
@@ -101,10 +112,11 @@ block32:
 	VMOVUPS 0(DI)(R11*1), Y0
 	VMOVUPS 32(DI)(R11*1), Y1
 	LEAQ    (DX)(R11*1), BX
-	XORQ    AX, AX
+	MOVQ    SI, CX
+	MOVQ    kk+24(FP), AX
 
 k32:
-	VMOVSS   (SI)(AX*4), X4
+	VMOVSS   (CX), X4
 	VUCOMISS X15, X4
 	JNE      term32
 	JPC      next32           // equal and ordered: a is ±0
@@ -120,9 +132,9 @@ term32:
 
 next32:
 	ADDQ R8, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  k32
+	ADDQ R12, CX
+	DECQ AX
+	JNZ  k32
 
 	VMOVUPS Y0, 0(DI)(R11*1)
 	VMOVUPS Y1, 32(DI)(R11*1)
@@ -130,7 +142,7 @@ next32:
 	CMPQ    R11, R10
 	JLT     block32
 
-	LEAQ (SI)(CX*4), SI
+	ADDQ R13, SI
 	ADDQ R8, DI
 	DECQ R9
 	JNZ  row32

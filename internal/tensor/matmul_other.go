@@ -5,6 +5,6 @@ package tensor
 // useAVX2 is always false off amd64, where no assembly kernel exists.
 var useAVX2 = false
 
-// matmulRowsAsm runs nothing off amd64 and returns 0: the Go kernel
-// computes every column.
-func matmulRowsAsm[T Float](a, b, out []T, kk, n, lo, hi int) int { return 0 }
+// matmulRowsAsm runs nothing off amd64 and returns 0: the Go kernels
+// compute every column.
+func matmulRowsAsm[T Float](a, b, out []T, kk, n, rows, ka, ra int) int { return 0 }

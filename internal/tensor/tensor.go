@@ -9,6 +9,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Float is the element type of a matrix.
@@ -181,9 +182,17 @@ func (m *MatrixOf[T]) FrobeniusNorm() float64 {
 	return math.Sqrt(float64(s))
 }
 
-// parallelThreshold is the operand volume above which MatMul fans out
-// across goroutines; below it the goroutine overhead outweighs the win.
+// parallelThreshold is the operand volume above which MatMulAddInto and
+// MatMulTBInto fan rows out across goroutines; below it the goroutine
+// overhead outweighs the win. Each output row is computed the same way
+// on either side of it, so it moves no bit.
 const parallelThreshold = 1 << 16
+
+// reductionThreshold is the operand volume from which MatMulTAAddInto
+// splits its k rows into chunks summed apart and merged in chunk order.
+// That merge order rounds differently from one running sum, so this
+// value is part of every training digest: changing it moves weights.
+const reductionThreshold = 1 << 16
 
 // MatMul returns a·b.
 func MatMul(a, b *Matrix) *Matrix {
@@ -218,16 +227,31 @@ func MatMulAddInto[T Float](a, b, out *MatrixOf[T]) {
 // non-finite b values come out exactly as the plain loop leaves them).
 // On amd64 Go never fuses x*y+z into an FMA at the default GOAMD64 level,
 // so there the kernels match the plain loops bit for bit.
+//
+// On amd64 with AVX2 all three products run on one assembly row kernel
+// (matmul_amd64.s), sixteen output columns at a time, with the Go loops
+// finishing the n % 16 tail columns. The forward product passes it a
+// row-major a; the weight gradient aᵀ·b passes a's column as the row, by
+// stride. The input gradient a·bᵀ transposes b (a weight matrix) once and
+// runs the forward product into a zeroed out. That product skips zero a
+// terms, which the plain dot product adds, and is still exact: the sum
+// starts at +0, and a sum that starts at +0 never becomes −0 (x + y is −0
+// only when both are −0), so adding the ±0 that a zero a times a finite
+// weight gives changes nothing. A zero times ±Inf or NaN is NaN, so a b
+// holding a non-finite value takes the Go dot-product kernel instead. One
+// thing can still differ from that kernel: where two NaNs with different
+// payloads meet in one sum, the forward order (product + o) keeps the
+// later term's payload and the dot product (s + product) the earlier's.
+// Finite weights produce such a pair only from NaN gradients.
 
 // matmulRows computes rows [lo,hi) of out += a·b over row-major slices
-// (a is ·×kk, b is kk×n). On amd64 with AVX2 the assembly kernel
-// (matmul_amd64.s) takes the first n&^15 columns, sixteen at a time, and
-// the Go loop below finishes the rest; elsewhere the Go loop runs every
-// column. It works in ikj order, two a columns per pass. The pair loop is
-// axpy2's body written out in place: a call per pair cost the float32
-// serving sweep ~13 % at corpus graph sizes.
+// (a is ·×kk, b is kk×n). The assembly kernel takes the first n&^15
+// columns where it exists, and the Go loop below finishes the rest; it
+// works in ikj order, two a columns per pass. The pair loop is axpy2's
+// body written out in place: a call per pair cost the float32 serving
+// sweep ~13 % at corpus graph sizes.
 func matmulRows[T Float](a, b, out []T, kk, n, lo, hi int) {
-	j0 := matmulRowsAsm(a, b, out, kk, n, lo, hi)
+	j0 := matmulRowsAsm(a[lo*kk:], b, out[lo*n:], kk, n, hi-lo, 1, kk)
 	if j0 == n {
 		return
 	}
@@ -331,7 +355,7 @@ func MatMulTAAddInto[T Float](a, b, out *MatrixOf[T]) {
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
 	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
+	if work < reductionThreshold {
 		matmulTARange(a, b, out, 0, a.Rows)
 		return
 	}
@@ -361,10 +385,24 @@ func MatMulTAAddInto[T Float](a, b, out *MatrixOf[T]) {
 	})
 }
 
-// matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b, two k
-// rows per pass through axpy2.
+// matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b. The
+// assembly kernel takes the first n&^15 columns where it exists, reading
+// column i of a as output row i's coefficients; the Go loops finish the
+// rest one k row at a time, or run every column two k rows per pass
+// through axpy2.
 func matmulTARange[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 	m, n := a.Cols, b.Cols
+	if j0 := matmulRowsAsm(a.Data[lo*m:], b.Data[lo*n:], out.Data, hi-lo, n, m, m, 1); j0 > 0 {
+		for k := lo; k < hi && j0 < n; k++ {
+			brow := b.Data[k*n+j0 : (k+1)*n]
+			for i, av := range a.Data[k*m : (k+1)*m] {
+				if av != 0 {
+					axpy(av, brow, out.Data[i*n+j0:(i+1)*n])
+				}
+			}
+		}
+		return
+	}
 	k := lo
 	for ; k+1 < hi; k += 2 {
 		a0, a1 := a.Data[k*m:(k+1)*m], a.Data[(k+1)*m:(k+2)*m]
@@ -395,17 +433,55 @@ func MatMulTB(a, b *Matrix) *Matrix {
 // MatMulTBInto overwrites out = a·bᵀ (a is m×k, b is n×k, out m×n),
 // fanning rows across the worker pool for large operands. Every output
 // row is an independent dot-product sweep, so the parallel split is
-// bit-identical to the sequential one.
+// bit-identical to the sequential one. With the AVX2 kernel and n ≥ 16
+// it runs as out = a·(bᵀ) on the forward path, unless b holds a
+// non-finite value (see the order rule above matmulRows).
 func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTB %dx%d · %dx%d into %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+	if useAVX2 && b.Rows >= 16 && matmulTBForward(a, b, out) {
+		return
 	}
 	if a.Rows*a.Cols*b.Rows < parallelThreshold || Workers() == 1 {
 		matmulTBRange(a, b, out, 0, a.Rows)
 		return
 	}
 	ParallelFor(a.Rows, func(lo, hi int) { matmulTBRange(a, b, out, lo, hi) })
+}
+
+// transposed holds one reusable bᵀ buffer per precision for
+// matmulTBForward, so the steady state allocates nothing.
+var transposed64, transposed32 sync.Pool
+
+// matmulTBForward computes out = a·bᵀ as out = 0, out += a·bt with bt =
+// bᵀ, and reports whether it did: it leaves out alone and returns false
+// when b holds ±Inf or NaN.
+func matmulTBForward[T Float](a, b, out *MatrixOf[T]) bool {
+	pool := &transposed64
+	if _, ok := any(out.Data).([]float32); ok {
+		pool = &transposed32
+	}
+	buf, _ := pool.Get().(*BufOf[T])
+	if buf == nil {
+		buf = new(BufOf[T])
+	}
+	defer pool.Put(buf)
+	bt := buf.Get(b.Cols, b.Rows)
+	var nonFinite T // stays 0 unless some v·0 is NaN
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			bt.Data[k*b.Rows+j] = v
+			nonFinite += v * 0
+		}
+	}
+	if nonFinite != 0 {
+		return false
+	}
+	out.Zero()
+	MatMulAddInto(a, bt, out)
+	return true
 }
 
 // matmulTBRange computes rows [lo, hi) of out = a·bᵀ, four output
