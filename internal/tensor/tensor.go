@@ -451,8 +451,8 @@ func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	ParallelFor(a.Rows, func(lo, hi int) { matmulTBRange(a, b, out, lo, hi) })
 }
 
-// transposed holds one reusable bᵀ buffer per precision for
-// matmulTBForward, so the steady state allocates nothing.
+// transposed64 and transposed32 pool matmulTBForward's bᵀ scratch, one
+// pool per precision, so the steady state allocates nothing.
 var transposed64, transposed32 sync.Pool
 
 // matmulTBForward computes out = a·bᵀ as out = 0, out += a·bt with bt =
