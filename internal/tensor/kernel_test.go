@@ -319,8 +319,7 @@ func alignGoNaNs[T Float](got, want []T, n, goCol int) {
 // block and across several blocks with a tail, so the AVX2 kernel's
 // columns and the Go tail meet in one row.
 func TestMatMulEdgeCasesBitExact(t *testing.T) {
-	aVals, bVals, oVals := edgeA, edgeB, edgeO
-	aVals32, bVals32, oVals32 := edgeSet[float32](edgeA), edgeSet[float32](edgeB), edgeSet[float32](edgeO)
+	a32Vals, b32Vals, o32Vals := edgeSet[float32](edgeA), edgeSet[float32](edgeB), edgeSet[float32](edgeO)
 
 	for _, path := range kernelPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -333,9 +332,9 @@ func TestMatMulEdgeCasesBitExact(t *testing.T) {
 				for _, k := range []int{0, 1, 2, 5} {
 					const m = 5
 					a, b, out := New(m, k), New(k, n), New(m, n)
-					edgeFill(a, aVals, 0)
-					edgeFill(b, bVals, k)
-					edgeFill(out, oVals, n)
+					edgeFill(a, edgeA, 0)
+					edgeFill(b, edgeB, k)
+					edgeFill(out, edgeO, n)
 					got, want := out.Clone(), out.Clone()
 					MatMulAddInto(a, b, got)
 					refRange(a, b, want, 0, m)
@@ -345,9 +344,9 @@ func TestMatMulEdgeCasesBitExact(t *testing.T) {
 					}
 
 					a32, b32, out32 := NewOf[float32](m, k), NewOf[float32](k, n), NewOf[float32](m, n)
-					edgeFill(a32, aVals32, 0)
-					edgeFill(b32, bVals32, k)
-					edgeFill(out32, oVals32, n)
+					edgeFill(a32, a32Vals, 0)
+					edgeFill(b32, b32Vals, k)
+					edgeFill(out32, o32Vals, n)
 					got32, want32 := out32.Clone(), out32.Clone()
 					MatMulAddInto(a32, b32, got32)
 					ref32(a32, b32, want32)
