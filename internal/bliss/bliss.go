@@ -328,8 +328,7 @@ func (s *Strategy) knnLOO(raw *tensor.Matrix) float64 {
 }
 
 // scanRidge scores every candidate with one matrix multiply (the
-// ScoreAll pattern: phi·w fans out across the worker pool for large
-// operands) and returns the best unvisited candidate.
+// ScoreAll pattern) and returns the best unvisited candidate.
 func (s *Strategy) scanRidge(phi *tensor.Matrix, w []float64) int {
 	s.wMat = tensor.Matrix{Rows: phi.Cols, Cols: 1, Data: w[:phi.Cols]}
 	scores := s.scanBuf.GetZeroed(s.n, 1)

@@ -82,7 +82,7 @@ func DefaultModelConfig() ModelConfig {
 // stack, readout. Its parameters are the ones shared in the
 // Haswell→Skylake transfer. Forward encodes one graph; ForwardBatch
 // encodes a whole block-diagonal batch in a single pass, which is the
-// parallel hot path.
+// hot path.
 type EncoderOf[T tensor.Float] struct {
 	Emb    *rgcn.EmbeddingOf[T]
 	Layers []*rgcn.LayerOf[T]
@@ -145,8 +145,8 @@ func (e *EncoderOf[T]) Backward(dpool *tensor.MatrixOf[T]) {
 
 // ForwardBatch encodes every graph of a block-diagonal batch in one pass:
 // row g of the result is the pooled vector of b.Graphs[g]. One set of big
-// matrix operations replaces NumGraphs small ones, so the relational
-// convolutions and scatter-adds fan out across the worker pool.
+// matrix operations replaces NumGraphs small ones, and a large batch
+// splits each RGCN layer's rows across the tensor pool.
 func (e *EncoderOf[T]) ForwardBatch(b *rgcn.Batch) *tensor.MatrixOf[T] {
 	h := e.Emb.ForwardBatch(b)
 	for i, l := range e.Layers {
@@ -417,9 +417,8 @@ func (m *Model) PredictGraphs(graphs []*programl.Graph, extras [][]float64) [][]
 // ScoreAll broadcasts one pooled graph vector against every candidate's
 // extra-feature row — assembling the full (len(extras) × in) dense-head
 // input in one shot — and scores head h over all candidates with a single
-// matrix multiply (parallelized across the worker pool for large
-// operands), replacing a per-candidate loop of 1-row head passes. Row i
-// of the result is the logits for candidate extras[i]; each row is
+// matrix multiply, replacing a per-candidate loop of 1-row head passes.
+// Row i of the result is the logits for candidate extras[i]; each row is
 // bit-identical to the 1-row pass on the same inputs. For models with no
 // extra features pass one nil extras row per desired copy. The result is
 // owned by the scored head and valid until its next Forward.

@@ -86,9 +86,10 @@ func TestScoreAllMatchesPerConfigLoop(t *testing.T) {
 	}
 }
 
-// pinWorkers serializes the kernel pool for the duration of an
-// allocation measurement: goroutine spawns inside ParallelFor would
-// otherwise count against the budget on multi-core machines.
+// pinWorkers serializes the pool for the duration of an allocation
+// measurement: the RGCN layer forward's row split spawns goroutines
+// through ParallelFor, which would otherwise count against the budget on
+// multi-core machines.
 func pinWorkers(t *testing.T) {
 	t.Helper()
 	restore := tensor.SetWorkerCap(1)

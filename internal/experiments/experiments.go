@@ -31,10 +31,12 @@ import (
 // per-fold outputs sequentially afterwards, keeping results deterministic
 // and identical to the sequential order. Folds share the corpus's
 // compile-once graph artifacts (kernels.Region.CompiledGraph), so no fold
-// pays graph-compilation cost — each model only merges precompiled plans. While folds run concurrently the
-// tensor kernel pool is divided among them, so total goroutine pressure
-// stays near NumCPU instead of folds×NumCPU (kernel chunking is
-// shape-determined, so the cap never changes numerical results).
+// pays graph-compilation cost — each model only merges precompiled
+// plans. While folds run concurrently the tensor pool that each RGCN
+// layer forward splits its rows across is divided among them, so total
+// goroutine pressure stays near NumCPU instead of folds×NumCPU (the split
+// and every reduction are bit-identical at any width, so the cap never
+// changes numerical results).
 func parallelFolds(n int, fn func(i int)) {
 	workers := runtime.NumCPU()
 	if workers > n {

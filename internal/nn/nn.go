@@ -135,57 +135,35 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 // NewReLU builds a plain ReLU.
 func NewReLU() *LeakyReLU { return &LeakyReLU{} }
 
-// actParallelThreshold is the element count above which activations fan
-// out across the worker pool (batched node-feature matrices).
-const actParallelThreshold = 1 << 15
-
 // Forward applies the activation. The result is owned by the layer and
-// valid until the next Forward. The sequential path avoids the closure
-// allocation of the pooled path, so single-worker passes allocate
-// nothing; elementwise independence keeps both paths bit-identical.
+// valid until the next Forward.
 func (a *LeakyReLUOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	a.x = x
 	y := a.yBuf.Get(x.Rows, x.Cols)
-	if len(x.Data) < actParallelThreshold || tensor.Workers() == 1 {
-		leakyRange(a.Alpha, x.Data, y.Data, 0, len(x.Data))
-	} else {
-		tensor.ParallelFor(len(x.Data), func(lo, hi int) { leakyRange(a.Alpha, x.Data, y.Data, lo, hi) })
-	}
-	return y
-}
-
-func leakyRange[T tensor.Float](alpha T, x, y []T, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if v := x[i]; v > 0 {
-			y[i] = v
+	alpha, ys := a.Alpha, y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		if v > 0 {
+			ys[i] = v
 		} else {
-			y[i] = alpha * v
+			ys[i] = alpha * v
 		}
 	}
+	return y
 }
 
 // Backward gates the upstream gradient by the activation derivative. The
 // result is owned by the layer and valid until the next Backward.
 func (a *LeakyReLUOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	dx := a.dxBuf.Get(dout.Rows, dout.Cols)
-	if len(dout.Data) < actParallelThreshold || tensor.Workers() == 1 {
-		leakyGradRange(a.Alpha, a.x.Data, dout.Data, dx.Data, 0, len(dout.Data))
-	} else {
-		tensor.ParallelFor(len(dout.Data), func(lo, hi int) {
-			leakyGradRange(a.Alpha, a.x.Data, dout.Data, dx.Data, lo, hi)
-		})
-	}
-	return dx
-}
-
-func leakyGradRange[T tensor.Float](alpha T, x, dout, dx []T, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if x[i] > 0 {
-			dx[i] = dout[i]
+	alpha, xs, dxs := a.Alpha, a.x.Data[:len(dout.Data)], dx.Data[:len(dout.Data)]
+	for i, g := range dout.Data {
+		if xs[i] > 0 {
+			dxs[i] = g
 		} else {
-			dx[i] = alpha * dout[i]
+			dxs[i] = alpha * g
 		}
 	}
+	return dx
 }
 
 // Params returns nil; activations are parameter-free.

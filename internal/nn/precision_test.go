@@ -21,10 +21,18 @@ func leakyReLUForward[T tensor.Float](t *testing.T) {
 		if got := a.Forward(x).Data; !equalFloats(got, c.want) {
 			t.Fatalf("alpha %v: Forward(%v) = %v, want %v", c.alpha, c.x, got, c.want)
 		}
-		// The range kernel applied in place must give the same result.
-		leakyRange(c.alpha, x.Data, x.Data, 0, len(x.Data))
-		if !equalFloats(x.Data, c.want) {
-			t.Fatalf("alpha %v: in place %v, want %v", c.alpha, x.Data, c.want)
+		// Backward of a ones gradient is the derivative: 1 where x > 0,
+		// alpha elsewhere.
+		ones := &tensor.MatrixOf[T]{Rows: 1, Cols: len(c.x), Data: make([]T, len(c.x))}
+		wantGrad := make([]T, len(c.x))
+		for i, v := range c.x {
+			ones.Data[i], wantGrad[i] = 1, c.alpha
+			if v > 0 {
+				wantGrad[i] = 1
+			}
+		}
+		if got := a.Backward(ones).Data; !equalFloats(got, wantGrad) {
+			t.Fatalf("alpha %v: Backward at %v = %v, want %v", c.alpha, c.x, got, wantGrad)
 		}
 	}
 }

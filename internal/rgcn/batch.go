@@ -1,9 +1,10 @@
-// Batched, parallel graph inference: N PROGRAML graphs merge into one
-// block-diagonal adjacency (offset node IDs, concatenated per-relation
-// edge lists and norms) so a single forward pass scores a whole minibatch,
-// and a CSR execution plan regroups every relation-direction's edges by
-// output row so the per-relation scatter-add runs race-free across the
-// tensor worker pool. The plan path is numerically equivalent to the
+// Batched graph inference: N PROGRAML graphs merge into one block-diagonal
+// adjacency (offset node IDs, concatenated per-relation edge lists and
+// norms) so a single forward pass scores a whole minibatch, and a CSR
+// execution plan regroups every relation-direction's edges by output row,
+// so any range of output rows can be gathered on its own. That is what
+// lets LayerOf.Forward split a large batch's rows across the tensor pool
+// once per layer. The plan path is numerically equivalent to the
 // per-graph reference path up to float summation order.
 package rgcn
 
@@ -14,15 +15,11 @@ import (
 	"pnptuner/internal/tensor"
 )
 
-// parallelMinWork gates the pooled propagate path: below this volume
-// (edges × feature width) the per-direction scatter runs on the calling
-// goroutine. Tests lower it to force the pool on for small graphs.
-var parallelMinWork = 1 << 14
-
-// csrPlan is one relation-direction's edges regrouped for parallel
-// execution: by destination for the forward gather (propagate) and by
-// source for the backward transpose (propagateT). Each worker owns a
-// disjoint range of output rows, so no scatter-add races.
+// csrPlan is one relation-direction's edges regrouped by output row: by
+// destination for the forward gather (propagate) and by source for the
+// backward transpose (propagateT). Each output row reads only its own
+// neighbour list, so disjoint row ranges can be computed concurrently
+// without racing on a scatter-add.
 type csrPlan struct {
 	dstPtr []int32 // len NumNodes+1; in-neighbours of node i are dstSrc[dstPtr[i]:dstPtr[i+1]]
 	dstSrc []int32
@@ -54,7 +51,7 @@ func buildCSR(n int, edges [][2]int32, keyIdx, valIdx int) (ptr, val []int32) {
 }
 
 // Finalize precomputes the per-direction CSR execution plans that let
-// propagate and propagateT run across the worker pool. BuildAdjacency
+// propagate and propagateT run by output row. BuildAdjacency
 // leaves the plan unset (the sequential per-graph reference path);
 // NewBatch finalizes its merged adjacency. Finalize is idempotent and
 // returns a for chaining.
@@ -72,19 +69,8 @@ func (a *Adjacency) Finalize() *Adjacency {
 	return a
 }
 
-// gather computes out[i] = norm[i] · Σ_{src→i} h[src] for every node i,
-// fanning destination rows out across the pool when the volume warrants.
-// The sequential path calls the range helper directly (no closure), so a
-// single-worker pass allocates nothing; per-row independence makes both
-// paths bit-identical.
-func gather[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T]) {
-	if len(p.dstSrc)*h.Cols < parallelMinWork || tensor.Workers() == 1 {
-		gatherRange(p, norm, h, out, 0, out.Rows)
-		return
-	}
-	tensor.ParallelFor(out.Rows, func(lo, hi int) { gatherRange(p, norm, h, out, lo, hi) })
-}
-
+// gatherRange computes out[i] = norm[i] · Σ_{src→i} h[src] for every
+// node i in [lo, hi).
 func gatherRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := p.dstPtr[i], p.dstPtr[i+1]
@@ -104,16 +90,8 @@ func gatherRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.Matr
 	}
 }
 
-// gatherT computes out[i] = Σ_{i→dst} norm[dst] · h[dst] — the transpose
-// of gather, grouped by source so backward scatter is also race-free.
-func gatherT[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T]) {
-	if len(p.srcDst)*h.Cols < parallelMinWork || tensor.Workers() == 1 {
-		gatherTRange(p, norm, h, out, 0, out.Rows)
-		return
-	}
-	tensor.ParallelFor(out.Rows, func(lo, hi int) { gatherTRange(p, norm, h, out, lo, hi) })
-}
-
+// gatherTRange computes out[i] += Σ_{i→dst} norm[dst] · h[dst] for every
+// node i in [lo, hi) — the transpose of gatherRange, grouped by source.
 func gatherTRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := p.srcPtr[i], p.srcPtr[i+1]
@@ -143,7 +121,7 @@ type Batch struct {
 	// Offsets has NumGraphs+1 entries; graph g owns feature rows
 	// [Offsets[g], Offsets[g+1]).
 	Offsets []int
-	// Adj is the merged adjacency, finalized for pooled execution.
+	// Adj is the merged adjacency, finalized for row-split execution.
 	Adj *Adjacency
 	// Tokens and Kinds, when set, are the batch-wide embedding gather
 	// arrays (node i of graph g at index Offsets[g]+i) — the compiled fast

@@ -12,7 +12,11 @@ import (
 
 // randomGraph builds a connected-ish random graph with all relations.
 func randomGraph(rng *tensor.RNG, id string) *programl.Graph {
-	n := 3 + rng.Intn(40)
+	return sizedGraph(rng, id, 3+rng.Intn(40))
+}
+
+// sizedGraph builds a random graph of n nodes with all relations.
+func sizedGraph(rng *tensor.RNG, id string, n int) *programl.Graph {
 	g := &programl.Graph{RegionID: id}
 	for i := 0; i < n; i++ {
 		g.Nodes = append(g.Nodes, programl.Node{
@@ -29,6 +33,35 @@ func randomGraph(rng *tensor.RNG, id string) *programl.Graph {
 		})
 	}
 	return g
+}
+
+// batchOfRows merges random graphs into a batch of exactly rows nodes.
+func batchOfRows(rng *tensor.RNG, rows int) *Batch {
+	var graphs []*programl.Graph
+	for left := rows; left > 0; {
+		n := min(left, 3+rng.Intn(40))
+		graphs = append(graphs, sizedGraph(rng, fmt.Sprintf("g%d", len(graphs)), n))
+		left -= n
+	}
+	return NewBatch(graphs, nil)
+}
+
+// gateRows is the smallest row count at which a layer of l's width
+// splits its forward rows across the pool.
+func gateRows[T tensor.Float](l *LayerOf[T]) int {
+	return (parallelThreshold + l.In*l.Out - 1) / (l.In * l.Out)
+}
+
+// poison fills out and every non-nil message with NaN.
+func poison[T tensor.Float](out *tensor.MatrixOf[T], msgs []*tensor.MatrixOf[T]) {
+	nan := T(math.NaN())
+	for _, m := range append(msgs, out) {
+		if m != nil {
+			for i := range m.Data {
+				m.Data[i] = nan
+			}
+		}
+	}
 }
 
 func maxAbsDiff(a, b *tensor.Matrix) float64 {
@@ -148,24 +181,17 @@ func TestBatchBackwardMatchesPerGraph(t *testing.T) {
 	}
 }
 
-// TestBatchParallelRace drives the batched forward/backward with the
-// worker pool forced on (GOMAXPROCS raised, parallel gate floored) so
-// `go test -race` exercises the concurrent scatter paths.
+// TestBatchParallelRace drives the batched forward/backward on a batch
+// sized above parallelThreshold with GOMAXPROCS raised, so the layer
+// forward's row split runs and `go test -race` sees its workers write
+// their own rows of the output and of every message.
 func TestBatchParallelRace(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(oldProcs)
-	oldMin := parallelMinWork
-	parallelMinWork = 1
-	defer func() { parallelMinWork = oldMin }()
 
-	rng := tensor.NewRNG(44)
-	var graphs []*programl.Graph
-	for i := 0; i < 12; i++ {
-		graphs = append(graphs, randomGraph(rng, fmt.Sprintf("g%d", i)))
-	}
 	emb := NewEmbedding("e", 50, 12, tensor.NewRNG(5))
 	layer := NewLayer("l", emb.OutDim(), 16, tensor.NewRNG(6))
-	batch := NewBatch(graphs, nil)
+	batch := batchOfRows(tensor.NewRNG(44), 2*gateRows(layer))
 
 	for iter := 0; iter < 3; iter++ {
 		h := emb.ForwardBatch(batch)
@@ -175,30 +201,21 @@ func TestBatchParallelRace(t *testing.T) {
 	}
 }
 
-// TestBatchParallelDeterministic checks that worker-pool execution does
-// not change results: the pooled path must be bit-identical across runs
-// and GOMAXPROCS settings, because every output row is owned by exactly
-// one worker.
+// TestBatchParallelDeterministic checks that the row split does not
+// change results: on a batch above parallelThreshold the forward must be
+// bit-identical across runs and GOMAXPROCS settings, because every output
+// row is owned by exactly one worker.
 func TestBatchParallelDeterministic(t *testing.T) {
-	rng := tensor.NewRNG(55)
-	var graphs []*programl.Graph
-	for i := 0; i < 8; i++ {
-		graphs = append(graphs, randomGraph(rng, fmt.Sprintf("g%d", i)))
-	}
 	emb := NewEmbedding("e", 50, 12, tensor.NewRNG(5))
 	layer := NewLayer("l", emb.OutDim(), 16, tensor.NewRNG(6))
-	batch := NewBatch(graphs, nil)
+	batch := batchOfRows(tensor.NewRNG(55), 3*gateRows(layer))
 
 	run := func() *tensor.Matrix {
 		h := emb.ForwardBatch(batch)
 		layer.SetGraph(batch.Adj)
-		return layer.Forward(h)
+		return layer.Forward(h).Clone()
 	}
 	ref := run()
-
-	oldMin := parallelMinWork
-	parallelMinWork = 1
-	defer func() { parallelMinWork = oldMin }()
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
 		got := run()
@@ -207,6 +224,69 @@ func TestBatchParallelDeterministic(t *testing.T) {
 			if ref.Data[i] != got.Data[i] {
 				t.Fatalf("GOMAXPROCS=%d: element %d differs: %g vs %g",
 					procs, i, got.Data[i], ref.Data[i])
+			}
+		}
+	}
+}
+
+// TestLayerRowSplitBitExact holds the layer forward's row split to the
+// one-goroutine pass bit for bit, at both precisions: on finalized
+// batches one row below, at and above the split gate and well above it,
+// the output at GOMAXPROCS 1, 2, 3 and 8 must match SetWorkerCap(1)'s,
+// and so must the relational weight gradients of a following Backward,
+// which read every message row the split wrote.
+func TestLayerRowSplitBitExact(t *testing.T) {
+	emb := NewEmbedding("e", 50, 12, tensor.NewRNG(5))
+	layer := NewLayer("l", emb.OutDim(), 16, tensor.NewRNG(6))
+	layer32 := ConvertLayer[float32](layer)
+	gate := gateRows(layer)
+	rng := tensor.NewRNG(77)
+	for _, rows := range []int{gate - 1, gate, gate + 1, 1100} {
+		batch := batchOfRows(rng, rows)
+		x := emb.ForwardBatch(batch).Clone()
+		x32 := tensor.Convert[float32](x)
+		dout := tensor.New(rows, layer.Out)
+		dout.FillUniform(rng, 1)
+		run := func() (out, grads *tensor.Matrix, out32 *tensor.MatrixOf[float32]) {
+			layer.SetGraph(batch.Adj)
+			layer32.SetGraph(batch.Adj)
+			fwd, fwd32 := layer.Forward(x), layer32.Forward(x32)
+			out, out32 = fwd.Clone(), fwd32.Clone()
+			for _, p := range layer.Params() {
+				p.ZeroGrad()
+			}
+			layer.Backward(dout)
+			grads = tensor.New(NumDirections, layer.In*layer.Out)
+			for d, p := range layer.WRel {
+				copy(grads.Row(d), p.Grad.Data)
+			}
+			// Poison the layers' buffers, so a row the next pass fails
+			// to write cannot pass with this pass's value.
+			poison(fwd, layer.msgs[:])
+			poison(fwd32, layer32.msgs[:])
+			return out, grads, out32
+		}
+		restore := tensor.SetWorkerCap(1)
+		want, wantGrads, want32 := run()
+		restore()
+		for _, procs := range []int{1, 2, 3, 8} {
+			old := runtime.GOMAXPROCS(procs)
+			got, gotGrads, got32 := run()
+			runtime.GOMAXPROCS(old)
+			for i, w := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%d rows, GOMAXPROCS=%d: float64 output [%d] = %v, want %v", rows, procs, i, got.Data[i], w)
+				}
+			}
+			for i, w := range wantGrads.Data {
+				if math.Float64bits(gotGrads.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%d rows, GOMAXPROCS=%d: relational grad [%d] = %v, want %v", rows, procs, i, gotGrads.Data[i], w)
+				}
+			}
+			for i, w := range want32.Data {
+				if math.Float32bits(got32.Data[i]) != math.Float32bits(w) {
+					t.Fatalf("%d rows, GOMAXPROCS=%d: float32 output [%d] = %v, want %v", rows, procs, i, got32.Data[i], w)
+				}
 			}
 		}
 	}

@@ -35,7 +35,8 @@ type Adjacency struct {
 	Norm [NumDirections][]float64
 
 	// plans, when set by Finalize, holds per-direction CSR layouts that
-	// route propagate/propagateT through the parallel worker pool.
+	// let propagate/propagateT compute any range of output rows on its
+	// own.
 	plans []csrPlan
 }
 
@@ -75,21 +76,26 @@ func (a *Adjacency) EdgeCount(d int) int {
 }
 
 // propagate computes out = Â_d·h for one relation-direction. Finalized
-// adjacencies run the CSR plan across the worker pool; unfinalized ones
-// walk the edge list sequentially (the reference path).
+// adjacencies gather through the CSR plan; unfinalized ones walk the edge
+// list (the reference path).
 func (a *Adjacency) propagate(d int, h *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(h.Rows, h.Cols)
-	propagateInto(a, d, h, out)
+	propagateRows(a, d, h, out, 0, out.Rows)
 	return out
 }
 
-// propagateInto accumulates out += Â_d·h into a zeroed target — the
-// buffer-reusing form of propagate on the forward hot path. Each norm is
-// rounded to T before it multiplies.
-func propagateInto[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T]) {
+// propagateRows accumulates rows [lo, hi) of out += Â_d·h into a zeroed
+// target — the buffer-reusing form of propagate on the forward hot path.
+// Each norm is rounded to T before it multiplies. Only a finalized
+// adjacency computes a part of out; the edge list scatters to any row,
+// so an unfinalized one takes the whole range.
+func propagateRows[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T], lo, hi int) {
 	if a.plans != nil {
-		gather(&a.plans[d], a.Norm[d], h, out)
+		gatherRange(&a.plans[d], a.Norm[d], h, out, lo, hi)
 		return
+	}
+	if lo != 0 || hi != out.Rows {
+		panic(fmt.Sprintf("rgcn: rows [%d,%d) of %d on an unfinalized adjacency", lo, hi, out.Rows))
 	}
 	norm := a.Norm[d]
 	for _, e := range a.Edges[d] {
@@ -114,7 +120,7 @@ func (a *Adjacency) propagateT(d int, h *tensor.Matrix) *tensor.Matrix {
 // backward hot path.
 func propagateTInto[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T]) {
 	if a.plans != nil {
-		gatherT(&a.plans[d], a.Norm[d], h, out)
+		gatherTRange(&a.plans[d], a.Norm[d], h, out, 0, out.Rows)
 		return
 	}
 	norm := a.Norm[d]
@@ -187,8 +193,23 @@ func ConvertLayer[T tensor.Float](l *Layer) *LayerOf[T] {
 // forward/backward pair.
 func (l *LayerOf[T]) SetGraph(adj *Adjacency) { l.adj = adj }
 
+// parallelThreshold is the self product's volume (rows × In × Out) from
+// which Forward on a finalized adjacency splits its output rows across
+// the tensor pool; below it the goroutine fan-out costs more than it
+// wins. Each output row is computed the same way on either side of it,
+// so it moves no bit.
+const parallelThreshold = 1 << 16
+
 // Forward computes the relational convolution for the bound graph. The
 // returned matrix is owned by the layer and valid until the next Forward.
+//
+// This is the one fan-out in a forward pass: on a finalized adjacency
+// above parallelThreshold the output rows split once across
+// tensor.ParallelFor, and each worker runs the whole layer — self
+// product, then each direction's gather and product — over its own rows
+// (forwardRows). Every output element gets the same additions in the
+// same order at every worker count. Below the gate, or with one worker,
+// the rows run on the calling goroutine and nothing is allocated.
 func (l *LayerOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if l.adj == nil {
 		panic("rgcn: Forward before SetGraph")
@@ -197,20 +218,35 @@ func (l *LayerOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 		panic(fmt.Sprintf("rgcn: %d feature rows for %d nodes", x.Rows, l.adj.NumNodes))
 	}
 	l.x = x
-	out := l.outBuf.GetZeroed(x.Rows, l.Out)
-	tensor.MatMulAddInto(x, l.WSelf.W, out)
+	out := l.outBuf.Get(x.Rows, l.Out)
 	for d := 0; d < NumDirections; d++ {
-		if l.adj.EdgeCount(d) == 0 {
-			l.msgs[d] = nil
-			continue
+		l.msgs[d] = nil
+		if l.adj.EdgeCount(d) > 0 {
+			l.msgs[d] = l.msgBufs[d].Get(x.Rows, x.Cols)
 		}
-		msg := l.msgBufs[d].GetZeroed(x.Rows, x.Cols)
-		propagateInto(l.adj, d, x, msg)
-		l.msgs[d] = msg
-		tensor.MatMulAddInto(msg, l.WRel[d].W, out)
+	}
+	if l.adj.plans == nil || x.Rows*x.Cols*l.Out < parallelThreshold || tensor.Workers() == 1 {
+		l.forwardRows(x, out, 0, x.Rows)
+	} else {
+		tensor.ParallelFor(x.Rows, func(lo, hi int) { l.forwardRows(x, out, lo, hi) })
 	}
 	out.AddRowVec(l.Bias.W.Data)
 	return out
+}
+
+// forwardRows computes rows [lo, hi) of the layer's output before the
+// bias, and of each direction's message, writing no other row.
+func (l *LayerOf[T]) forwardRows(x, out *tensor.MatrixOf[T], lo, hi int) {
+	clear(out.Data[lo*out.Cols : hi*out.Cols])
+	tensor.MatMulAddRows(x, l.WSelf.W, out, lo, hi)
+	for d, msg := range l.msgs {
+		if msg == nil {
+			continue
+		}
+		clear(msg.Data[lo*msg.Cols : hi*msg.Cols])
+		propagateRows(l.adj, d, x, msg, lo, hi)
+		tensor.MatMulAddRows(msg, l.WRel[d].W, out, lo, hi)
+	}
 }
 
 // Backward accumulates parameter gradients and returns ∂L/∂x. The

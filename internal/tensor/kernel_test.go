@@ -217,10 +217,10 @@ func useKernel(tb testing.TB, asm bool) (restore func()) {
 // loops bit for bit: same summation order, same zero skip. Shapes cover
 // odd and even k (a trailing unpaired column or row), every n % 4
 // remainder and n on both sides of the AVX2 kernel's sixteen-column
-// block; a fixed tall case crosses parallelThreshold and
-// reductionThreshold so the pooled row split and MatMulTAAddInto's
-// chunked reduction engage. Each worker cap runs on the AVX2 kernel and
-// again on the Go ones.
+// block; a fixed tall case crosses reductionThreshold so
+// MatMulTAAddInto's chunked reduction engages. The kernels run on the
+// calling goroutine, so the worker cap must change nothing; each cap runs
+// on the AVX2 kernel and again on the Go ones.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
@@ -442,13 +442,17 @@ func backwardEdgeCases[T Float](t *testing.T) {
 	}
 }
 
-// TestMatMulBackwardAllocFree: below the pool thresholds both backward
-// products allocate nothing, on both kernels and at both precisions; on
-// the AVX2 kernel MatMulTBInto takes its bᵀ scratch from a sync.Pool. The
-// shapes are the 127-class head's at 32 rows. Under the race detector
-// sync.Pool drops about a quarter of its Puts on purpose, costing two
-// allocations each time; AllocsPerRun's whole-number average over 100
-// runs still reads 0 unless half the Puts are dropped.
+// TestMatMulBackwardAllocFree: both backward products and the chunked
+// scatter allocate nothing after warm-up, on both kernels and at both
+// precisions. MatMulTBInto takes its bᵀ scratch (on the AVX2 kernel),
+// and MatMulTAAddInto and ScatterAddRows their chunk partials, from a
+// sync.Pool. The small shapes are the 127-class head's at 32 rows; the
+// chunked ones are an RGCN weight gradient (1100 rows, 8 chunks), the
+// head's at 64 rows (2 chunks) and an embedding-gradient scatter over
+// 1100 node rows. Under the race detector sync.Pool drops about a
+// quarter of its Puts on purpose, costing two allocations each time;
+// AllocsPerRun's whole-number average over 100 runs still reads 0 unless
+// half the Puts are dropped.
 func TestMatMulBackwardAllocFree(t *testing.T) {
 	for _, path := range kernelPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -467,6 +471,27 @@ func backwardAllocFree[T Float](t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { MatMulTAAddInto(x, dy, dw) }); n != 0 {
 		t.Errorf("MatMulTAAddInto 32x16ᵀ·32x127 allocates %v times per call", n)
+	}
+	for _, s := range []struct{ k, m, n int }{{1100, 16, 16}, {64, 16, 127}} {
+		if s.k*s.m*s.n < reductionThreshold {
+			t.Fatalf("%dx%dᵀ·%dx%d is below reductionThreshold", s.k, s.m, s.k, s.n)
+		}
+		x, dy, dw := Convert[T](randMat(s.k, s.m, r)), Convert[T](randMat(s.k, s.n, r)), NewOf[T](s.m, s.n)
+		if n := testing.AllocsPerRun(100, func() { MatMulTAAddInto(x, dy, dw) }); n != 0 {
+			t.Errorf("MatMulTAAddInto %dx%dᵀ·%dx%d allocates %v times per call", s.k, s.m, s.k, s.n, n)
+		}
+	}
+	const rows, cols, vocab = 1100, 32, 60
+	if rows*cols < reductionChunkWork {
+		t.Fatalf("scatter %dx%d is below reductionChunkWork", rows, cols)
+	}
+	src, table := Convert[T](randMat(rows, cols+3, r)), NewOf[T](vocab, cols+3)
+	idx := make([]int, rows)
+	for i := range idx {
+		idx[i] = r.Intn(vocab)
+	}
+	if n := testing.AllocsPerRun(100, func() { ScatterAddRows(table, idx, src, cols) }); n != 0 {
+		t.Errorf("ScatterAddRows %d rows x %d cols allocates %v times per call", rows, cols, n)
 	}
 }
 

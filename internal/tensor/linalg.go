@@ -70,24 +70,12 @@ func SolveInto(l *Matrix, b, x []float64) {
 // between row i of a and row j of b, accumulating over columns in
 // ascending order (the same order a scalar per-feature loop uses, so the
 // results are bit-identical to it). a is m×d, b is n×d, out is m×n.
-// Rows are independent, so large problems split across the worker pool.
 func PairwiseSqDistInto(a, b, out *Matrix) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: PairwiseSqDistInto shape mismatch")
 	}
-	work := a.Rows * b.Rows * a.Cols
-	if work < parallelThreshold || Workers() == 1 {
-		pairwiseRange(a, b, out, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, func(lo, hi int) {
-		pairwiseRange(a, b, out, lo, hi)
-	})
-}
-
-func pairwiseRange(a, b, out *Matrix, lo, hi int) {
 	d := a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		for j := 0; j < b.Rows; j++ {

@@ -1,9 +1,12 @@
-// Parallel execution primitives: a lightweight fork-join worker pool under
-// the matrix kernels and the batched graph-inference engine. Work over
+// Parallel execution primitives: a lightweight fork-join pool. Work over
 // [0, n) is split into contiguous chunks, one per worker, so every output
 // row is written by exactly one goroutine — results are deterministic
 // regardless of the worker count, and the -race detector sees clean
-// ownership.
+// ownership. The kernels in this package all run on the calling
+// goroutine; the one fan-out inside a model is the RGCN layer forward,
+// which splits its output rows once across ParallelFor. The coarse levels
+// above it (LOOCV folds, concurrent requests, replicas) are where a
+// bigger machine adds workers.
 package tensor
 
 import (
@@ -14,13 +17,12 @@ import (
 )
 
 // workerCap, when positive, bounds the pool width below GOMAXPROCS. It
-// lets coarse-grained parallelism (e.g. concurrent LOOCV folds) divide
-// the kernel pool among themselves instead of oversubscribing the CPU.
+// lets coarse-grained parallelism (concurrent LOOCV folds) divide the
+// pool among themselves instead of oversubscribing the CPU.
 var workerCap atomic.Int64
 
-// Workers returns the worker-pool width: one goroutine per available CPU
-// (GOMAXPROCS), the degree the batched engine fans out to, possibly
-// lowered by SetWorkerCap.
+// Workers returns the pool width ParallelFor fans out to: one goroutine
+// per available CPU (GOMAXPROCS), possibly lowered by SetWorkerCap.
 func Workers() int {
 	w := runtime.GOMAXPROCS(0)
 	if c := int(workerCap.Load()); c > 0 && c < w {
@@ -29,10 +31,10 @@ func Workers() int {
 	return w
 }
 
-// SetWorkerCap bounds the kernel pool width (0 removes the bound) and
-// returns a restore function for the previous cap. Chunking of all
-// deterministic reductions depends only on operand shapes, so capping
-// never changes numerical results — only scheduling.
+// SetWorkerCap bounds the pool width (0 removes the bound) and returns a
+// restore function for the previous cap. Every reduction chunks by
+// operand shape, never by worker count, so capping never changes
+// numerical results — only scheduling.
 func SetWorkerCap(n int) (restore func()) {
 	old := workerCap.Swap(int64(n))
 	return func() { workerCap.Store(old) }
@@ -42,54 +44,47 @@ func SetWorkerCap(n int) (restore func()) {
 // Workers() goroutines and calls fn(lo, hi) on each. fn must only write
 // state derived from its own index range.
 func ParallelFor(n int, fn func(lo, hi int)) {
-	parallelWorkers(n, Workers(), func(_, lo, hi int) { fn(lo, hi) })
+	parallelFor(n, Workers(), fn)
 }
 
-// ParallelWorkers is ParallelFor with the worker index exposed, so callers
-// can maintain per-worker scratch buffers.
-func ParallelWorkers(n int, fn func(worker, lo, hi int)) {
-	parallelWorkers(n, Workers(), fn)
-}
-
-// parallelWorkers runs fn over [0, n) on exactly min(workers, n) chunks.
-func parallelWorkers(n, workers int, fn func(worker, lo, hi int)) {
+// parallelFor runs fn over [0, n) on exactly min(workers, n) chunks.
+func parallelFor(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		if n > 0 {
-			fn(0, 0, n)
+			fn(0, n)
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	w := 0
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		w++
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// scatterParallelThreshold is the scatter volume (rows × cols) above which
-// ScatterAddRows fans out across the pool.
-const scatterParallelThreshold = 1 << 15
+// reductionChunkWork is the operand volume (rows × cols) per chunk that
+// reductionChunks aims for, and the volume from which ScatterAddRows
+// chunks at all. It fixes the chunk count of both chunked reductions,
+// and chunk partials merge in an order that rounds differently from one
+// running sum, so this value is part of every training digest: changing
+// it moves weights.
+const reductionChunkWork = 1 << 15
 
 // reductionChunks splits n reduction rows into chunks whose boundaries
 // depend only on the operand shape (work volume), never on the worker
 // count — so partial-sum merge order, and therefore every float result,
 // is identical on every machine. Returns the chunk length.
 func reductionChunks(n, work int) int {
-	nChunks := work / scatterParallelThreshold
+	nChunks := work / reductionChunkWork
 	if nChunks < 2 {
 		nChunks = 2
 	}
@@ -104,11 +99,10 @@ func reductionChunks(n, work int) int {
 
 // ScatterAddRows accumulates the first cols entries of each src row into
 // dst at idx: dst[idx[i]][c] += src[i][c]. Repeated indices are the norm
-// (token-embedding gradients scatter many nodes onto few vocabulary rows),
-// so the pooled path accumulates fixed shape-determined chunks of src into
-// private scratch copies of dst and merges them afterwards in chunk order
-// — each destination row is merged by exactly one goroutine, keeping
-// results race-free and bit-identical across worker counts.
+// (token-embedding gradients scatter many nodes onto few vocabulary rows).
+// From reductionChunkWork up it sums fixed shape-determined chunks of src
+// into pooled zeroed scratch and adds each chunk's partial into dst in
+// chunk order, so results are bit-identical on every machine.
 func ScatterAddRows[T Float](dst *MatrixOf[T], idx []int, src *MatrixOf[T], cols int) {
 	if len(idx) != src.Rows {
 		panic(fmt.Sprintf("tensor: scatter %d indices for %d rows", len(idx), src.Rows))
@@ -118,42 +112,32 @@ func ScatterAddRows[T Float](dst *MatrixOf[T], idx []int, src *MatrixOf[T], cols
 			cols, src.Rows, src.Cols, dst.Rows, dst.Cols))
 	}
 	work := len(idx) * cols
-	if work < scatterParallelThreshold {
-		for i, t := range idx {
-			drow := dst.Row(t)[:cols]
-			for c, v := range src.Row(i)[:cols] {
+	if work < reductionChunkWork {
+		scatterRange(dst, idx, src, cols, 0, len(idx))
+		return
+	}
+	pool := scratchPool[T]()
+	buf := getScratch[T](pool)
+	defer pool.Put(buf)
+	chunk := reductionChunks(len(idx), work)
+	for lo := 0; lo < len(idx); lo += chunk {
+		s := buf.GetZeroed(dst.Rows, cols)
+		scatterRange(s, idx, src, cols, lo, min(lo+chunk, len(idx)))
+		for r := 0; r < dst.Rows; r++ {
+			drow := dst.Row(r)[:cols]
+			for c, v := range s.Row(r) {
 				drow[c] += v
 			}
 		}
-		return
 	}
-	chunk := reductionChunks(len(idx), work)
-	nChunks := (len(idx) + chunk - 1) / chunk
-	scratch := make([]*MatrixOf[T], nChunks)
-	ParallelFor(nChunks, func(clo, chi int) {
-		for ci := clo; ci < chi; ci++ {
-			s := NewOf[T](dst.Rows, cols)
-			scratch[ci] = s
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			for i := lo; i < hi; i++ {
-				drow := s.Row(idx[i])
-				for c, v := range src.Row(i)[:cols] {
-					drow[c] += v
-				}
-			}
+}
+
+// scatterRange adds rows [lo, hi) of src into dst at idx.
+func scatterRange[T Float](dst *MatrixOf[T], idx []int, src *MatrixOf[T], cols, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		drow := dst.Row(idx[i])[:cols]
+		for c, v := range src.Row(i)[:cols] {
+			drow[c] += v
 		}
-	})
-	ParallelFor(dst.Rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			drow := dst.Row(r)[:cols]
-			for _, s := range scratch {
-				for c, v := range s.Row(r) {
-					drow[c] += v
-				}
-			}
-		}
-	})
+	}
 }

@@ -6,12 +6,17 @@ import (
 	"testing"
 )
 
-func TestParallelWorkersCoversRangeExactlyOnce(t *testing.T) {
+// TestParallelForCoversRangeExactlyOnce: every index of [0, n) is
+// visited once, in contiguous ranges, at pool widths below, at and above
+// n.
+func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {7, 3}, {100, 4}, {5, 8}, {16, 1},
+		{0, 4}, {1, 4}, {7, 3}, {100, 4}, {5, 8}, {16, 1}, {64, 4},
 	} {
-		var hits = make([]int32, tc.n)
-		parallelWorkers(tc.n, tc.workers, func(_, lo, hi int) {
+		hits := make([]int32, tc.n)
+		var calls atomic.Int32
+		parallelFor(tc.n, tc.workers, func(lo, hi int) {
+			calls.Add(1)
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -21,29 +26,18 @@ func TestParallelWorkersCoversRangeExactlyOnce(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: index %d visited %d times", tc.n, tc.workers, i, h)
 			}
 		}
-	}
-}
-
-func TestParallelWorkersDisjointWorkerIDs(t *testing.T) {
-	const n, workers = 64, 4
-	owner := make([]int32, n)
-	seen := make([]int32, workers)
-	parallelWorkers(n, workers, func(w, lo, hi int) {
-		atomic.AddInt32(&seen[w], 1)
-		for i := lo; i < hi; i++ {
-			atomic.StoreInt32(&owner[i], int32(w))
-		}
-	})
-	for w, s := range seen {
-		if s != 1 {
-			t.Fatalf("worker %d ran %d chunks, want 1", w, s)
+		if want := min(tc.n, tc.workers); int(calls.Load()) > max(want, 1) {
+			t.Fatalf("n=%d workers=%d: %d ranges, want at most %d", tc.n, tc.workers, calls.Load(), want)
 		}
 	}
-	// Chunks are contiguous: owner must be non-decreasing.
-	for i := 1; i < n; i++ {
-		if owner[i] < owner[i-1] {
-			t.Fatalf("non-contiguous ownership at %d: %v", i, owner)
-		}
+	// The exported entry point runs at the pool width, capped.
+	defer SetWorkerCap(2)()
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	var calls atomic.Int32
+	ParallelFor(10, func(lo, hi int) { calls.Add(1) })
+	if calls.Load() != 2 {
+		t.Fatalf("ParallelFor under SetWorkerCap(2) ran %d ranges, want 2", calls.Load())
 	}
 }
 
@@ -58,12 +52,7 @@ func scatterRef(dst *Matrix, idx []int, src *Matrix, cols int) {
 }
 
 func TestScatterAddRowsMatchesReference(t *testing.T) {
-	// Force the parallel path even on small inputs by raising GOMAXPROCS
-	// and sizing the scatter above the threshold; run under -race this
-	// also proves the per-worker scratch merge is clean.
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
+	// Sized above reductionChunkWork, so the chunked path runs.
 	rng := NewRNG(9)
 	const rows, cols, vocab = 3000, 16, 37
 	src := New(rows, cols+3)
@@ -78,21 +67,20 @@ func TestScatterAddRowsMatchesReference(t *testing.T) {
 	got := New(vocab, cols+3)
 	ScatterAddRows(got, idx, src, cols)
 
-	if rows*cols < scatterParallelThreshold {
-		t.Fatalf("test sized below the parallel threshold (%d < %d)", rows*cols, scatterParallelThreshold)
+	if rows*cols < reductionChunkWork {
+		t.Fatalf("test sized below the chunk gate (%d < %d)", rows*cols, reductionChunkWork)
 	}
 	for i := range want.Data {
 		diff := want.Data[i] - got.Data[i]
 		if diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("element %d: parallel %g vs sequential %g", i, got.Data[i], want.Data[i])
+			t.Fatalf("element %d: chunked %g vs sequential %g", i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
+// TestScatterAddRowsDeterministic: repeated chunked scatters, which
+// reuse pooled scratch, agree bit for bit.
 func TestScatterAddRowsDeterministic(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
 	rng := NewRNG(10)
 	const rows, cols, vocab = 4096, 8, 5
 	src := New(rows, cols)
@@ -108,7 +96,7 @@ func TestScatterAddRowsDeterministic(t *testing.T) {
 		ScatterAddRows(again, idx, src, cols)
 		for i := range first.Data {
 			if first.Data[i] != again.Data[i] {
-				t.Fatalf("trial %d element %d: %g vs %g — scratch merge is not deterministic",
+				t.Fatalf("trial %d element %d: %g vs %g — chunked scatter is not deterministic",
 					trial, i, again.Data[i], first.Data[i])
 			}
 		}

@@ -182,12 +182,6 @@ func (m *MatrixOf[T]) FrobeniusNorm() float64 {
 	return math.Sqrt(float64(s))
 }
 
-// parallelThreshold is the operand volume above which MatMulAddInto and
-// MatMulTBInto fan rows out across goroutines; below it the goroutine
-// overhead outweighs the win. Each output row is computed the same way
-// on either side of it, so it moves no bit.
-const parallelThreshold = 1 << 16
-
 // reductionThreshold is the operand volume from which MatMulTAAddInto
 // splits its k rows into chunks summed apart and merged in chunk order.
 // That merge order rounds differently from one running sum, so this
@@ -201,22 +195,24 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulAddInto accumulates out += a·b, fanning rows across the worker
-// pool for large operands. Fusing the accumulation skips the temporary
-// (and its zeroing) that MatMul-then-AddInPlace would allocate — the
-// per-relation transforms of the RGCN hot path hit this many times per
-// layer.
+// MatMulAddInto accumulates out += a·b on the calling goroutine. Fusing
+// the accumulation skips the temporary (and its zeroing) that
+// MatMul-then-AddInPlace would allocate — the per-relation transforms of
+// the RGCN hot path hit this many times per layer.
 func MatMulAddInto[T Float](a, b, out *MatrixOf[T]) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul %dx%d · %dx%d into %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	MatMulAddRows(a, b, out, 0, a.Rows)
+}
+
+// MatMulAddRows accumulates rows [lo, hi) of out += a·b and touches no
+// other row, so callers that own disjoint row ranges can run it
+// concurrently on one out. Each output row is computed the same way
+// whatever range holds it.
+func MatMulAddRows[T Float](a, b, out *MatrixOf[T], lo, hi int) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols || lo < 0 || lo > hi || hi > a.Rows {
+		panic(fmt.Sprintf("tensor: matmul rows [%d,%d) of %dx%d · %dx%d into %dx%d",
+			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold || Workers() == 1 {
-		matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, func(lo, hi int) { matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, lo, hi) })
+	matmulRows(a.Data, b.Data, out.Data, a.Cols, b.Cols, lo, hi)
 }
 
 // The three range kernels below are blocked for speed but keep one
@@ -345,10 +341,11 @@ func MatMulTA(a, b *Matrix) *Matrix {
 }
 
 // MatMulTAAddInto accumulates out += aᵀ·b (a is k×m, b is k×n, out m×n)
-// — the shape of every weight-gradient accumulation. Tall operands split
-// their k rows into shape-determined chunks computed into scratch
-// accumulators (out is only m×n) merged in chunk order, so results are
-// bit-identical across worker counts and machines.
+// — the shape of every weight-gradient accumulation. From
+// reductionThreshold up it splits the k rows into shape-determined
+// chunks, sums each into pooled zeroed scratch (out is only m×n) and adds
+// each chunk's partial into out in chunk order, so results are
+// bit-identical on every machine.
 func MatMulTAAddInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTA %dx%d · %dx%d into %dx%d",
@@ -359,30 +356,17 @@ func MatMulTAAddInto[T Float](a, b, out *MatrixOf[T]) {
 		matmulTARange(a, b, out, 0, a.Rows)
 		return
 	}
+	pool := scratchPool[T]()
+	buf := getScratch[T](pool)
+	defer pool.Put(buf)
 	chunk := reductionChunks(a.Rows, work)
-	nChunks := (a.Rows + chunk - 1) / chunk
-	scratch := make([]*MatrixOf[T], nChunks)
-	ParallelFor(nChunks, func(clo, chi int) {
-		for ci := clo; ci < chi; ci++ {
-			s := NewOf[T](out.Rows, out.Cols)
-			scratch[ci] = s
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > a.Rows {
-				hi = a.Rows
-			}
-			matmulTARange(a, b, s, lo, hi)
+	for lo := 0; lo < a.Rows; lo += chunk {
+		s := buf.GetZeroed(out.Rows, out.Cols)
+		matmulTARange(a, b, s, lo, min(lo+chunk, a.Rows))
+		for i, v := range s.Data {
+			out.Data[i] += v
 		}
-	})
-	ParallelFor(out.Rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			orow := out.Row(r)
-			for _, s := range scratch {
-				for c, v := range s.Row(r) {
-					orow[c] += v
-				}
-			}
-		}
-	})
+	}
 }
 
 // matmulTARange accumulates rows [lo, hi) of a into out += aᵀ·b. The
@@ -430,12 +414,11 @@ func MatMulTB(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulTBInto overwrites out = a·bᵀ (a is m×k, b is n×k, out m×n),
-// fanning rows across the worker pool for large operands. Every output
-// row is an independent dot-product sweep, so the parallel split is
-// bit-identical to the sequential one. With the AVX2 kernel and n ≥ 16
-// it runs as out = a·(bᵀ) on the forward path, unless b holds a
-// non-finite value (see the order rule above matmulRows).
+// MatMulTBInto overwrites out = a·bᵀ (a is m×k, b is n×k, out m×n) on
+// the calling goroutine; every output row is an independent dot-product
+// sweep. With the AVX2 kernel and n ≥ 16 it runs as out = a·(bᵀ) on the
+// forward path, unless b holds a non-finite value (see the order rule
+// above matmulRows).
 func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTB %dx%d · %dx%d into %dx%d",
@@ -444,29 +427,37 @@ func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	if useAVX2 && b.Rows >= 16 && matmulTBForward(a, b, out) {
 		return
 	}
-	if a.Rows*a.Cols*b.Rows < parallelThreshold || Workers() == 1 {
-		matmulTBRange(a, b, out, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, func(lo, hi int) { matmulTBRange(a, b, out, lo, hi) })
+	matmulTBRange(a, b, out, 0, a.Rows)
 }
 
-// transposed64 and transposed32 pool matmulTBForward's bᵀ scratch, one
-// pool per precision, so the steady state allocates nothing.
-var transposed64, transposed32 sync.Pool
+// scratch64 and scratch32 pool the kernels' temporaries, one pool per
+// precision, so the steady state allocates nothing: matmulTBForward's bᵀ
+// and the chunk partials of MatMulTAAddInto and ScatterAddRows. No
+// kernel holds one while calling another that takes one.
+var scratch64, scratch32 sync.Pool
+
+// scratchPool returns the scratch pool of precision T.
+func scratchPool[T Float]() *sync.Pool {
+	if _, ok := any(T(0)).(float32); ok {
+		return &scratch32
+	}
+	return &scratch64
+}
+
+// getScratch takes a buffer from pool, or a new one if it is empty.
+func getScratch[T Float](pool *sync.Pool) *BufOf[T] {
+	if buf, ok := pool.Get().(*BufOf[T]); ok {
+		return buf
+	}
+	return new(BufOf[T])
+}
 
 // matmulTBForward computes out = a·bᵀ as out = 0, out += a·bt with bt =
 // bᵀ, and reports whether it did: it leaves out alone and returns false
 // when b holds ±Inf or NaN.
 func matmulTBForward[T Float](a, b, out *MatrixOf[T]) bool {
-	pool := &transposed64
-	if _, ok := any(out.Data).([]float32); ok {
-		pool = &transposed32
-	}
-	buf, _ := pool.Get().(*BufOf[T])
-	if buf == nil {
-		buf = new(BufOf[T])
-	}
+	pool := scratchPool[T]()
+	buf := getScratch[T](pool)
 	defer pool.Put(buf)
 	bt := buf.Get(b.Cols, b.Rows)
 	var nonFinite T // stays 0 unless some v·0 is NaN

@@ -72,21 +72,23 @@ func TestMatMulTBMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
+// TestMatMulParallelMatchesSerial: MatMulAddRows over disjoint row
+// ranges, run concurrently on one out, matches the whole product exactly,
+// not just closely: each range computes whole rows the same way.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Large enough to cross parallelThreshold.
 	r := NewRNG(3)
 	a := New(80, 90)
 	b := New(90, 70)
 	a.FillUniform(r, 1)
 	b.FillUniform(r, 1)
-	got := MatMul(a, b)
-	want := New(80, 70)
-	matmulRows(a.Data, b.Data, want.Data, 90, 70, 0, 80)
-	// The pooled split hands each worker whole rows, so it must match the
-	// serial kernel exactly, not just closely.
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("parallel mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
+	want := MatMul(a, b)
+	for _, workers := range []int{1, 3, 8} {
+		got := New(80, 70)
+		parallelFor(a.Rows, workers, func(lo, hi int) { MatMulAddRows(a, b, got, lo, hi) })
+		for i := range got.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%d workers: mismatch at %d: %v vs %v", workers, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }
