@@ -95,9 +95,9 @@ func TestFitLearnsSeparableLabels(t *testing.T) {
 		}
 		samples = append(samples, Sample{Region: r, Cases: []Case{{Head: 0, Label: lbl}}})
 	}
-	stats := m.Fit(samples)
-	if stats.TrainAccuracy < 0.9 {
-		t.Fatalf("train accuracy = %.2f; GNN failed to separate matmul from Monte Carlo", stats.TrainAccuracy)
+	m.Fit(samples)
+	if acc := m.TrainAccuracy(samples); acc < 0.9 {
+		t.Fatalf("train accuracy = %.2f; GNN failed to separate matmul from Monte Carlo", acc)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestTrainPowerEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if res.Stats.TrainAccuracy <= 0.05 {
-		t.Fatalf("training did not move accuracy: %+v", res.Stats)
+	if acc := res.Model.TrainAccuracy(powerSamples(d, fold.Train, cfg)); acc <= 0.05 {
+		t.Fatalf("training did not move accuracy: %.2f after %+v", acc, res.Stats)
 	}
 }
 

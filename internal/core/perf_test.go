@@ -159,3 +159,24 @@ func TestServingPathCompiledParity(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrainFold times one leave-one-application-out fold per
+// iteration, trained as the benchmark's train-loocv workload trains it:
+// the default model at 6 epochs, then the held-out predictions, with
+// iterations alternating TrainPower and TrainEDP on the Haswell corpus's
+// first fold.
+func BenchmarkTrainFold(b *testing.B) {
+	d := dataset.MustBuild(hw.Haswell())
+	fold := d.LOOCVFolds()[0]
+	cfg := DefaultModelConfig()
+	cfg.Epochs = 6
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			TrainPower(d, fold, cfg)
+		} else {
+			TrainEDP(d, fold, cfg)
+		}
+	}
+}

@@ -35,10 +35,9 @@ type Sample struct {
 type TrainStats struct {
 	Epochs    int
 	FinalLoss float64
-	// TrainAccuracy is the top-1 label accuracy over the training set
-	// after the final epoch.
-	TrainAccuracy float64
-	Duration      time.Duration
+	// Duration is the wall time of the epochs. Training-set accuracy is
+	// a separate encoding pass, (*Model).TrainAccuracy.
+	Duration time.Duration
 	// UpdatedParams is the number of parameters given to the optimizer
 	// (smaller under transfer learning).
 	UpdatedParams int
@@ -221,17 +220,25 @@ func (m *Model) fit(samples []Sample, frozen bool) TrainStats {
 		}
 	}
 
-	// Final training accuracy, over one batched encoding pass; each
-	// sample's per-head candidate set scores in one ScoreAll pass.
-	if !frozen && len(samples) > 0 {
-		cached = m.encodeAll(samples)
+	stats.Duration = time.Since(start)
+	return stats
+}
+
+// TrainAccuracy is the top-1 label accuracy of m over the labeled cases
+// of samples, from one batched encoding pass; each sample's per-head
+// candidate set scores in one ScoreAll pass. It returns 0 when no case is
+// labeled.
+func (m *Model) TrainAccuracy(samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
 	}
+	encoded := m.encodeAll(samples)
 	correct, total := 0, 0
 	var exs [][]float64
 	var cis []int
 	for i := range samples {
 		s := &samples[i]
-		pooled := cached.RowMatrix(i)
+		pooled := encoded.RowMatrix(i)
 		for h := range m.Heads {
 			exs, cis = exs[:0], cis[:0]
 			for ci, cs := range s.Cases {
@@ -253,11 +260,10 @@ func (m *Model) fit(samples []Sample, frozen bool) TrainStats {
 			}
 		}
 	}
-	if total > 0 {
-		stats.TrainAccuracy = float64(correct) / float64(total)
+	if total == 0 {
+		return 0
 	}
-	stats.Duration = time.Since(start)
-	return stats
+	return float64(correct) / float64(total)
 }
 
 // growRegions resizes a region scratch slice, reusing its backing array.

@@ -218,37 +218,31 @@ func useKernel(tb testing.TB, asm bool) (restore func()) {
 // odd and even k (a trailing unpaired column or row), every n % 4
 // remainder and n on both sides of the AVX2 kernel's sixteen-column
 // block; a fixed tall case crosses reductionThreshold so
-// MatMulTAAddInto's chunked reduction engages. The kernels run on the
-// calling goroutine, so the worker cap must change nothing; each cap runs
-// on the AVX2 kernel and again on the Go ones.
+// MatMulTAAddInto's chunked reduction engages. Every case runs on the
+// AVX2 kernel and again on the Go ones.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
 	}
-	for _, workers := range []int{1, 0} {
-		t.Run(fmt.Sprintf("workercap=%d", workers), func(t *testing.T) {
-			defer SetWorkerCap(workers)()
-			for _, path := range kernelPaths {
-				t.Run(path.name, func(t *testing.T) {
-					defer useKernel(t, path.asm)()
-					f := func(seed uint64) bool {
-						r := NewRNG(seed)
-						m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
-						if err := checkKernels(r, m, k, n); err != nil {
-							t.Logf("seed %d: %v", seed, err)
-							return false
-						}
-						return true
-					}
-					if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
-						if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
+	for _, path := range kernelPaths {
+		t.Run(path.name, func(t *testing.T) {
+			defer useKernel(t, path.asm)()
+			f := func(seed uint64) bool {
+				r := NewRNG(seed)
+				m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
+				if err := checkKernels(r, m, k, n); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
+				if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -362,18 +356,22 @@ func TestMatMulEdgeCasesBitExact(t *testing.T) {
 
 // TestMatMulBackwardEdgeCasesBitExact pins the two backward products to
 // their plain loops, refTA and refTBRange, on the edge value sets, at both
-// precisions and on both kernels, over the forward table's k and n.
+// precisions and on both kernels, over the forward table's k and n and
+// three more n (1, 12 and 21) on each side of the first sixteen-column
+// block.
 //
 //   - dW += xᵀ·dY (MatMulTAAddInto) takes x from edgeA, dY from edgeB and
 //     dW from edgeO: the forward roles, with a's column as the kernel row.
 //   - dX = dY·Wᵀ (MatMulTBInto) with a finite W (edgeW, with ±0) takes
-//     dY from edgeDY (two NaN payloads, ±0, ±Inf); from n = 16 on the
-//     AVX2 kernel runs it as the forward product of bᵀ, skipping the zero
-//     dY terms the plain loop adds.
+//     dY from edgeDY (two NaN payloads, ±0, ±Inf); the AVX2 kernel runs it
+//     as the forward product of bᵀ, skipping the zero dY terms the plain
+//     loop adds, with bᵀ's columns zero-padded to a multiple of sixteen
+//     when n is not one.
 //   - dX = dY·Wᵀ with ±Inf and NaN in W (edgeB) beside a dY that is
 //     mostly ±0 (edgeZeroDY): the plain loop adds 0·Inf = NaN, which the
 //     forward product would skip, so this pins the fallback to the Go
-//     dot-product kernel.
+//     dot-product kernel, and at n = 15 (the first RGCN layer's weight)
+//     matmulTBForward must refuse it outright.
 //
 // Columns the AVX2 kernel computed for dW must carry the plain loop's
 // payload. Columns a Go kernel computed are compared NaN-to-NaN
@@ -401,7 +399,7 @@ var (
 func backwardEdgeCases[T Float](t *testing.T) {
 	const m = 5
 	xs, dys, dws := edgeSet[T](edgeA), edgeSet[T](edgeB), edgeSet[T](edgeO)
-	for _, n := range []int{15, 16, 17, 31, 33, 127} {
+	for _, n := range []int{1, 12, 15, 16, 17, 21, 31, 33, 127} {
 		asmCol := 0 // columns [0, asmCol) come from the AVX2 kernel
 		if useAVX2 {
 			asmCol = n &^ 15
@@ -437,6 +435,9 @@ func backwardEdgeCases[T Float](t *testing.T) {
 				if err := sameBits(got.Data, want.Data); err != nil {
 					t.Errorf("MatMulTBInto %s %dx%d·(%dx%d)ᵀ: %v", c.name, m, k, n, k, err)
 				}
+				if c.name == "non-finite W" && n == 15 && k > 0 && matmulTBForward(dy, w, got) {
+					t.Errorf("matmulTBForward ran a non-finite %dx%d W instead of leaving it to matmulTBRange", n, k)
+				}
 			}
 		}
 	}
@@ -447,9 +448,10 @@ func backwardEdgeCases[T Float](t *testing.T) {
 // precisions. MatMulTBInto takes its bᵀ scratch (on the AVX2 kernel),
 // and MatMulTAAddInto and ScatterAddRows their chunk partials, from a
 // sync.Pool. The small shapes are the 127-class head's at 32 rows; the
-// chunked ones are an RGCN weight gradient (1100 rows, 8 chunks), the
-// head's at 64 rows (2 chunks) and an embedding-gradient scatter over
-// 1100 node rows. Under the race detector sync.Pool drops about a
+// first RGCN layer's input gradient (1100 rows, W with 15 rows) runs the
+// padded bᵀ path; the chunked ones are an RGCN weight gradient (1100
+// rows, 8 chunks), the head's at 64 rows (2 chunks) and an
+// embedding-gradient scatter over 1100 node rows. Under the race detector sync.Pool drops about a
 // quarter of its Puts on purpose, costing two allocations each time;
 // AllocsPerRun's whole-number average over 100 runs still reads 0 unless
 // half the Puts are dropped.
@@ -468,6 +470,10 @@ func backwardAllocFree[T Float](t *testing.T) {
 	x, dw := Convert[T](randMat(32, 16, r)), NewOf[T](16, 127)
 	if n := testing.AllocsPerRun(100, func() { MatMulTBInto(dy, w, dx) }); n != 0 {
 		t.Errorf("MatMulTBInto 32x127·(16x127)ᵀ allocates %v times per call", n)
+	}
+	dy1, w1, dx1 := Convert[T](randMat(1100, 16, r)), Convert[T](randMat(15, 16, r)), NewOf[T](1100, 15)
+	if n := testing.AllocsPerRun(100, func() { MatMulTBInto(dy1, w1, dx1) }); n != 0 {
+		t.Errorf("MatMulTBInto 1100x16·(15x16)ᵀ allocates %v times per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { MatMulTAAddInto(x, dy, dw) }); n != 0 {
 		t.Errorf("MatMulTAAddInto 32x16ᵀ·32x127 allocates %v times per call", n)
@@ -496,14 +502,14 @@ func backwardAllocFree[T Float](t *testing.T) {
 }
 
 // kernelShapes are the training shapes that dominate a fold, as m×k·k×n:
-// one RGCN relation transform, the first layer's (embedding width 12) and
-// a 127-class head.
+// one RGCN relation transform, the first layer's (embedding width 12 plus
+// the 3-wide node-kind tag) and a 127-class head.
 var kernelShapes = []struct {
 	name    string
 	m, k, n int
 }{
 	{"rgcn-1100x16x16", 1100, 16, 16},
-	{"first-1100x12x16", 1100, 12, 16},
+	{"first-1100x15x16", 1100, 15, 16},
 	{"head-64x16x127", 64, 16, 127},
 }
 
@@ -552,8 +558,8 @@ func BenchmarkMatMulTAAddInto(b *testing.B) {
 }
 
 // BenchmarkMatMulTBInto times the input gradient dX = dY·Wᵀ on the AVX2
-// kernel ("asm") and on the Go one ("go"). The first layer's shape (W has
-// 12 rows) runs on the Go kernel on both.
+// kernel ("asm") and on the Go one ("go"). On the AVX2 kernel the first
+// layer's shape (W has 15 rows) pads bᵀ to sixteen columns.
 func BenchmarkMatMulTBInto(b *testing.B) {
 	for _, path := range kernelPaths {
 		b.Run(path.name, func(b *testing.B) {

@@ -228,8 +228,10 @@ func MatMulAddRows[T Float](a, b, out *MatrixOf[T], lo, hi int) {
 // (matmul_amd64.s), sixteen output columns at a time, with the Go loops
 // finishing the n % 16 tail columns. The forward product passes it a
 // row-major a; the weight gradient aᵀ·b passes a's column as the row, by
-// stride. The input gradient a·bᵀ transposes b (a weight matrix) once and
-// runs the forward product into a zeroed out. That product skips zero a
+// stride. The input gradient a·bᵀ transposes b (a weight matrix) once,
+// zero-padding its columns to a multiple of sixteen, and runs the forward
+// product into a zeroed out (or zeroed scratch of the padded width, for
+// the first RGCN layer's 15-row weight). That product skips zero a
 // terms, which the plain dot product adds, and is still exact: the sum
 // starts at +0, and a sum that starts at +0 never becomes −0 (x + y is −0
 // only when both are −0), so adding the ±0 that a zero a times a finite
@@ -416,15 +418,15 @@ func MatMulTB(a, b *Matrix) *Matrix {
 
 // MatMulTBInto overwrites out = a·bᵀ (a is m×k, b is n×k, out m×n) on
 // the calling goroutine; every output row is an independent dot-product
-// sweep. With the AVX2 kernel and n ≥ 16 it runs as out = a·(bᵀ) on the
-// forward path, unless b holds a non-finite value (see the order rule
-// above matmulRows).
+// sweep. With the AVX2 kernel it runs as out = a·(bᵀ) on the forward
+// path, unless b holds a non-finite value (see the order rule above
+// matmulRows).
 func MatMulTBInto[T Float](a, b, out *MatrixOf[T]) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTB %dx%d · %dx%d into %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	if useAVX2 && b.Rows >= 16 && matmulTBForward(a, b, out) {
+	if useAVX2 && matmulTBForward(a, b, out) {
 		return
 	}
 	matmulTBRange(a, b, out, 0, a.Rows)
@@ -454,24 +456,43 @@ func getScratch[T Float](pool *sync.Pool) *BufOf[T] {
 
 // matmulTBForward computes out = a·bᵀ as out = 0, out += a·bt with bt =
 // bᵀ, and reports whether it did: it leaves out alone and returns false
-// when b holds ±Inf or NaN.
+// when b holds ±Inf or NaN. When n = b.Rows is not a multiple of 16, bt's
+// columns are zero-padded to the next one and the product runs into
+// zeroed scratch of that width, whose n real columns are copied to out, so
+// the AVX2 kernel computes every column with the additions it always
+// makes.
 func matmulTBForward[T Float](a, b, out *MatrixOf[T]) bool {
+	m, kk, n := a.Rows, a.Cols, b.Rows
+	n16 := (n + 15) &^ 15
+	rows := kk // bt, then the padded product when n16 != n
+	if n16 != n {
+		rows += m
+	}
 	pool := scratchPool[T]()
 	buf := getScratch[T](pool)
 	defer pool.Put(buf)
-	bt := buf.Get(b.Cols, b.Rows)
+	s := buf.GetZeroed(rows, n16).Data
+	bt, prod := s[:kk*n16], s[kk*n16:]
 	var nonFinite T // stays 0 unless some v·0 is NaN
-	for j := 0; j < b.Rows; j++ {
+	for j := 0; j < n; j++ {
 		for k, v := range b.Row(j) {
-			bt.Data[k*b.Rows+j] = v
+			bt[k*n16+j] = v
 			nonFinite += v * 0
 		}
 	}
 	if nonFinite != 0 {
 		return false
 	}
-	out.Zero()
-	MatMulAddInto(a, bt, out)
+	if n16 == n {
+		out.Zero()
+		prod = out.Data
+	}
+	matmulRows(a.Data, bt, prod, kk, n16, 0, m)
+	if n16 != n {
+		for i := 0; i < m; i++ {
+			copy(out.Data[i*n:(i+1)*n], prod[i*n16:])
+		}
+	}
 	return true
 }
 
