@@ -218,31 +218,37 @@ func useKernel(tb testing.TB, asm bool) (restore func()) {
 // odd and even k (a trailing unpaired column or row), every n % 4
 // remainder and n on both sides of the AVX2 kernel's sixteen-column
 // block; a fixed tall case crosses reductionThreshold so
-// MatMulTAAddInto's chunked reduction engages. Every case runs on the
-// AVX2 kernel and again on the Go ones.
+// MatMulTAAddInto's chunked reduction engages. The kernels run on the
+// calling goroutine, so the worker cap must change nothing; each cap runs
+// on the AVX2 kernel and again on the Go ones.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
 	}
-	for _, path := range kernelPaths {
-		t.Run(path.name, func(t *testing.T) {
-			defer useKernel(t, path.asm)()
-			f := func(seed uint64) bool {
-				r := NewRNG(seed)
-				m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
-				if err := checkKernels(r, m, k, n); err != nil {
-					t.Logf("seed %d: %v", seed, err)
-					return false
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
-				if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
-					t.Fatal(err)
-				}
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workercap=%d", workers), func(t *testing.T) {
+			defer SetWorkerCap(workers)()
+			for _, path := range kernelPaths {
+				t.Run(path.name, func(t *testing.T) {
+					defer useKernel(t, path.asm)()
+					f := func(seed uint64) bool {
+						r := NewRNG(seed)
+						m, k, n := 1+r.Intn(40), 1+r.Intn(37), 1+r.Intn(37)
+						if err := checkKernels(r, m, k, n); err != nil {
+							t.Logf("seed %d: %v", seed, err)
+							return false
+						}
+						return true
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range [][3]int{{1100, 13, 16}, {600, 37, 23}} {
+						if err := checkKernels(NewRNG(uint64(s[0])), s[0], s[1], s[2]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}
