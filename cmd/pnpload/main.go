@@ -3,8 +3,7 @@
 // weighted predict / sync-tune / async-job traffic mix drawn uniformly
 // over a configurable model-key space, and HDR-style log-linear
 // latency histograms. The run's report — per-op p50/p90/p99/mean/max,
-// throughput, and error counts by stable API code — is written as JSON
-// for benchmark artifacts like BENCH_6.json.
+// throughput, and error counts by stable API code — is written as JSON.
 //
 // Usage:
 //

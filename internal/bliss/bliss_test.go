@@ -162,9 +162,9 @@ func TestExploreFallbackSpendsFullBudget(t *testing.T) {
 func TestSessionAllocsCeiling(t *testing.T) {
 	// Regression ceiling for the vectorized session: the dominant costs
 	// are the once-per-session feature matrices; the steady-state
-	// exploit rounds reuse scratch buffers. BENCH_4 measured 13205
-	// allocs per session before vectorization, ~207 after; the ceiling
-	// is the issue's 50x-reduction floor.
+	// exploit rounds reuse scratch buffers. A session allocated 13205
+	// times at commit de1ffa6, before vectorization, and ~207 after; the
+	// ceiling is a 50x-reduction floor.
 	d := dataset.MustBuild(hw.Haswell())
 	rd := d.Regions[0]
 	p := timeTask(d, 0, 1, Budget)

@@ -180,3 +180,63 @@ func BenchmarkTrainFold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitEpoch measures training epoch throughput on the full
+// scenario-1 corpus: one Fit call with a single epoch — minibatch
+// assembly, block-diagonal encoder forward/backward, head passes, and the
+// optimizer step for every minibatch of the 68-region corpus. This is the
+// headline training hot path the compile-once pipeline exists for; the
+// ledger's core.fit_epoch_ms row times the same call.
+func BenchmarkFitEpoch(b *testing.B) {
+	d := dataset.MustBuild(hw.Haswell())
+	cfg := DefaultModelConfig()
+	cfg.Epochs = 1
+	nCaps := len(d.Space.Caps())
+	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
+	samples := PowerSamples(d, d.Regions, cfg)
+	m.Fit(samples) // warm caches so iterations measure steady state
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Fit(samples)
+	}
+}
+
+// BenchmarkPredictSweep measures prediction-sweep throughput: scoring
+// every region of the corpus across every per-cap head (68 regions × 4
+// heads × 127 configs) from raw graphs to config picks — the
+// train-once/predict-many serving shape.
+func BenchmarkPredictSweep(b *testing.B) {
+	d := dataset.MustBuild(hw.Haswell())
+	cfg := DefaultModelConfig()
+	cfg.Epochs = 1
+	nCaps := len(d.Space.Caps())
+	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
+	m.Fit(PowerSamples(d, d.Regions, cfg))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := PredictPower(d, m, d.Regions); len(got) != len(d.Regions) {
+			b.Fatal("sweep dropped regions")
+		}
+	}
+}
+
+// BenchmarkPredictSweepQuantized is BenchmarkPredictSweep through the
+// float32 quantized serving snapshot (weights converted once, outside the
+// loop) — the measured speedup of the -quantize serving path. Picks are
+// parity-gated bit-equal to the float64 sweep (TestQuantizedParity*).
+func BenchmarkPredictSweepQuantized(b *testing.B) {
+	d := dataset.MustBuild(hw.Haswell())
+	cfg := DefaultModelConfig()
+	cfg.Epochs = 1
+	nCaps := len(d.Space.Caps())
+	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
+	m.Fit(PowerSamples(d, d.Regions, cfg))
+	q := m.MustQuantize()
+	PredictPowerQuantized(q, d.Regions) // warm the scratch arenas
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := PredictPowerQuantized(q, d.Regions); len(got) != len(d.Regions) {
+			b.Fatal("sweep dropped regions")
+		}
+	}
+}

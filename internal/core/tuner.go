@@ -283,28 +283,6 @@ func TrainUnseenCap(d *dataset.Dataset, fold dataset.Fold, targetCapIdx int, cfg
 	return &UnseenCapResult{Model: m, Stats: stats, Pred: pred}
 }
 
-// PredictTopK returns head h's k highest-scoring classes for region r,
-// best first. It powers the hybrid tuning mode: the static model proposes
-// k candidates and a handful of validation executions picks the winner,
-// trading the paper's zero-execution property for extra headroom — an
-// extension the paper's Discussion suggests ("limiting the number of
-// sampling runs").
-func (m *Model) PredictTopK(r *kernels.Region, extraFeats []float64, h, k int) []int {
-	pooled := m.Enc.Forward(r, m.Adjacency(r))
-	logits := m.ScoreAll(pooled, [][]float64{extraFeats}, h)
-	return nn.TopK(logits, 0, k)
-}
-
-// Strategy wraps the trained model as an autotune.Strategy for one
-// region: a shortlist of head h's top-k predictions, best-first. With a
-// zero engine budget it is the paper's zero-execution static scenario
-// (Best is the top-1 prediction); under a small budget it is the hybrid
-// GNN-predict-then-search scenario (the engine measures the shortlist
-// and the best measured candidate wins).
-func (m *Model) Strategy(r *kernels.Region, extraFeats []float64, h, k int) autotune.Strategy {
-	return autotune.NewShortlist(m.PredictTopK(r, extraFeats, h, k))
-}
-
 // TopKPower returns, per validation region and cap, the model's k
 // highest-scoring config indices (best first) from one batched encoder
 // pass — the proposal shortlists hybrid tuning sessions refine by

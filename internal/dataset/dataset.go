@@ -140,19 +140,14 @@ func build(m *hw.Machine, corpus *kernels.Corpus) (*Dataset, error) {
 	return d, nil
 }
 
-// Minibatches slices a sample permutation into contiguous minibatches of
-// the given size (the last batch may be short). It is the iterator the
-// batched trainer walks once per epoch: each returned index set becomes
-// one block-diagonal graph batch and one optimizer step.
-func Minibatches(perm []int, size int) [][]int {
-	return MinibatchesInto(nil, perm, size)
-}
-
-// MinibatchesInto is Minibatches reusing dst's backing storage: the
-// trainer passes the previous epoch's slice back in, so the per-epoch
-// re-slicing of a fresh permutation allocates nothing in steady state.
-// The returned batches alias perm, which the caller likewise reuses (see
-// tensor.RNG.PermInto).
+// MinibatchesInto slices a sample permutation into contiguous minibatches
+// of the given size (the last batch may be short), appending them to
+// dst[:0]. It is the iterator the batched trainer walks once per epoch:
+// each returned index set becomes one block-diagonal graph batch and one
+// optimizer step. The trainer passes the previous epoch's slice back in
+// as dst, so re-slicing a fresh permutation allocates nothing in steady
+// state. The returned batches alias perm, which the caller likewise
+// reuses (see tensor.RNG.PermInto).
 func MinibatchesInto(dst [][]int, perm []int, size int) [][]int {
 	if size < 1 {
 		size = 1

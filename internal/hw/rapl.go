@@ -87,9 +87,3 @@ func EnergyDelta(before, after uint64) float64 {
 	d := (after - before) & 0xFFFFFFFF
 	return float64(d) * EnergyUnitJ
 }
-
-// FreqAtCap resolves the sustained frequency and throttle factor for a
-// team of n threads under the active limit.
-func (r *RAPL) FreqAtCap(threads int) (f, throttle float64) {
-	return r.m.FreqAtCap(threads, r.PowerLimit())
-}

@@ -21,7 +21,6 @@ import (
 	"pnptuner/internal/hw"
 	"pnptuner/internal/kernels"
 	"pnptuner/internal/omp"
-	"pnptuner/internal/papi"
 	"pnptuner/internal/space"
 )
 
@@ -78,7 +77,6 @@ type Runner struct {
 	ctx      context.Context
 	runs     int
 	samples  []Sample
-	counters *papi.Counters
 	onSample func(Sample)
 }
 
@@ -231,17 +229,6 @@ func (r *Runner) Samples() []Sample {
 	out := make([]Sample, len(r.samples))
 	copy(out, r.samples)
 	return out
-}
-
-// Counters collects the region's PAPI counters, once per session.
-func (r *Runner) Counters() papi.Counters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		c := papi.Collect(&r.region.Info.Model, r.m)
-		r.counters = &c
-	}
-	return *r.counters
 }
 
 // DatasetSamples converts the session's samples into the dataset

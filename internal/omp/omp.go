@@ -271,11 +271,6 @@ func (ex *Executor) Finish(p Plan, capW float64) Result {
 	}
 }
 
-// RunDefault executes the region under the default OpenMP configuration.
-func (ex *Executor) RunDefault(model *frontend.RegionModel, regionSeed uint64, capW float64) Result {
-	return ex.Run(model, regionSeed, DefaultConfig(ex.M), capW)
-}
-
 // activeCoresSockets mirrors hw.Machine.activeTopology (package-private
 // there) for the energy split.
 func activeCoresSockets(m *hw.Machine, threads int) (cores, sockets int) {

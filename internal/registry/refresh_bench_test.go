@@ -13,8 +13,7 @@ import (
 // cost the measure→learn loop pays per version: dataset derivation from
 // the sample log, the serialized-clone round trip, and a one-epoch
 // fine-tune on the refined fold. This is what a pnpserve replica spends
-// off the request path every time -refresh-threshold trips
-// (BENCH_7.json tracks it).
+// off the request path every time -refresh-threshold trips.
 func BenchmarkRefreshRetrain(b *testing.B) {
 	reg, err := New("", 4, func(k Key) (*core.Model, core.ModelMeta, error) {
 		m, meta := fullShapeModel(k)
