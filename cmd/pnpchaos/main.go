@@ -1,10 +1,10 @@
 // Command pnpchaos is a standalone fault-injecting reverse proxy: it
 // sits on the network path to a pnpserve replica or a pnpgate and
 // injects latency, abrupt connection errors, black-hole partitions, and
-// bandwidth caps, deterministically from a seed. Chaos suites (CI's
-// chaos-smoke job, manual game days) put one in front of each replica
-// and assert the fleet's client-visible behavior stays inside the SLO
-// envelope.
+// bandwidth caps, deterministically from a seed. A manual game day puts
+// one in front of each replica and checks the fleet's client-visible
+// behavior stays inside the SLO envelope; testutil.WithChaos does the
+// same in process.
 //
 // Usage:
 //

@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -49,20 +50,36 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated pnpserve base URLs (order is the stable replica index)")
-	vnodes := flag.Int("vnodes", gate.DefaultVNodes, "virtual nodes per replica on the hash ring")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive transport failures that mark a replica down")
-	recoverOKs := flag.Int("recover-successes", 2, "consecutive successes a half-open replica needs to be up")
-	probeInterval := flag.Duration("probe-interval", time.Second, "background health-probe period")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-	attemptTimeout := flag.Duration("attempt-timeout", time.Minute, "per-replica attempt bound; a black-holed replica costs one slice of the request budget, not all of it (negative = unbounded)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger for idempotent predicts (0 = adaptive, from the observed p99)")
-	noHedge := flag.Bool("no-hedge", false, "disable hedged predicts entirely")
-	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for in-place profiling of the routing hot paths")
-	traceLog := flag.Int("trace-log", 0,
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], log.Default(), nil); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "pnpgate: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run builds the gate from args, listens, hands the bound address to
+// ready (when set), and serves until ctx ends; then it drains and
+// returns nil. Bad input is returned as an error before anything
+// listens.
+func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr string)) error {
+	fs := flag.NewFlagSet("pnpgate", flag.ContinueOnError)
+	addr := fs.String("addr", ":8090", "listen address")
+	replicas := fs.String("replicas", "", "comma-separated pnpserve base URLs (order is the stable replica index)")
+	vnodes := fs.Int("vnodes", gate.DefaultVNodes, "virtual nodes per replica on the hash ring")
+	failThreshold := fs.Int("fail-threshold", 3, "consecutive transport failures that mark a replica down")
+	recoverOKs := fs.Int("recover-successes", 2, "consecutive successes a half-open replica needs to be up")
+	probeInterval := fs.Duration("probe-interval", time.Second, "background health-probe period")
+	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
+	attemptTimeout := fs.Duration("attempt-timeout", time.Minute, "per-replica attempt bound; a black-holed replica costs one slice of the request budget, not all of it (negative = unbounded)")
+	hedgeDelay := fs.Duration("hedge-delay", 0, "fixed hedge trigger for idempotent predicts (0 = adaptive, from the observed p99)")
+	noHedge := fs.Bool("no-hedge", false, "disable hedged predicts entirely")
+	enablePprof := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for in-place profiling of the routing hot paths")
+	traceLog := fs.Int("trace-log", 0,
 		"log every Nth request's root span via slog (0 disables trace sampling logs)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
@@ -83,13 +100,13 @@ func main() {
 		DisableHedge:   *noHedge,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pnpgate: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	defer g.Close()
 
 	if *traceLog > 0 {
 		g.SetTraceLogging(*traceLog)
-		log.Printf("trace sampling enabled: logging every %d requests", *traceLog)
+		logger.Printf("trace sampling enabled: logging every %d requests", *traceLog)
 	}
 
 	// The gate handler owns the API surface; -pprof mounts the standard
@@ -104,37 +121,38 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
-		log.Printf("pprof enabled at /debug/pprof/")
+		logger.Printf("pprof enabled at /debug/pprof/")
 	}
 
-	log.Printf("pnpgate listening on %s, routing %d replicas (%s)", *addr, len(urls), strings.Join(urls, ", "))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	logger.Printf("pnpgate listening on %s, routing %d replicas (%s)", ln.Addr(), len(urls), strings.Join(urls, ", "))
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		got := <-sig
-		log.Printf("received %s, draining (grace %s)", got, *shutdownTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-		g.Close()
-		log.Printf("drained; bye")
-	}()
-
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "pnpgate: %v\n", err)
-		os.Exit(1)
+	if ready != nil {
+		ready(ln.Addr().String())
 	}
-	<-done
+
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	logger.Printf("draining (grace %s)", *shutdownTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		logger.Printf("http shutdown: %v", err)
+	}
+	<-served
+	logger.Printf("drained; bye")
+	return nil
 }

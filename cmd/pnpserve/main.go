@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -56,32 +57,47 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	dir := flag.String("dir", "", "on-disk model store (empty = in-memory only)")
-	cacheSize := flag.Int("cache", 8, "max models held in memory (LRU)")
-	epochs := flag.Int("epochs", 0, "override training epochs for train-on-miss")
-	maxBatch := flag.Int("max-batch", 16, "micro-batch window size (max requests per forward)")
-	maxInflight := flag.Int("max-inflight", 1024,
-		"concurrent predict/tune requests admitted per route before load-shedding 503 overloaded (negative = unlimited)")
-	jobWorkers := flag.Int("job-workers", 2, "concurrent async tune sessions")
-	jobQueue := flag.Int("job-queue", 32, "max async tune jobs awaiting a worker")
-	jobTTL := flag.Duration("job-ttl", 15*time.Minute, "finished-job retention before GC")
-	refreshThreshold := flag.Int("refresh-threshold", 0,
-		"measured samples per model that trigger a background refresh retrain (0 disables the measure→learn loop)")
-	canaryWindow := flag.Int("canary-window", 16,
-		"scored live predicts a refreshed model shadows before the promote/demote verdict")
-	refreshEpochs := flag.Int("refresh-epochs", 4, "fine-tune epochs per refresh retrain")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second,
-		"grace period for in-flight requests and running jobs on SIGINT/SIGTERM")
-	quantize := flag.Bool("quantize", false,
-		"serve predictions through float32 quantized model snapshots (picks are parity-gated bit-equal to float64)")
-	preload := flag.String("preload", "", "comma-separated machine/objective[/scenario] keys to resolve at startup")
-	peers := flag.String("peers", "", "comma-separated peer replica base URLs to fetch cold models from before training")
-	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for in-place profiling of the serving hot paths")
-	traceLog := flag.Int("trace-log", 0,
-		"log every Nth request's root span via slog (0 disables trace sampling logs)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], log.Default(), nil); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "pnpserve: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run builds the server from args, listens, hands the bound address to
+// ready (when set), and serves until ctx ends; then it drains and
+// returns nil. Bad input is returned as an error before anything
+// listens.
+func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr string)) error {
+	fs := flag.NewFlagSet("pnpserve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	dir := fs.String("dir", "", "on-disk model store (empty = in-memory only)")
+	cacheSize := fs.Int("cache", 8, "max models held in memory (LRU)")
+	epochs := fs.Int("epochs", 0, "override training epochs for train-on-miss")
+	maxBatch := fs.Int("max-batch", 16, "micro-batch window size (max requests per forward)")
+	maxInflight := fs.Int("max-inflight", 1024,
+		"concurrent predict/tune requests admitted per route before load-shedding 503 overloaded (negative = unlimited)")
+	jobWorkers := fs.Int("job-workers", 2, "concurrent async tune sessions")
+	jobQueue := fs.Int("job-queue", 32, "max async tune jobs awaiting a worker")
+	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "finished-job retention before GC")
+	refreshThreshold := fs.Int("refresh-threshold", 0,
+		"measured samples per model that trigger a background refresh retrain (0 disables the measure→learn loop)")
+	canaryWindow := fs.Int("canary-window", 16,
+		"scored live predicts a refreshed model shadows before the promote/demote verdict")
+	refreshEpochs := fs.Int("refresh-epochs", 4, "fine-tune epochs per refresh retrain")
+	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second,
+		"grace period for in-flight requests and running jobs on SIGINT/SIGTERM")
+	quantize := fs.Bool("quantize", false,
+		"serve predictions through float32 quantized model snapshots (picks are parity-gated bit-equal to float64)")
+	preload := fs.String("preload", "", "comma-separated machine/objective[/scenario] keys to resolve at startup")
+	peers := fs.String("peers", "", "comma-separated peer replica base URLs to fetch cold models from before training")
+	enablePprof := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for in-place profiling of the serving hot paths")
+	traceLog := fs.Int("trace-log", 0,
+		"log every Nth request's root span via slog (0 disables trace sampling logs)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	cfg := core.DefaultModelConfig()
 	if *epochs > 0 {
 		cfg.Epochs = *epochs
@@ -89,7 +105,7 @@ func main() {
 
 	reg, err := registry.New(*dir, *cacheSize, registry.DefaultTrainer(cfg))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// In a cluster, a registry miss first asks the peer replicas for the
@@ -98,6 +114,7 @@ func main() {
 	// the content address, so a bad peer cannot poison the store.
 	if peerURLs := splitList(*peers); len(peerURLs) > 0 {
 		pool := client.NewPool(client.WithRetries(0, time.Millisecond))
+		defer pool.Close()
 		reg.SetFetcher(func(ctx context.Context, k registry.Key) ([]byte, error) {
 			// ctx carries the resolving request's trace ID (never its
 			// cancellation), so the peer hop joins the same trace; the
@@ -112,13 +129,13 @@ func main() {
 				data, err := io.ReadAll(rc)
 				rc.Close()
 				if err == nil && len(data) > 0 {
-					log.Printf("fetched model %s (%s) from peer %s", k, k.ID(), peer)
+					logger.Printf("fetched model %s (%s) from peer %s", k, k.ID(), peer)
 					return data, nil
 				}
 			}
 			return nil, nil // no peer has it: train locally
 		})
-		log.Printf("peer model fetch enabled (%s)", strings.Join(peerURLs, ", "))
+		logger.Printf("peer model fetch enabled (%s)", strings.Join(peerURLs, ", "))
 	}
 
 	// Serving annotates client graphs with the corpus vocabulary; freeze
@@ -126,7 +143,7 @@ func main() {
 	// ids the trained embeddings have never seen.
 	corpus, err := kernels.Compile()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	corpus.Vocab.Freeze()
 
@@ -145,33 +162,30 @@ func main() {
 			Epochs:       *refreshEpochs,
 		},
 	})
+	defer srv.Close() // a no-op after the drain below
 	if *refreshThreshold > 0 {
-		log.Printf("model refresh enabled: threshold %d samples, canary window %d, %d epochs",
+		logger.Printf("model refresh enabled: threshold %d samples, canary window %d, %d epochs",
 			*refreshThreshold, *canaryWindow, *refreshEpochs)
 	}
 	if *quantize {
-		log.Printf("quantized serving enabled: forwarding on float32 model snapshots")
+		logger.Printf("quantized serving enabled: forwarding on float32 model snapshots")
 	}
 	if *traceLog > 0 {
 		srv.SetTraceLogging(*traceLog)
-		log.Printf("trace sampling enabled: logging every %d requests", *traceLog)
+		logger.Printf("trace sampling enabled: logging every %d requests", *traceLog)
 	}
 
-	for _, spec := range strings.Split(*preload, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
+	for _, spec := range splitList(*preload) {
 		key, err := parseKey(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		log.Printf("preloading %s ...", key)
+		logger.Printf("preloading %s ...", key)
 		start := time.Now()
 		if _, err := reg.Get(key); err != nil {
-			fatal(err)
+			return err
 		}
-		log.Printf("preloaded %s in %s", key, time.Since(start).Round(time.Millisecond))
+		logger.Printf("preloaded %s in %s", key, time.Since(start).Round(time.Millisecond))
 	}
 
 	// The registry handler owns the API surface; -pprof mounts the
@@ -188,13 +202,16 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
-		log.Printf("pprof enabled at /debug/pprof/")
+		logger.Printf("pprof enabled at /debug/pprof/")
 	}
 
-	log.Printf("pnpserve listening on %s (store %q, cache %d, batch %d, jobs %d×%d)",
-		*addr, *dir, *cacheSize, *maxBatch, *jobWorkers, *jobQueue)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	logger.Printf("pnpserve listening on %s (store %q, cache %d, batch %d, jobs %d×%d)",
+		ln.Addr(), *dir, *cacheSize, *maxBatch, *jobWorkers, *jobQueue)
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
@@ -203,30 +220,30 @@ func main() {
 		// and the bounded request body.
 		IdleTimeout: 2 * time.Minute,
 	}
+	if ready != nil {
+		ready(ln.Addr().String())
+	}
 
 	// Graceful shutdown: stop the listener first so no new requests race
 	// the drain, let in-flight requests and running jobs finish within
 	// the grace period, then cancel what remains and close the batchers.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		got := <-sig
-		log.Printf("received %s, shutting down (grace %s)", got, *shutdownTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("http shutdown: %v", err)
-		}
-		srv.Shutdown(ctx)
-		log.Printf("drained; bye")
-	}()
-
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-done
+	logger.Printf("shutting down (grace %s)", *shutdownTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		logger.Printf("http shutdown: %v", err)
+	}
+	srv.Shutdown(drainCtx)
+	<-served
+	logger.Printf("drained; bye")
+	return nil
 }
 
 // splitList reads a comma-separated flag into its non-empty parts.
@@ -251,9 +268,4 @@ func parseKey(spec string) (registry.Key, error) {
 		key.Scenario = parts[2]
 	}
 	return key, key.Validate()
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "pnpserve: %v\n", err)
-	os.Exit(1)
 }

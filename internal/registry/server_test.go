@@ -681,8 +681,8 @@ func TestServerAsyncTuneParity(t *testing.T) {
 			t.Fatalf("%s: sync status %d", name, resp.StatusCode)
 		}
 		resp, legacy := postTune(t, ts.URL, "/tune", tuneBody(t, req))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: legacy status %d", name, resp.StatusCode)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
+			t.Fatalf("%s: legacy status %d, Deprecation %q", name, resp.StatusCode, resp.Header.Get("Deprecation"))
 		}
 		if !reflect.DeepEqual(sync, legacy) {
 			t.Fatalf("%s: legacy /tune diverges from v1:\n%+v\n%+v", name, legacy, sync)

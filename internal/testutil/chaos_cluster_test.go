@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"testing"
 	"time"
 
@@ -138,6 +139,44 @@ func TestClusterChaosPartitionFailover(t *testing.T) {
 	}
 	c.WaitState(t, owner, api.ReplicaDown, 10*time.Second)
 	chaosPredict(t, cl, "haswell", graph)
+}
+
+// TestClusterChaosAllFaults arms three faults at once, one per replica:
+// 30ms±10ms latency, 5% connection kills and a full partition. Once the
+// partitioned replica is down and a warm-up has trained every key,
+// predicts with a 5 s deadline see zero errors and a p99 under 1 s.
+func TestClusterChaosAllFaults(t *testing.T) {
+	c := testutil.StartCluster(t, 3, testutil.WithChaos(1),
+		testutil.WithGateHealth(gate.TrackerConfig{ProbeInterval: 20 * time.Millisecond, ProbeTimeout: 200 * time.Millisecond}),
+		testutil.WithGateConfig(func(g *gate.Config) { g.AttemptTimeout = 10 * time.Second }))
+	c.Chaos[0].SetFaults(chaos.Faults{Latency: 30 * time.Millisecond, Jitter: 10 * time.Millisecond})
+	c.Chaos[1].SetFaults(chaos.Faults{ErrorRate: 0.05})
+	c.Chaos[2].SetFaults(chaos.Faults{Partition: true})
+	c.WaitState(t, 2, api.ReplicaDown, 5*time.Second)
+	cl := c.Client(client.WithRetries(0, time.Millisecond))
+	graphs := []api.RawObject{corpusGraph(t, 0), corpusGraph(t, 1)}
+	var lat []time.Duration
+	for round := -1; round < 4; round++ { // round -1 is the unasserted warm-up
+		for _, k := range clusterKeys() {
+			for _, g := range graphs {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				start := time.Now()
+				_, err := cl.Predict(ctx, api.PredictRequest{Machine: k.Machine, Objective: k.Objective, Graph: g})
+				cancel()
+				if round < 0 {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("predict %s: %v", k, err)
+				}
+				lat = append(lat, time.Since(start))
+			}
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if p99 := lat[len(lat)*99/100]; p99 >= time.Second {
+		t.Fatalf("p99 %v, want under 1s", p99)
+	}
 }
 
 // TestClusterDeadlineShedE2E: a request whose X-Deadline budget cannot

@@ -32,13 +32,9 @@ import (
 
 // config collects StartCluster options.
 type config struct {
-	cache      int
-	maxBatch   int
-	jobs       registry.JobStoreConfig
 	trainer    registry.TrainFunc
 	trainDelay time.Duration
 	health     gate.TrackerConfig
-	vnodes     int
 	gateMod    func(*gate.Config)
 	serverMod  func(*registry.ServerConfig)
 	chaosSeed  int64
@@ -47,9 +43,6 @@ type config struct {
 
 // Option tunes StartCluster.
 type Option func(*config)
-
-// WithCache sets each replica's in-memory model LRU capacity.
-func WithCache(n int) Option { return func(c *config) { c.cache = n } }
 
 // WithTrainer swaps the per-replica train-on-miss function (default
 // TinyTrainer). The cluster wraps it with the replica's Trains counter
@@ -64,9 +57,6 @@ func WithTrainDelay(d time.Duration) Option { return func(c *config) { c.trainDe
 // default probes every 20ms with threshold 3 / recovery 2, so a killed
 // replica is detected within ~100ms of test time.
 func WithGateHealth(h gate.TrackerConfig) Option { return func(c *config) { c.health = h } }
-
-// WithJobs bounds each replica's async tune job subsystem.
-func WithJobs(j registry.JobStoreConfig) Option { return func(c *config) { c.jobs = j } }
 
 // WithGateConfig applies mod to the gate's config after the defaults
 // are set — tests tune attempt timeouts, hedging, or anything else
@@ -126,7 +116,6 @@ type Replica struct {
 	running bool
 	addr    string
 	ln      net.Listener
-	reg     *registry.Registry
 	srv     *registry.Server
 	http    *http.Server
 	pool    *client.Pool
@@ -140,10 +129,7 @@ type Replica struct {
 func StartCluster(t testing.TB, n int, opts ...Option) *Cluster {
 	t.Helper()
 	cfg := &config{
-		cache:    8,
-		maxBatch: 8,
-		jobs:     registry.JobStoreConfig{Workers: 2, Queue: 32, TTL: time.Minute},
-		trainer:  TinyTrainer,
+		trainer: TinyTrainer,
 		health: gate.TrackerConfig{
 			FailThreshold:    3,
 			RecoverSuccesses: 2,
@@ -193,7 +179,7 @@ func StartCluster(t testing.TB, n int, opts ...Option) *Cluster {
 		}
 	}
 
-	gcfg := gate.Config{Replicas: gateURLs, VNodes: cfg.vnodes, Health: cfg.health}
+	gcfg := gate.Config{Replicas: gateURLs, Health: cfg.health}
 	if cfg.gateMod != nil {
 		cfg.gateMod(&gcfg)
 	}
@@ -256,14 +242,14 @@ func (c *Cluster) WaitState(t testing.TB, i int, want string, timeout time.Durat
 // start boots the replica's registry and HTTP server on addr
 // ("host:0" picks an ephemeral port; a concrete addr rebinds it).
 func (r *Replica) start(addr string) error {
-	reg, err := registry.New(r.Dir, r.cfg.cache, r.countingTrainer())
+	reg, err := registry.New(r.Dir, 8, r.countingTrainer())
 	if err != nil {
 		return err
 	}
 	reg.SetFetcher(r.fetchFromPeers)
 	scfg := registry.ServerConfig{
-		MaxBatch: r.cfg.maxBatch,
-		Jobs:     r.cfg.jobs,
+		MaxBatch: 8,
+		Jobs:     registry.JobStoreConfig{Workers: 2, Queue: 32, TTL: time.Minute},
 	}
 	if r.cfg.serverMod != nil {
 		r.cfg.serverMod(&scfg)
@@ -286,7 +272,7 @@ func (r *Replica) start(addr string) error {
 		r.addr = ln.Addr().String()
 		r.URL = "http://" + r.addr
 	}
-	r.ln, r.reg, r.srv, r.http = ln, reg, srv, hs
+	r.ln, r.srv, r.http = ln, srv, hs
 	r.mu.Unlock()
 	return nil
 }
@@ -353,20 +339,6 @@ func (r *Replica) Restart() error {
 	addr := r.addr
 	r.mu.Unlock()
 	return r.start(addr)
-}
-
-// Running reports whether the replica is serving.
-func (r *Replica) Running() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.running
-}
-
-// Registry exposes the replica's current registry (swapped on restart).
-func (r *Replica) Registry() *registry.Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reg
 }
 
 // TinyTrainer is the shared test trainer: a correctly-shaped untrained

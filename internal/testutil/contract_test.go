@@ -2,7 +2,6 @@ package testutil_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
-	"pnptuner/internal/loadgen"
 	"pnptuner/internal/registry"
 	"pnptuner/internal/telemetry"
 	"pnptuner/internal/testutil"
@@ -75,7 +73,7 @@ func TestServingContract(t *testing.T) {
 	for _, tier := range tiers {
 		for _, tc := range cases {
 			t.Run(tier.name+"/"+tc.name, func(t *testing.T) {
-				before := scrape(t, tier.url)
+				before := testutil.Scrape(t, tier.url)
 				req, _ := http.NewRequest(tc.method, tier.url+tc.path, nil)
 				if tc.requestID != "" {
 					req.Header.Set(telemetry.TraceHeader, tc.requestID)
@@ -91,7 +89,7 @@ func TestServingContract(t *testing.T) {
 				if tc.route == "" {
 					return
 				}
-				after := scrape(t, tier.url)
+				after := testutil.Scrape(t, tier.url)
 				series := []string{tier.family + "_http_requests_total"}
 				if tc.status >= 400 {
 					series = append(series, tier.family+"_http_errors_total")
@@ -286,13 +284,4 @@ func checkResponse(t *testing.T, req *http.Request, status int, code string) *ht
 		t.Fatalf("envelope request_id = %q, header %q", body.RequestID, id)
 	}
 	return resp
-}
-
-func scrape(t *testing.T, url string) map[string]float64 {
-	t.Helper()
-	m, err := loadgen.ScrapeMetrics(context.Background(), url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }

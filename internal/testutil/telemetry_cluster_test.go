@@ -9,7 +9,6 @@ import (
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/client"
-	"pnptuner/internal/loadgen"
 	"pnptuner/internal/registry"
 	"pnptuner/internal/telemetry"
 	"pnptuner/internal/testutil"
@@ -53,7 +52,7 @@ func findSpan(tr telemetry.Trace, name string) *telemetry.Span {
 // span and the proxied attempt, the owning replica's /v1/traces/{id}
 // holds its own root span plus the batcher's queue and forward spans —
 // all with real timings. Then both processes' /metrics expositions are
-// scraped through the pnpload parser and checked for the families the
+// scraped through testutil.Scrape and checked for the families the
 // request must have moved.
 func TestClusterTraceSpansGateAndReplica(t *testing.T) {
 	c := testutil.StartCluster(t, 2)
@@ -130,10 +129,7 @@ func TestClusterTraceSpansGateAndReplica(t *testing.T) {
 
 	// Metrics: both processes expose parseable text with the families
 	// the two predicts must have moved.
-	gm, err := loadgen.ScrapeMetrics(context.Background(), c.GateURL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gm := testutil.Scrape(t, c.GateURL)
 	if v := gm[`pnpgate_http_requests_total{route="/v1/predict"}`]; v < 2 {
 		t.Fatalf("gate predict request counter = %v, want >= 2", v)
 	}
@@ -146,10 +142,7 @@ func TestClusterTraceSpansGateAndReplica(t *testing.T) {
 		}
 	}
 
-	rm, err := loadgen.ScrapeMetrics(context.Background(), c.Replicas[served].URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rm := testutil.Scrape(t, c.Replicas[served].URL)
 	if v := rm[`pnp_http_requests_total{route="/v1/predict"}`]; v < 2 {
 		t.Fatalf("replica predict request counter = %v, want >= 2", v)
 	}
