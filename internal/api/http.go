@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -32,6 +33,19 @@ func WriteErrorStatus(w http.ResponseWriter, r *http.Request, status int, info *
 		w.Header().Set(RetryAfterHeader, strconv.Itoa(secs))
 	}
 	WriteJSON(w, status, ErrorBody{Error: *info, RequestID: r.Header.Get(telemetry.TraceHeader)})
+}
+
+// ReadBody reads a request body of at most MaxRequestBytes into one
+// buffer sized from a Content-Length within the limit, or else as
+// io.ReadAll over http.MaxBytesReader does. A body shorter than its
+// Content-Length fails with io.ErrUnexpectedEOF.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= MaxRequestBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 }
 
 // WithDeadline enforces the X-Deadline budget a client (or the gate)

@@ -120,13 +120,16 @@ func ErrorCode(err error) string {
 func IsCode(err error, code string) bool { return ErrorCode(err) == code }
 
 // Predict asks for the model's recommended configurations for one
-// program graph. The graph goes on the wire as it is, once checked to
-// be one JSON value.
+// program graph. The graph goes on the wire as it is, after the
+// marshalled envelope, so Predict first checks that it is one JSON value
+// (api.ValidJSON, the allocation-free skip the gate and the replica also
+// run): a broken graph would break the whole body. Its schema is left
+// to the replica, which decodes it anyway.
 func (c *Client) Predict(ctx context.Context, req api.PredictRequest) (*api.PredictResponse, error) {
 	graph := req.Graph
 	req.Graph = nil // the envelope's last field: written as null, then replaced
 	body, err := json.Marshal(req)
-	if err == nil && len(graph) > 0 && !json.Valid(graph) {
+	if err == nil && len(graph) > 0 && !api.ValidJSON(graph) {
 		err = errors.New("graph is not one JSON value")
 	}
 	if err != nil {

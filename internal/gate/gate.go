@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -346,7 +345,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "predict requires POST"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	body, err := api.ReadBody(w, r)
 	var req api.PredictRequest
 	var regionID string
 	end := 0

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/frontend"
 )
 
 func TestDOTContainsAllNodesAndColors(t *testing.T) {
@@ -138,19 +139,53 @@ func referencePredict(body []byte) (req api.PredictRequest, g *Graph, errReplica
 	return replica.PredictRequest, g, errReplica, errGate
 }
 
+// largeGraph is a generated region of serve-large's shape: one stencil
+// loop of 40 statements over six arrays, ~1.2k nodes.
+func largeGraph(tb testing.TB) *Graph {
+	tb.Helper()
+	var b strings.Builder
+	b.WriteString("const int N = 1200;\n")
+	for a := 0; a < 6; a++ {
+		fmt.Fprintf(&b, "double G%d[N][N];\n", a)
+	}
+	b.WriteString("void kernel_gen() {\n#pragma omp parallel for schedule(dynamic)\n")
+	b.WriteString("for (i = 2; i < N - 2; i++) {\nfor (j = 2; j < N - 2; j++) {\n")
+	for s := 0; s < 40; s++ {
+		d, src := 1+s%2, (s*5+1)%6
+		fmt.Fprintf(&b, "G%d[i][j] = (G%d[i-%d][j] + G%d[i][j+%d] + %d.5 * G%d[i][j]) / %d.0;\n",
+			s%6, src, d, src, d, 1+s%7, src, 3+s%4)
+	}
+	b.WriteString("}\n}\n}\n")
+	prog, low, err := frontend.Compile("gen", b.String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := FromFunction(prog.Regions[0].ID, low.RegionFunc[prog.Regions[0].ID])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // FuzzWire holds the one-pass decoder to the reflective reference, on
 // every input read both as a graph and as a predict body: both accept
 // or both reject, and what both accept decodes to DeepEqual values. An
 // accepted graph has every edge inside its node range and survives a
-// marshal round trip unchanged, and the routing pass accepts exactly
-// what the gate's reflective decode did.
+// marshal round trip unchanged, the routing pass accepts exactly what
+// the gate's reflective decode did, and the SDK's graph check,
+// api.ValidJSON, agrees with encoding/json.Valid.
 func FuzzWire(f *testing.F) {
 	data, err := json.Marshal(buildGraph(f))
 	if err != nil {
 		f.Fatal(err)
 	}
+	large, err := json.Marshal(largeGraph(f))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(data)
 	f.Add([]byte(`{"machine":"haswell","objective":"time","counters":[1,2.5e3],"graph":` + string(data) + `} junk`))
+	f.Add([]byte(`{"machine":"haswell","objective":"time","graph":` + string(large) + `}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	for _, src := range corruptGraphs {
@@ -165,10 +200,15 @@ func FuzzWire(f *testing.F) {
 		`{"graph":{"nodes":[]},"graph":null}`,
 		`{"x":[[{"y":"\"\\\/\b\f\n\r\t😀"}]],"graph":{"nodes":[null,{}]}}`,
 		`nullx`,
+		"{}\x00",
+		`{"\t"`,
 	} {
 		f.Add([]byte(src))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := api.ValidJSON(data), json.Valid(data); got != want {
+			t.Fatalf("api.ValidJSON = %v, json.Valid = %v", got, want)
+		}
 		var w wire
 		var want *Graph
 		errWant := json.Unmarshal(data, &w)

@@ -12,16 +12,13 @@ import (
 	"pnptuner/internal/api"
 )
 
-// This file is the one reader of the predict wire format: the request
-// envelope and its graph, in a single pass, under encoding/json's rules.
-// Keys match exactly or else case-folded, a repeated key merges into what
-// the earlier one decoded, null leaves a field as it was, int fields take
-// integer literals only, invalid UTF-8 and lone surrogates decode to
-// U+FFFD, and nesting stops at depth 10000. It is also the one home of
-// the graph checks: node kinds, edge relations and ranges, and the
-// api.MaxGraphNodes/MaxGraphEdges limits, which reject while decoding.
-
-const maxDepth = 10000 // encoding/json's nesting limit
+// This file is the one reader of the predict wire format, in one pass
+// under encoding/json's rules: keys match exactly or else case-folded, a
+// repeated key merges into what the earlier one decoded, null leaves a
+// field as it was, int fields take integer literals only, and invalid
+// UTF-8 and lone surrogates decode to U+FFFD. api.SkipJSON checks each
+// value skipped or read as a number. The graph checks live here too:
+// node kinds, edge relations and ranges, and the api limits.
 
 // DecodePredict decodes a POST /v1/predict body: the envelope into req
 // and its graph into g, nil when the graph is absent or null. Bytes
@@ -29,48 +26,37 @@ const maxDepth = 10000 // encoding/json's nesting limit
 // limits fails with an *api.ErrorInfo of code graph_too_large.
 func DecodePredict(body []byte) (req api.PredictRequest, g *Graph, err error) {
 	s := scanner{data: body}
-	if err = s.request(&req, &g); err == nil && g != nil {
-		err = g.settle()
+	if s.request(&req, &g); s.err == nil && g != nil {
+		s.err = g.settle()
 	}
-	return req, g, err
+	return req, g, s.err
 }
 
-// RoutePredict reads what a proxy needs of a predict body, the envelope
-// and the graph's region_id (when a string), checks the rest of the
-// graph's syntax without building it, and returns the offset past the
-// first value.
+// RoutePredict reads what a proxy needs of a predict body: the envelope,
+// the graph's region_id when a string, and the offset past the first
+// value. It checks the rest of the graph's syntax without building it.
 func RoutePredict(body []byte) (req api.PredictRequest, regionID string, end int, err error) {
-	s := scanner{data: body}
-	err = s.request(&req, func() error {
-		return s.container('{', func(key []byte) error {
-			if bytes.EqualFold(key, []byte("region_id")) && s.next() == '"' {
-				return s.into(&regionID)
-			}
-			return s.skip()
-		})
-	})
-	return req, regionID, s.pos, err
-}
-
-func (s *scanner) request(req *api.PredictRequest, graph any) error {
-	return s.fields([]string{"machine", "objective", "scenario", "counters", "graph"},
-		&req.Machine, &req.Objective, &req.Scenario, &req.Counters, graph)
+	s := scanner{data: body, route: true}
+	var g *Graph
+	if s.request(&req, &g); g != nil {
+		regionID = g.RegionID
+	}
+	return req, regionID, s.pos, s.err
 }
 
 // UnmarshalJSON decodes a graph produced by MarshalJSON.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var out Graph
 	s := scanner{data: data}
-	err := s.into(&out)
-	if s.next(); err == nil && s.pos < len(data) {
-		err = s.fail("the end")
-	} else if err == nil {
-		err = out.settle()
+	if s.graph(&out); s.next() != 0 || s.pos < len(data) {
+		s.fail("the end")
 	}
-	if err == nil {
-		*g = out
+	if s.err == nil {
+		if s.err = out.settle(); s.err == nil {
+			*g = out
+		}
 	}
-	return err
+	return s.err
 }
 
 // settle runs once the whole graph is read, as a later duplicate key may
@@ -101,19 +87,184 @@ func nonNil[T any](v []T) []T {
 	return v
 }
 
-// scanner reads JSON from data at pos.
+// scanner reads JSON from data at pos. Its first error sticks, and every
+// read after it does nothing. A route scanner skips a graph's lists.
 type scanner struct {
 	data       []byte
 	pos, depth int
+	err        error
+	route      bool
 }
 
-func (s *scanner) fail(want string) error {
-	return fmt.Errorf("programl: invalid JSON at offset %d of %d, want %s", s.pos, len(s.data), want)
+func (s *scanner) request(req *api.PredictRequest, g **Graph) {
+	for more := s.open('{'); more; more = s.more('}') {
+		switch s.name("machine", "objective", "scenario", "counters", "graph") {
+		case 0:
+			s.string(&req.Machine)
+		case 1:
+			s.string(&req.Objective)
+		case 2:
+			s.string(&req.Scenario)
+		case 3:
+			list(s, &req.Counters, -1, (*scanner).float)
+		case 4:
+			if s.next() == 'n' {
+				*g = nil
+			} else if *g == nil {
+				*g = &Graph{}
+			}
+			s.graph(*g)
+		default:
+			s.skip()
+		}
+	}
 }
 
-// next skips whitespace and returns the byte there, 0 at the end.
+func (s *scanner) graph(g *Graph) {
+	for more := s.open('{'); more; more = s.more('}') {
+		switch i := s.name("region_id", "nodes", "edges"); {
+		case i == 0 && (!s.route || s.next() == '"'):
+			s.string(&g.RegionID)
+		case i == 1 && !s.route:
+			list(s, &g.Nodes, api.MaxGraphNodes, (*scanner).node)
+		case i == 2 && !s.route:
+			list(s, &g.Edges, api.MaxGraphEdges, (*scanner).edge)
+		default:
+			s.skip()
+		}
+	}
+}
+
+func (s *scanner) node(n *Node) {
+	for more := s.open('{'); more; more = s.more('}') {
+		switch s.name("kind", "text", "token") {
+		case 0:
+			enum(s, &n.Kind, kindNames)
+		case 1:
+			s.string(&n.Text)
+		case 2:
+			s.int(&n.Token)
+		default:
+			s.skip()
+		}
+	}
+}
+
+func (s *scanner) edge(e *Edge) {
+	for more := s.open('{'); more; more = s.more('}') {
+		switch s.name("src", "dst", "rel") {
+		case 0:
+			s.int(&e.Src)
+		case 1:
+			s.int(&e.Dst)
+		case 2:
+			enum(s, &e.Rel, relNames)
+		default:
+			s.skip()
+		}
+	}
+}
+
+// list reads an array into *p as encoding/json does: element i merges
+// into what *p's backing array holds there, [] leaves *p empty and null
+// drops it. More than limit elements is graph_too_large.
+func list[T any](s *scanner, p *[]T, limit int, elem func(*scanner, *T)) {
+	if s.next() == 'n' {
+		*p = nil
+		s.skip()
+		return
+	}
+	v := (*p)[:0]
+	for more := s.open('['); more; more = s.more(']') {
+		if len(v) == limit {
+			s.err = api.Errorf(api.CodeGraphTooLarge, "programl: graph has a list over %d long", limit)
+			break
+		}
+		v = slices.Grow(v, 1)[:len(v)+1]
+		elem(s, &v[len(v)-1])
+	}
+	*p = nonNil(v)
+}
+
+// open reads the c ('{' or '[') that starts a container and reports
+// whether an element follows. A null, which changes nothing, and an
+// empty container have none.
+func (s *scanner) open(c byte) bool {
+	switch s.next() {
+	case 'n':
+		s.skip()
+		return false
+	case c:
+	default:
+		s.fail(string(c))
+		return false
+	}
+	if s.depth++; s.depth > api.MaxJSONDepth {
+		s.fail(fmt.Sprint("nesting at most ", api.MaxJSONDepth, " deep"))
+		return false
+	}
+	s.pos++
+	return s.next() != c+2 || s.more(c+2) // '{'+2 is '}', '['+2 is ']'
+}
+
+// more reports whether another element follows in the open container
+// that close ends, reading the ',' before it, or else the close.
+func (s *scanner) more(close byte) bool {
+	switch s.next() {
+	case ',':
+		s.pos++
+		return true
+	case close:
+		s.pos++
+		s.depth--
+	default:
+		s.fail("',' or " + string(close))
+	}
+	return false
+}
+
+// name reads an object member's name and the ':' after it, and returns
+// its index in names, matched as encoding/json does: exactly, else under
+// Unicode case folding; -1 when none matches.
+func (s *scanner) name(names ...string) int {
+	i := s.spelled(names)
+	if i < 0 {
+		key := s.str() // no two names fold alike, so one at most matches
+		i = slices.IndexFunc(names, func(n string) bool { return bytes.EqualFold(key, []byte(n)) })
+	}
+	if s.next() != ':' {
+		s.fail("':'")
+		return -1
+	}
+	s.pos++
+	return i
+}
+
+// spelled reads the string at pos if it is one of names, byte for byte,
+// and returns its index; else -1, reading nothing.
+func (s *scanner) spelled(names []string) int {
+	if s.next() == '"' {
+		d := s.data[s.pos+1:]
+		for i, n := range names {
+			if len(d) > len(n) && d[len(n)] == '"' && string(d[:len(n)]) == n {
+				s.pos += len(n) + 2
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+func (s *scanner) fail(want string) {
+	if s.err == nil {
+		s.err = fmt.Errorf("programl: invalid JSON at offset %d of %d, want %s", s.pos, len(s.data), want)
+	}
+}
+
+// next skips whitespace and returns the byte there, 0 at the end or
+// after an error.
 func (s *scanner) next() byte {
-	for ; s.pos < len(s.data); s.pos++ {
+	for ; s.pos < len(s.data) && s.err == nil; s.pos++ {
 		if c := s.data[s.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
 		}
@@ -121,211 +272,66 @@ func (s *scanner) next() byte {
 	return 0
 }
 
-// into reads the value at pos into what p points at. A null leaves it
-// as it was, but for a list or a graph, which it drops.
-func (s *scanner) into(p any) error {
-	switch p := p.(type) {
-	case *string:
-		return s.scalar(true, func(b []byte) error { *p = string(b); return nil })
-	case *int:
-		return s.scalar(false, func(b []byte) (err error) { *p, err = strconv.Atoi(string(b)); return err })
-	case *float64:
-		return s.scalar(false, func(b []byte) (err error) { *p, err = strconv.ParseFloat(string(b), 64); return err })
-	case *NodeKind: // stored one up, as settle expects
-		return s.scalar(true, func(b []byte) error { *p = NodeKind(index(kindNames, b) + 1); return nil })
-	case *Relation:
-		return s.scalar(true, func(b []byte) error { *p = Relation(index(relNames, b) + 1); return nil })
-	case *[]float64:
-		return list(s, p, -1)
-	case *[]Node:
-		return list(s, p, api.MaxGraphNodes)
-	case *[]Edge:
-		return list(s, p, api.MaxGraphEdges)
-	case *Node:
-		return s.fields([]string{"kind", "text", "token"}, &p.Kind, &p.Text, &p.Token)
-	case *Edge:
-		return s.fields([]string{"src", "dst", "rel"}, &p.Src, &p.Dst, &p.Rel)
-	case *Graph:
-		return s.fields([]string{"region_id", "nodes", "edges"}, &p.RegionID, &p.Nodes, &p.Edges)
-	case **Graph:
-		if s.next() == 'n' {
-			*p = nil
-			return s.lit()
-		}
-		if *p == nil {
-			*p = &Graph{}
-		}
-		return s.into(*p)
-	case func() error: // a caller's own reader
-		return p()
-	}
-	return fmt.Errorf("programl: no wire form for %T", p)
-}
-
-// fields reads an object into ptrs, the member named names[i] into
-// ptrs[i], matching names as encoding/json does: exactly, else under
-// Unicode case folding. Other members are skipped.
-func (s *scanner) fields(names []string, ptrs ...any) error {
-	return s.container('{', func(key []byte) error {
-		i := index(names, key)
-		if i < 0 {
-			i = slices.IndexFunc(names, func(n string) bool { return bytes.EqualFold(key, []byte(n)) })
-		}
-		if i < 0 {
-			return s.skip()
-		}
-		return s.into(ptrs[i])
-	})
-}
-
-// index returns the position of b in names, -1 if it is not there.
-func index(names []string, b []byte) int {
-	return slices.IndexFunc(names, func(n string) bool { return string(b) == n })
-}
-
-// list reads an array into *p as encoding/json does: element i merges
-// into what *p's backing array holds there, and [] leaves *p empty. More
-// than limit elements is graph_too_large.
-func list[T any](s *scanner, p *[]T, limit int) error {
-	if s.next() == 'n' {
-		*p = nil
-		return s.lit()
-	}
-	v := (*p)[:0]
-	err := s.container('[', func([]byte) error {
-		if len(v) == limit {
-			return api.Errorf(api.CodeGraphTooLarge, "programl: graph has a list over %d long", limit)
-		}
-		v = slices.Grow(v, 1)[:len(v)+1]
-		return s.into(&v[len(v)-1])
-	})
-	*p = nonNil(v)
-	return err
-}
-
-// scalar reads a null, which changes nothing, or a string (a number when
-// not str), handing set the string's unescaped bytes or the number's
-// text.
-func (s *scanner) scalar(str bool, set func([]byte) error) error {
-	read := s.number
-	if str {
-		read = s.str
-	}
-	if c := s.next(); c == 'n' {
-		return s.lit()
-	} else if str != (c == '"') {
-		return s.fail("null or a value of the field's type")
-	}
-	b, err := read()
-	if err == nil {
-		err = set(b)
-	}
-	return err
-}
-
-// container reads the object or array that open starts, or a null,
-// which changes nothing, calling elem on each member: in an object, with
-// its name, once that and the ':' are read.
-func (s *scanner) container(open byte, elem func(key []byte) error) error {
-	if c := s.next(); c == 'n' {
-		return s.lit()
-	} else if c != open {
-		return s.fail(string(open))
-	}
-	if s.depth++; s.depth > maxDepth {
-		return s.fail(fmt.Sprint("nesting at most ", maxDepth, " deep"))
-	}
-	s.pos++
-	for more := s.next() != open+2; more; more = s.next() == ',' && s.skipByte(',') {
-		var key []byte
-		var err error
-		if open == '{' {
-			if key, err = s.str(); err == nil && s.next() != ':' {
-				err = s.fail("':'")
-			}
-			s.pos++
-		}
-		if err == nil {
-			err = elem(key)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if s.next(); !s.skipByte(open + 2) { // '{'+2 is '}', '['+2 is ']'
-		return s.fail("',' or " + string(open+2))
-	}
-	s.depth--
-	return nil
-}
-
 // skip reads any one value, checking its syntax.
-func (s *scanner) skip() error {
-	var err error
-	switch c := s.next(); c {
-	case '{', '[':
-		return s.container(c, func([]byte) error { return s.skip() })
-	case '"':
-		_, err = s.str()
-	case 't', 'f', 'n':
-		err = s.lit()
-	default:
-		_, err = s.number()
+func (s *scanner) skip() {
+	if s.err == nil {
+		s.pos, s.err = api.SkipJSON(s.data, s.pos, s.depth)
 	}
-	return err
 }
 
-// lit reads the literal true, false or null at pos.
-func (s *scanner) lit() error {
-	for _, w := range []string{"true", "false", "null"} {
-		if bytes.HasPrefix(s.data[s.pos:], []byte(w)) {
-			s.pos += len(w)
-			return nil
-		}
+// string reads a string into *p, or a null, which changes nothing.
+func (s *scanner) string(p *string) {
+	if s.next() == 'n' {
+		s.skip()
+	} else if b := s.str(); s.err == nil {
+		*p = string(b)
 	}
-	return s.fail("true, false or null")
 }
 
-// number reads a number literal and returns its text.
-func (s *scanner) number() ([]byte, error) {
+// enum reads a string naming one of names into *p, stored one up as
+// settle expects (0 for an unknown name), or a null, which changes
+// nothing.
+func enum[T ~int](s *scanner, p *T, names []string) {
+	if s.next() == 'n' {
+		s.skip()
+	} else if i := s.spelled(names); i >= 0 {
+		*p = T(i + 1)
+	} else if b := s.str(); s.err == nil {
+		*p = T(slices.Index(names, string(b)) + 1)
+	}
+}
+
+// number reads a number literal and returns its text, or nil for a
+// null, which changes nothing.
+func (s *scanner) number() []byte {
+	if c := s.next(); c != 'n' && c != '-' && c-'0' >= 10 {
+		s.fail("null or a number")
+	}
 	start := s.pos
-	s.skipByte('-')
-	ok := s.skipByte('0') || s.digits()
-	if s.skipByte('.') {
-		ok = ok && s.digits()
+	if s.skip(); s.err != nil || s.data[start] == 'n' {
+		return nil
 	}
-	if s.skipByte('e') || s.skipByte('E') {
-		_ = s.skipByte('+') || s.skipByte('-')
-		ok = ok && s.digits()
-	}
-	if !ok {
-		return nil, s.fail("a digit")
-	}
-	return s.data[start:s.pos], nil
+	return s.data[start:s.pos]
 }
 
-// skipByte steps over the byte at pos if it is c.
-func (s *scanner) skipByte(c byte) bool {
-	ok := s.pos < len(s.data) && s.data[s.pos] == c
-	if ok {
-		s.pos++
+func (s *scanner) int(p *int) {
+	if b := s.number(); b != nil {
+		*p, s.err = strconv.Atoi(string(b))
 	}
-	return ok
 }
 
-func (s *scanner) digits() bool {
-	start := s.pos
-	for s.pos < len(s.data) && s.data[s.pos]-'0' < 10 {
-		s.pos++
+func (s *scanner) float(p *float64) {
+	if b := s.number(); b != nil {
+		*p, s.err = strconv.ParseFloat(string(b), 64)
 	}
-	return s.pos > start
 }
 
 // str reads a string and returns its unescaped bytes, a slice of data
 // when there is nothing to unescape.
-func (s *scanner) str() ([]byte, error) {
+func (s *scanner) str() []byte {
 	if s.next() != '"' {
-		return nil, s.fail("a string")
+		s.fail("a string")
+		return nil
 	}
 	d, start := s.data, s.pos+1
 	i := start
@@ -333,43 +339,37 @@ func (s *scanner) str() ([]byte, error) {
 		i++
 	}
 	if s.pos = i + 1; i < len(d) && d[i] == '"' {
-		return d[start:i], nil
+		return d[start:i]
+	}
+	s.pos = start - 1
+	if s.skip(); s.err != nil {
+		return nil
 	}
 	b := append([]byte(nil), d[start:i]...)
-	for s.pos = i; s.pos < len(d); {
-		r, n := utf8.DecodeRune(d[s.pos:]) // invalid UTF-8 is U+FFFD
-		switch esc := strings.IndexByte(`"\/bfnrt`, d[min(s.pos+1, len(d)-1)]); {
-		case r == '"':
-			s.pos++
-			return b, nil
-		case r < ' ':
-			return nil, s.fail("a string character")
+	for end := s.pos - 1; i < end; { // skip checked what is left
+		switch r, n := utf8.DecodeRune(d[i:end]); { // invalid UTF-8 is U+FFFD
 		case r != '\\':
-			b, s.pos = utf8.AppendRune(b, r), s.pos+n
-		case esc >= 0 && s.pos+1 < len(d):
-			b, s.pos = append(b, "\"\\/\b\f\n\r\t"[esc]), s.pos+2
+			b, i = utf8.AppendRune(b, r), i+n
+		case d[i+1] != 'u':
+			b, i = append(b, "\"\\/\b\f\n\r\t"[strings.IndexByte(`"\/bfnrt`, d[i+1])]), i+2
 		default:
 			// A surrogate pair decodes to one rune; a lone half, which
 			// AppendRune writes as U+FFFD, leaves what follows it alone.
-			if r = hex4(d[s.pos:]); r < 0 {
-				return nil, s.fail("an escape")
-			}
-			s.pos += 6
-			if pair := utf16.DecodeRune(r, hex4(d[s.pos:])); pair != utf8.RuneError {
-				r, s.pos = pair, s.pos+6
+			r, i = hex4(d[i:end]), i+6
+			if pair := utf16.DecodeRune(r, hex4(d[i:end])); pair != utf8.RuneError {
+				r, i = pair, i+6
 			}
 			b = utf8.AppendRune(b, r)
 		}
 	}
-	return nil, s.fail(`'"'`)
+	return b
 }
 
 // hex4 decodes a \uXXXX escape at the start of b, or returns -1.
 func hex4(b []byte) rune {
-	if len(b) >= 6 && b[0] == '\\' && b[1] == 'u' {
-		if r, err := strconv.ParseUint(string(b[2:6]), 16, 16); err == nil {
-			return rune(r)
-		}
+	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
+		return -1
 	}
-	return -1
+	r, _ := strconv.ParseUint(string(b[2:6]), 16, 16) // skip checked the digits
+	return rune(r)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -463,5 +464,51 @@ func TestServerTuneMeasureBudgetRejected(t *testing.T) {
 		if body.Error.Code != api.CodeBudgetExceeded {
 			t.Fatalf("measure budget %d: code %q, want budget_exceeded", budget, body.Error.Code)
 		}
+	}
+}
+
+// TestCanaryPromotionPredictRace: a predict or tune that looked up the
+// serving batcher just before a canary promotion closed it is answered
+// by the promoted version, never 503 unavailable. The lookup hook runs
+// the promotion and closes the displaced batcher before the request
+// reaches it, so the race happens on every run.
+func TestCanaryPromotionPredictRace(t *testing.T) {
+	srv, ts := newRefreshServer(t, RefreshConfig{Threshold: 1 << 30, CanaryWindow: 1 << 20})
+	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	body := predictBody(t, "haswell", ObjectiveTime, 0)
+	var armed atomic.Pointer[canary]
+	srv.lookedUp = func(b *Batcher) {
+		if c := armed.Swap(nil); c != nil {
+			srv.finishCanary(c, true)
+			b.Close() // what finishCanary leaves to a goroutine, done first
+		}
+	}
+	promote := func() {
+		e, err := srv.reg.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.startCanary(key, cloneBumped(t, e))
+		srv.mu.Lock()
+		armed.Store(srv.canaries[key.ID()])
+		srv.mu.Unlock()
+	}
+	if v := postPredict(t, ts, api.PathPredict, body).ModelVersion; v != 1 {
+		t.Fatalf("serving version = %d, want 1", v)
+	}
+
+	promote()
+	if v := postPredict(t, ts, api.PathPredict, body).ModelVersion; v != 2 {
+		t.Fatalf("predict across the promotion served v%d, want v2", v)
+	}
+	promote()
+	resp, tr := postTune(t, ts.URL, api.PathTune, tuneBody(t, api.TuneRequest{
+		Machine: "haswell", Objective: ObjectiveTime, Strategy: "gnn", RegionID: kernels.MustCompile().Regions[0].ID,
+	}))
+	if resp.StatusCode != http.StatusOK || tr.ModelVersion != 3 {
+		t.Fatalf("tune across the promotion: status %d, v%d; want 200, v3", resp.StatusCode, tr.ModelVersion)
+	}
+	if armed.Load() != nil {
+		t.Fatal("the lookup hook never ran")
 	}
 }

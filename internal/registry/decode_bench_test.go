@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"pnptuner/internal/api"
@@ -10,10 +11,10 @@ import (
 )
 
 // BenchmarkDecodePredict is the predict-body wire layer's row. replica
-// is the replica's one-pass decode and gate the gate's routing pass,
-// both over one generated ~1.2k-node body (serve-large's shape); corpus
-// is gate plus replica over one corpus body (serve-steady's), cycling
-// through all of them.
+// is the replica's one-pass decode, gate the gate's routing pass and sdk
+// the client's check of the graph it sends, all over one generated
+// ~1.2k-node body (serve-large's shape); corpus is gate plus replica over
+// one corpus body (serve-steady's), cycling through all of them.
 func BenchmarkDecodePredict(b *testing.B) {
 	graph, err := json.Marshal(bigGraph(b))
 	if err != nil {
@@ -45,6 +46,12 @@ func BenchmarkDecodePredict(b *testing.B) {
 	run("gate", len(big), func(int) error {
 		_, _, _, err := programl.RoutePredict(big)
 		return err
+	})
+	run("sdk", len(graph), func(int) error {
+		if !api.ValidJSON(graph) {
+			return errors.New("graph is not one JSON value")
+		}
+		return nil
 	})
 	run("corpus", 0, func(i int) error {
 		body := corpus[i%len(corpus)]

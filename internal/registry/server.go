@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -65,6 +64,9 @@ type Server struct {
 	refreshing map[string]bool
 
 	served atomic.Int64
+	// lookedUp, when set, sees each batcher batcherFor hands out from
+	// the cache: a test hook that can close it before its caller predicts.
+	lookedUp func(*Batcher)
 }
 
 // ServerConfig tunes a server. Zero values get defaults.
@@ -240,6 +242,9 @@ func (s *Server) batcherFor(ctx context.Context, key Key) (*Batcher, error) {
 	}
 	if v, ok := s.batchers.get(id); ok {
 		s.mu.Unlock()
+		if s.lookedUp != nil {
+			s.lookedUp(v.(*Batcher))
+		}
 		return v.(*Batcher), nil
 	}
 	s.mu.Unlock()
@@ -293,7 +298,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	// One pass: the envelope and the graph decode together, graph
 	// checks and size limits included.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes))
+	body, err := api.ReadBody(w, r)
 	var req api.PredictRequest
 	var g *programl.Graph
 	if err == nil {
@@ -324,14 +329,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	b, err := s.batcherFor(r.Context(), key)
-	if err != nil {
-		// The key already validated, so resolve failures are server-side
-		// (or the model is genuinely absent and untrainable).
-		api.WriteError(w, r, resolveErrInfo(err))
-		return
+	// A batcher closed after the lookup, displaced by a canary promotion
+	// or evicted, is looked up once more: its successor serves the key.
+	var b *Batcher
+	var picks []int
+	for retry := true; ; retry = false {
+		if b, err = s.batcherFor(r.Context(), key); err != nil {
+			// The key already validated, so resolve failures are server-side
+			// (or the model is genuinely absent and untrainable).
+			api.WriteError(w, r, resolveErrInfo(err))
+			return
+		}
+		picks, err = b.PredictContext(r.Context(), Request{Graph: g, Extras: req.Counters})
+		if !retry || !errors.Is(err, ErrClosed) {
+			break
+		}
 	}
-	picks, err := b.PredictContext(r.Context(), Request{Graph: g, Extras: req.Counters})
 	if err != nil {
 		// Validation failures are the client's; forward failures, shed
 		// admissions, expired budgets, and a batcher torn down mid-request

@@ -324,26 +324,32 @@ func tuneHead(t autotune.Task) int {
 // modelShortlists resolves the key's model and returns each head's top-k
 // classes for the region's graph, routed through the micro-batcher so
 // tuning traffic batches with /v1/predict traffic on the shared model,
-// plus the serving model's version.
+// plus the serving model's version. Like handlePredict, it looks up a
+// batcher closed under it once more.
 func (s *Server) modelShortlists(ctx context.Context, key Key, rd *dataset.RegionData, k int) ([][]int, int, error) {
-	b, err := s.batcherFor(ctx, key)
-	if err != nil {
-		return nil, 0, err
+	for retry := true; ; retry = false {
+		b, err := s.batcherFor(ctx, key)
+		if err != nil {
+			return nil, 0, err
+		}
+		var extras []float64
+		switch b.extraDim {
+		case 0:
+		case papi.NumFeatures:
+			f := rd.Counters.Features()
+			extras = f[:]
+		default:
+			return nil, 0, fmt.Errorf("registry: model %s wants %d extra features; tuning can only supply corpus counters", key, b.extraDim)
+		}
+		lists, err := b.PredictTopKContext(ctx, Request{Graph: rd.Region.Graph, Extras: extras}, k)
+		if retry && errors.Is(err, ErrClosed) {
+			continue
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return lists, b.Meta.Version, nil
 	}
-	var extras []float64
-	switch b.extraDim {
-	case 0:
-	case papi.NumFeatures:
-		f := rd.Counters.Features()
-		extras = f[:]
-	default:
-		return nil, 0, fmt.Errorf("registry: model %s wants %d extra features; tuning can only supply corpus counters", key, b.extraDim)
-	}
-	lists, err := b.PredictTopKContext(ctx, Request{Graph: rd.Region.Graph, Extras: extras}, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	return lists, b.Meta.Version, nil
 }
 
 // cancelInfo maps a mid-session context failure to its wire error: a

@@ -1,9 +1,12 @@
 package testutil_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -112,6 +115,31 @@ func TestServingContract(t *testing.T) {
 		}
 	}
 
+	// A body that ends before its Content-Length is the client's fault.
+	for _, tier := range tiers {
+		t.Run(tier.name+"/body/shorter than its Content-Length", func(t *testing.T) {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(tier.url, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			body := predictBody(contractGraph("r", "load double", ""))
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: contract\r\nContent-Length: %d\r\n\r\n%s",
+				api.PathPredict, len(body)+10, body)
+			conn.(*net.TCPConn).CloseWrite()
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env api.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest ||
+				env.Error.Code != api.CodeBadRequest {
+				t.Fatalf("status %d, code %q (%v); want 400 %s", resp.StatusCode, env.Error.Code, err, api.CodeBadRequest)
+			}
+		})
+	}
+
 	// Park one cold predict on the replica, then both tiers shed.
 	body, _ := json.Marshal(api.PredictRequest{Machine: "skylake", Objective: "time", Graph: corpusGraph(t, 0)})
 	held := make(chan struct{})
@@ -150,6 +178,7 @@ type predictCase struct {
 	status       int
 	code         string
 	like, region string
+	chunked      bool // sent without a Content-Length
 }
 
 // contractGraph is a two-node graph with text as its instruction's text
@@ -220,13 +249,22 @@ func predictBodyCases() []predictCase {
 				strings.Repeat(`,{}`, api.MaxGraphNodes) + `]}}`},
 		{name: "trailing bytes past the body limit", status: http.StatusRequestEntityTooLarge,
 			code: api.CodeGraphTooLarge, body: predictBody(plain) + strings.Repeat(" ", api.MaxRequestBytes)},
+		// Both tiers size their read from a Content-Length within the
+		// limit; without one they read as before.
+		{name: "plain without Content-Length", body: predictBody(plain), status: http.StatusOK, region: "r", chunked: true},
+		{name: "trailing bytes past the body limit without Content-Length", status: http.StatusRequestEntityTooLarge,
+			code: api.CodeGraphTooLarge, body: predictBody(plain) + strings.Repeat(" ", api.MaxRequestBytes), chunked: true},
 	}
 }
 
 // checkPredict posts tc's body to url and checks the answer.
 func checkPredict(t *testing.T, url string, tc predictCase) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, url+api.PathPredict, strings.NewReader(tc.body))
+	var body io.Reader = strings.NewReader(tc.body)
+	if tc.chunked {
+		body = io.MultiReader(body) // a reader of unknown length
+	}
+	req, _ := http.NewRequest(http.MethodPost, url+api.PathPredict, body)
 	resp := checkResponse(t, req, tc.status, tc.code)
 	if tc.code != "" {
 		return
