@@ -39,7 +39,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -121,19 +120,11 @@ func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr
 			// timeout bounds the fetch itself.
 			ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 			defer cancel()
-			for _, peer := range peerURLs {
-				rc, err := pool.Get(peer).ModelBlob(ctx, k.ID())
-				if err != nil {
-					continue // peer lacks it or is down: try the next
-				}
-				data, err := io.ReadAll(rc)
-				rc.Close()
-				if err == nil && len(data) > 0 {
-					logger.Printf("fetched model %s (%s) from peer %s", k, k.ID(), peer)
-					return data, nil
-				}
+			data, peer, err := pool.FetchModelBlob(ctx, peerURLs, k.ID())
+			if data != nil {
+				logger.Printf("fetched model %s (%s) from peer %s", k, k.ID(), peer)
 			}
-			return nil, nil // no peer has it: train locally
+			return data, err // nil, nil: no peer has it, train locally
 		})
 		logger.Printf("peer model fetch enabled (%s)", strings.Join(peerURLs, ", "))
 	}

@@ -1,9 +1,8 @@
 // Package chaos is a fault-injecting reverse proxy for resilience
-// testing: it sits between the gate and a replica (or between a load
-// generator and the gate) and injects the failure modes distributed
-// serving actually meets — added latency, abruptly killed connections,
-// black-holed requests, and constrained bandwidth — deterministically,
-// from a seed, so a chaos run is reproducible.
+// testing: it sits between the gate and a replica and injects the
+// failure modes distributed serving actually meets — added latency,
+// abruptly killed connections and black-holed requests —
+// deterministically, from a seed, so a chaos run is reproducible.
 //
 // Injected errors are connection aborts, not synthesized HTTP error
 // bodies, on purpose: the client must see a transport-level failure
@@ -18,14 +17,12 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Faults is one route's injected failure mix. The zero value injects
+// Faults is the proxy's injected failure mix. The zero value injects
 // nothing.
 type Faults struct {
 	// Latency is added to every request before it is forwarded; Jitter
@@ -41,101 +38,25 @@ type Faults struct {
 	// what a network partition looks like from the caller's side —
 	// silence, not refusal.
 	Partition bool
-	// BandwidthBps throttles the response body to roughly this many
-	// bytes per second (0 = unthrottled).
-	BandwidthBps int64
-}
-
-// String renders the faults in ParseFaults syntax.
-func (f Faults) String() string {
-	var parts []string
-	if f.Latency > 0 {
-		parts = append(parts, "latency="+f.Latency.String())
-	}
-	if f.Jitter > 0 {
-		parts = append(parts, "jitter="+f.Jitter.String())
-	}
-	if f.ErrorRate > 0 {
-		parts = append(parts, "errors="+strconv.FormatFloat(f.ErrorRate, 'g', -1, 64))
-	}
-	if f.Partition {
-		parts = append(parts, "partition")
-	}
-	if f.BandwidthBps > 0 {
-		parts = append(parts, "bw="+strconv.FormatInt(f.BandwidthBps, 10))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseFaults parses the comma-separated fault spec shared by the CLI
-// flags (pnpchaos -faults, pnpload -chaos):
-//
-//	latency=20ms,jitter=5ms,errors=0.05,partition,bw=65536
-//
-// Unknown keys are errors — a typo that silently injects nothing would
-// make a chaos suite vacuously green.
-func ParseFaults(spec string) (Faults, error) {
-	var f Faults
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
-		return f, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, hasVal := strings.Cut(part, "=")
-		var err error
-		switch key {
-		case "latency":
-			f.Latency, err = time.ParseDuration(val)
-		case "jitter":
-			f.Jitter, err = time.ParseDuration(val)
-		case "errors":
-			f.ErrorRate, err = strconv.ParseFloat(val, 64)
-			if err == nil && (f.ErrorRate < 0 || f.ErrorRate > 1) {
-				err = fmt.Errorf("rate %v outside [0,1]", f.ErrorRate)
-			}
-		case "partition":
-			if hasVal {
-				f.Partition, err = strconv.ParseBool(val)
-			} else {
-				f.Partition = true
-			}
-		case "bw":
-			f.BandwidthBps, err = strconv.ParseInt(val, 10, 64)
-		default:
-			return Faults{}, fmt.Errorf("chaos: unknown fault %q (valid: latency, jitter, errors, partition, bw)", key)
-		}
-		if err != nil {
-			return Faults{}, fmt.Errorf("chaos: fault %q: %v", part, err)
-		}
-	}
-	return f, nil
 }
 
 // Stats counts what the proxy has injected — the ground truth a chaos
 // suite checks its observed failure rates against.
 type Stats struct {
-	Forwarded  int64 `json:"forwarded"`
-	Delayed    int64 `json:"delayed"`
-	Errors     int64 `json:"errors"`
-	Partitions int64 `json:"partitions"`
+	Forwarded  int64
+	Delayed    int64
+	Errors     int64
+	Partitions int64
 }
 
-// Proxy is the fault-injecting reverse proxy: default faults for every
-// request, per-route-prefix overrides, deterministic randomness.
+// Proxy is the fault-injecting reverse proxy: one fault mix for every
+// request, deterministic randomness.
 type Proxy struct {
 	rp *httputil.ReverseProxy
 
 	mu     sync.Mutex
 	rng    *rand.Rand
 	faults Faults
-	routes map[string]Faults // path prefix → override
 
 	forwarded  atomic.Int64
 	delayed    atomic.Int64
@@ -144,7 +65,7 @@ type Proxy struct {
 }
 
 // New builds a proxy forwarding to target (a base URL), injecting
-// nothing until SetFaults/SetRoute. seed fixes the randomness stream:
+// nothing until SetFaults. seed fixes the randomness stream:
 // the same seed over the same request sequence injects the same faults.
 func New(target string, seed int64) (*Proxy, error) {
 	u, err := url.Parse(target)
@@ -155,9 +76,8 @@ func New(target string, seed int64) (*Proxy, error) {
 		return nil, fmt.Errorf("chaos: target %q is not an absolute URL", target)
 	}
 	p := &Proxy{
-		rp:     httputil.NewSingleHostReverseProxy(u),
-		rng:    rand.New(rand.NewSource(seed)),
-		routes: map[string]Faults{},
+		rp:  httputil.NewSingleHostReverseProxy(u),
+		rng: rand.New(rand.NewSource(seed)),
 	}
 	// A dead target must look like a dead target: abort the connection
 	// (transport failure) instead of the default synthesized 502 body,
@@ -168,19 +88,10 @@ func New(target string, seed int64) (*Proxy, error) {
 	return p, nil
 }
 
-// SetFaults replaces the default fault mix (applied where no route
-// override matches).
+// SetFaults replaces the fault mix.
 func (p *Proxy) SetFaults(f Faults) {
 	p.mu.Lock()
 	p.faults = f
-	p.mu.Unlock()
-}
-
-// SetRoute overrides the faults for requests whose path starts with
-// prefix. The longest matching prefix wins.
-func (p *Proxy) SetRoute(prefix string, f Faults) {
-	p.mu.Lock()
-	p.routes[prefix] = f
 	p.mu.Unlock()
 }
 
@@ -194,20 +105,14 @@ func (p *Proxy) Stats() Stats {
 	}
 }
 
-// faultsFor picks the request's fault mix and rolls its error dice
-// under one lock, keeping the random stream deterministic under
+// faultsFor reads the fault mix and rolls the request's dice under one
+// lock, keeping the random stream deterministic under
 // concurrency (stream order still depends on request arrival order;
 // determinism is per-sequence, which is what reproducibility needs).
-func (p *Proxy) faultsFor(r *http.Request) (f Faults, inject bool, jitter time.Duration) {
+func (p *Proxy) faultsFor() (f Faults, inject bool, jitter time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f = p.faults
-	best := -1
-	for prefix, rf := range p.routes {
-		if len(prefix) > best && strings.HasPrefix(r.URL.Path, prefix) {
-			f, best = rf, len(prefix)
-		}
-	}
 	if f.ErrorRate > 0 && p.rng.Float64() < f.ErrorRate {
 		inject = true
 	}
@@ -217,9 +122,9 @@ func (p *Proxy) faultsFor(r *http.Request) (f Faults, inject bool, jitter time.D
 	return f, inject, jitter
 }
 
-// ServeHTTP injects the route's faults, then forwards.
+// ServeHTTP injects the faults, then forwards.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f, inject, jitter := p.faultsFor(r)
+	f, inject, jitter := p.faultsFor()
 
 	if f.Partition {
 		// Black hole: hold the request until the caller stops waiting.
@@ -249,9 +154,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.forwarded.Add(1)
-	if f.BandwidthBps > 0 {
-		w = &throttledWriter{ResponseWriter: w, bps: f.BandwidthBps}
-	}
 	p.rp.ServeHTTP(w, r)
 }
 
@@ -268,33 +170,4 @@ func abort(w http.ResponseWriter) {
 	// No hijack support (e.g. HTTP/2): abort the handler, which tears
 	// down the stream without a response.
 	panic(http.ErrAbortHandler)
-}
-
-// throttledWriter paces response bytes to roughly bps, sleeping after
-// each chunk proportionally to its size.
-type throttledWriter struct {
-	http.ResponseWriter
-	bps int64
-}
-
-func (t *throttledWriter) Write(b []byte) (int, error) {
-	const chunk = 4 << 10
-	total := 0
-	for len(b) > 0 {
-		n := len(b)
-		if n > chunk {
-			n = chunk
-		}
-		wrote, err := t.ResponseWriter.Write(b[:n])
-		total += wrote
-		if err != nil {
-			return total, err
-		}
-		if f, ok := t.ResponseWriter.(http.Flusher); ok {
-			f.Flush()
-		}
-		time.Sleep(time.Duration(float64(wrote) / float64(t.bps) * float64(time.Second)))
-		b = b[n:]
-	}
-	return total, nil
 }

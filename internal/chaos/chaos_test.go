@@ -31,32 +31,6 @@ func startProxy(t *testing.T, target string, seed int64) (*Proxy, *httptest.Serv
 	return p, srv
 }
 
-func TestParseFaults(t *testing.T) {
-	f, err := ParseFaults("latency=20ms,jitter=5ms,errors=0.05,partition,bw=65536")
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
-	want := Faults{Latency: 20 * time.Millisecond, Jitter: 5 * time.Millisecond,
-		ErrorRate: 0.05, Partition: true, BandwidthBps: 65536}
-	if f != want {
-		t.Fatalf("got %+v want %+v", f, want)
-	}
-	if _, err := ParseFaults("latncy=20ms"); err == nil {
-		t.Fatal("typo'd key parsed without error")
-	}
-	if _, err := ParseFaults("errors=1.5"); err == nil {
-		t.Fatal("out-of-range error rate parsed without error")
-	}
-	if f, err := ParseFaults(""); err != nil || f != (Faults{}) {
-		t.Fatalf("empty spec: %+v, %v", f, err)
-	}
-	// String → ParseFaults round-trips.
-	back, err := ParseFaults(want.String())
-	if err != nil || back != want {
-		t.Fatalf("round trip: %+v, %v", back, err)
-	}
-}
-
 func TestProxyForwardsCleanly(t *testing.T) {
 	be := backend(t)
 	_, srv := startProxy(t, be.URL, 1)
@@ -154,46 +128,5 @@ func TestProxyPartitionBlackHoles(t *testing.T) {
 	}
 	if p.Stats().Partitions != 1 {
 		t.Fatalf("partitions counter = %d, want 1", p.Stats().Partitions)
-	}
-}
-
-func TestProxyRouteOverride(t *testing.T) {
-	be := backend(t)
-	p, srv := startProxy(t, be.URL, 1)
-	p.SetFaults(Faults{})                           // default: clean
-	p.SetRoute("/v1/predict", Faults{ErrorRate: 1}) // predicts always die
-
-	resp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("clean route failed: %v", err)
-	}
-	resp.Body.Close()
-
-	if resp, err := http.Get(srv.URL + "/v1/predict"); err == nil {
-		resp.Body.Close()
-		t.Fatal("overridden route served despite ErrorRate 1")
-	}
-}
-
-func TestProxyBandwidthThrottle(t *testing.T) {
-	payload := strings.Repeat("a", 32<<10)
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, payload)
-	}))
-	defer slow.Close()
-	p, srv := startProxy(t, slow.URL, 1)
-	p.SetFaults(Faults{BandwidthBps: 256 << 10}) // 32KiB at 256KiB/s ≈ 125ms
-	start := time.Now()
-	resp, err := http.Get(srv.URL + "/")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(body) != len(payload) {
-		t.Fatalf("body truncated: %d of %d bytes", len(body), len(payload))
-	}
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Fatalf("32KiB at 256KiB/s took only %v; throttle not applied", elapsed)
 	}
 }

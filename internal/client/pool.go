@@ -1,6 +1,8 @@
 package client
 
 import (
+	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -52,4 +54,28 @@ func (p *Pool) Get(base string) *Client {
 // keep working (new connections are dialed on demand).
 func (p *Pool) Close() {
 	p.transport.CloseIdleConnections()
+}
+
+// FetchModelBlob asks each peer in order for the blob of the model
+// with content address id and returns the first non-empty one with the
+// peer that served it. A peer that lacks the model or is down is
+// skipped; no peer having it is nil, "", nil. An expired ctx stops the
+// loop with ctx's error. The caller bounds ctx and leaves itself out of
+// peers.
+func (p *Pool) FetchModelBlob(ctx context.Context, peers []string, id string) ([]byte, string, error) {
+	for _, peer := range peers {
+		if err := ctx.Err(); err != nil {
+			return nil, "", err
+		}
+		rc, err := p.Get(peer).ModelBlob(ctx, id)
+		if err != nil {
+			continue
+		}
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err == nil && len(data) > 0 {
+			return data, peer, nil
+		}
+	}
+	return nil, "", nil
 }

@@ -188,26 +188,6 @@ func TestRAPLEnergyCounterWraps(t *testing.T) {
 	}
 }
 
-func TestVariorumFacade(t *testing.T) {
-	v := NewVariorum(Haswell())
-	if err := v.CapBestEffortNodePowerLimit(60); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.RAPL().PowerLimit(); got != 60 {
-		t.Errorf("limit = %g", got)
-	}
-	minW, tdp := v.PowerEnvelope()
-	if minW != 40 || tdp != 85 {
-		t.Errorf("envelope = [%g, %g]", minW, tdp)
-	}
-	if s := v.PrintPowerLimit(); s == "" {
-		t.Error("empty print")
-	}
-	if err := v.CapBestEffortNodePowerLimit(-1); err == nil {
-		t.Error("accepted negative cap")
-	}
-}
-
 // Property: FreqAtCap never returns a frequency whose (unthrottled) power
 // exceeds the cap by more than the FMin floor allows.
 func TestQuickFreqAtCapSound(t *testing.T) {

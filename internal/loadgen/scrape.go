@@ -1,20 +1,24 @@
+// Package loadgen reads a server's own account of a load run: its
+// /metrics exposition scraped into a flat series map before and after
+// the run, and the delta of the two. The benchmark ledger scrapes the
+// gate and every replica around each measured phase this way, so its
+// per-layer metrics (queue waits, sheds, cache hits) come from the
+// servers themselves, next to the latencies the client observed.
 package loadgen
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"pnptuner/internal/telemetry"
 )
 
 // ScrapeMetrics pulls the target's /metrics exposition into a flat
-// series → value map (telemetry.ParseText's shape). pnpload scrapes the
-// target once before and once after a run so the report can carry the
-// server's own view of the load — queue waits, sheds, cache hits —
-// next to the client-observed latencies.
+// series → value map (telemetry.ParseText's shape). Scraping a target
+// once before and once after a run and taking MetricsDelta gives the
+// server's view of that run alone.
 func ScrapeMetrics(ctx context.Context, baseURL string) (map[string]float64, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -47,15 +51,4 @@ func MetricsDelta(before, after map[string]float64) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// DeltaKeys returns a delta map's series names sorted, for stable
-// human-readable summaries of what a run moved server-side.
-func DeltaKeys(delta map[string]float64) []string {
-	keys := make([]string, 0, len(delta))
-	for k := range delta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

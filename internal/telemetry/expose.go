@@ -152,8 +152,8 @@ func (r *Registry) Handler() http.Handler {
 // series → value map, keyed by the full series name including labels
 // (`pnp_http_requests_total{route="/v1/predict"}`). Comment and blank
 // lines are skipped; any other malformed line is an error. The parser
-// is the inverse of WritePrometheus and is what pnpload uses to diff a
-// target's /metrics before and after a run.
+// is the inverse of WritePrometheus and is what loadgen.ScrapeMetrics
+// uses to diff a target's /metrics before and after a run.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
 	sc := bufio.NewScanner(r)

@@ -55,7 +55,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 }
 
 // TestParseTextRoundTrip feeds the writer's output back through the
-// parser — the pair is what pnpload relies on to diff server metrics.
+// parser — the pair is what loadgen.MetricsDelta relies on to diff
+// server metrics.
 func TestParseTextRoundTrip(t *testing.T) {
 	r := New()
 	r.CounterVec("rt_total", "Total.", "op").With("a").Add(42)

@@ -9,9 +9,7 @@ import (
 
 // Log-linear bucketing: values below 2^subBits are exact; above, each
 // power of two splits into 2^subBits sub-buckets, bounding the relative
-// quantile error at ~1/2^subBits (≈3%) across the full range. The same
-// Histogram records server-side latencies for /metrics and client-side
-// ones in a pnpload report, so the two are directly comparable.
+// quantile error at ~1/2^subBits (≈3%) across the full range.
 const (
 	subBits   = 5
 	subCount  = 1 << subBits

@@ -11,7 +11,6 @@ package testutil
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -295,21 +294,14 @@ func (r *Replica) countingTrainer() registry.TrainFunc {
 func (r *Replica) fetchFromPeers(ctx context.Context, k registry.Key) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
+	var peers []string
 	for _, peer := range r.peers() {
-		if peer == "" || peer == r.URL {
-			continue
-		}
-		rc, err := r.pool.Get(peer).ModelBlob(ctx, k.ID())
-		if err != nil {
-			continue // missing there, or peer down: try the next one
-		}
-		data, err := io.ReadAll(rc)
-		rc.Close()
-		if err == nil && len(data) > 0 {
-			return data, nil
+		if peer != "" && peer != r.URL {
+			peers = append(peers, peer)
 		}
 	}
-	return nil, nil // no peer has it: train locally
+	data, _, err := r.pool.FetchModelBlob(ctx, peers, k.ID())
+	return data, err // nil, nil: no peer has it, train locally
 }
 
 // Kill crashes the replica: connections drop, in-flight requests fail,
