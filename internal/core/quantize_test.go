@@ -79,6 +79,30 @@ func TestQuantizedParitySkylake(t *testing.T) {
 	quantizeParity(t, dataset.MustBuild(hw.Skylake()))
 }
 
+// TestQuantizedParityEDP is the scenario-2 leg: a joint (cap, config)
+// model trained on every region must make the same picks through its
+// float32 snapshot as in float64, on both machine profiles.
+func TestQuantizedParityEDP(t *testing.T) {
+	for _, m := range []*hw.Machine{hw.Haswell(), hw.Skylake()} {
+		t.Run(m.Name, func(t *testing.T) {
+			d := dataset.MustBuild(m)
+			cfg := testConfig()
+			cfg.Epochs = 2
+			model := TrainEDP(d, d.FullFold(), cfg).Model
+			ref := PredictEDP(d, model, d.Regions)
+			got := PredictEDPQuantized(model.MustQuantize(), d.Regions)
+			if len(got) != len(d.Regions) {
+				t.Fatalf("quantized picks for %d regions, want %d", len(got), len(d.Regions))
+			}
+			for _, rd := range d.Regions {
+				if id := rd.Region.ID; got[id] != ref[id] {
+					t.Errorf("region %s joint pick float64=%d quantized=%d", id, ref[id], got[id])
+				}
+			}
+		})
+	}
+}
+
 // TestQuantizeIndependentOfSource: the quantized snapshot copies weights,
 // so further training of the source must not change its predictions.
 func TestQuantizeIndependentOfSource(t *testing.T) {
