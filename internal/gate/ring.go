@@ -67,9 +67,6 @@ func NewRing(n, vnodes int) *Ring {
 	return r
 }
 
-// Replicas returns the membership size the ring was built over.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // pointHash places one (replica, vnode) point on the circle.
 func pointHash(replica, vnode int) uint64 {
 	h := fnv.New64a()

@@ -52,12 +52,6 @@ func (gt *gateTelemetry) observeTracker(t *Tracker) {
 	})
 }
 
-// Telemetry returns the gate's metrics registry (the /metrics source).
-func (g *Gate) Telemetry() *telemetry.Registry { return g.tele.tel }
-
-// Traces returns the gate's span recorder.
-func (g *Gate) Traces() *telemetry.Recorder { return g.tele.rec }
-
 // SetTraceLogging samples every Nth request's root span into slog
 // (0 disables) — the pnpgate -trace-log flag.
 func (g *Gate) SetTraceLogging(every int) {

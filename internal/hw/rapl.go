@@ -24,9 +24,6 @@ const EnergyUnitJ = 61e-6
 // NewRAPL creates the RAPL interface for machine m, uncapped.
 func NewRAPL(m *Machine) *RAPL { return &RAPL{m: m} }
 
-// Machine returns the underlying machine.
-func (r *RAPL) Machine() *Machine { return r.m }
-
 // SetPowerLimit programs the package cap in watts. Values are clamped to
 // the hardware envelope [MinPower, TDP], as firmware does.
 func (r *RAPL) SetPowerLimit(watts float64) error {

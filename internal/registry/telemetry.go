@@ -150,13 +150,6 @@ func newServerTelemetry(reg *Registry, jobs *JobStore) *serverTelemetry {
 	return st
 }
 
-// Telemetry returns the server's metrics registry (the /metrics
-// exposition source) — tests and embedders read it directly.
-func (s *Server) Telemetry() *telemetry.Registry { return s.tele.tel }
-
-// Traces returns the server's span recorder.
-func (s *Server) Traces() *telemetry.Recorder { return s.tele.rec }
-
 // SetTraceLogging samples every Nth request's root span into slog
 // (0 disables) — the pnpserve -trace-log flag.
 func (s *Server) SetTraceLogging(every int) {

@@ -163,25 +163,3 @@ func (h *Histogram) cumulative(counts []uint64) uint64 {
 	}
 	return total
 }
-
-// BucketCount is one non-empty bucket of a duration histogram, for
-// report artifacts: the bucket's midpoint in milliseconds and its count.
-type BucketCount struct {
-	UpToMillis float64 `json:"le_ms"`
-	Count      uint64  `json:"count"`
-}
-
-// Buckets exports the non-empty buckets of a histogram recorded in
-// nanoseconds.
-func (h *Histogram) Buckets() []BucketCount {
-	if h == nil {
-		return nil
-	}
-	var out []BucketCount
-	for i := range h.counts {
-		if c := h.counts[i].Load(); c > 0 {
-			out = append(out, BucketCount{UpToMillis: float64(bucketValue(i)) / 1e6, Count: c})
-		}
-	}
-	return out
-}
