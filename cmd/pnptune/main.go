@@ -139,16 +139,18 @@ func main() {
 	}
 	scenario := "loocv:" + fold.App
 
+	var entry autotune.Entry
 	switch *strategy {
 	case "gnn":
-		runGNN(d, fold, cfg, scenario, *objective, *capW, *loadPath, *savePath, *quantize)
+		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, *quantize, 0)
 	case "hybrid":
-		runHybrid(d, fold, cfg, scenario, *objective, *capW, *loadPath, *savePath, pick(*budget, experiments.HybridK))
+		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, false, pick(*budget, experiments.HybridK))
 	case "bliss":
-		runSearch(d, fold, bliss.Entry("BLISS"), *objective, *capW, pick(*budget, bliss.Budget))
+		entry = searchEntry(bliss.Entry("BLISS"), pick(*budget, bliss.Budget))
 	case "opentuner":
-		runSearch(d, fold, opentuner.Entry("OpenTuner"), *objective, *capW, pick(*budget, opentuner.Budget))
+		entry = searchEntry(opentuner.Entry("OpenTuner"), pick(*budget, opentuner.Budget))
 	}
+	printPicks(d, fold, *objective, *capW, entry)
 }
 
 func pick(v, def int) int {
@@ -158,192 +160,126 @@ func pick(v, def int) int {
 	return def
 }
 
-// runGNN is the paper's zero-execution scenario: train (or load) and
-// predict.
-func runGNN(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective string, capW float64, loadPath, savePath string, quantize bool) {
-	switch objective {
-	case "time":
-		var model *core.Model
-		var meta core.ModelMeta
-		var pred map[string][]int
-		if loadPath != "" {
-			model, meta = loadModel(loadPath, d, objective, scenario)
-			pred = core.PredictPower(d, model, fold.Val)
-		} else {
-			res := core.TrainPower(d, fold, cfg)
-			fmt.Printf("trained on %d regions in %s (loss %.3f)\n",
-				len(fold.Train), res.Stats.Duration.Round(1e7), res.Stats.FinalLoss)
-			model, meta, pred = res.Model, core.MetaFor(d, scenario, objective), res.Pred
-		}
-		saveModel(model, savePath, meta)
+// modelEntry trains (or loads) the model and tunes with it. With k=0
+// (strategy gnn) it is the paper's zero-execution scenario: the model's
+// argmax picks, through the float32 snapshot when quantize is set. With
+// k>0 (strategy hybrid) the model shortlists its top-k and a noisy k-run
+// budget per tuning task validates them.
+func modelEntry(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective, loadPath, savePath string, quantize bool, k int) autotune.Entry {
+	m := model(d, fold, cfg, scenario, objective, loadPath, savePath)
+	if k == 0 {
+		pred := m.Picks
 		if quantize {
 			fmt.Println("predicting through the float32 quantized snapshot")
-			pred = core.PredictPowerQuantized(model.MustQuantize(), fold.Val)
+			pred = m.MustQuantize().Picks
 		}
-		printTimePicks(d, fold, capW, func(id string, ci int) (int, int) { return pred[id][ci], 0 })
-	case "edp":
-		var model *core.Model
-		var meta core.ModelMeta
-		var pred map[string]int
-		if loadPath != "" {
-			model, meta = loadModel(loadPath, d, objective, scenario)
-			pred = core.PredictEDP(d, model, fold.Val)
-		} else {
-			res := core.TrainEDP(d, fold, cfg)
-			fmt.Printf("trained on %d regions in %s (loss %.3f)\n",
-				len(fold.Train), res.Stats.Duration.Round(1e7), res.Stats.FinalLoss)
-			model, meta, pred = res.Model, core.MetaFor(d, scenario, objective), res.Pred
-		}
-		saveModel(model, savePath, meta)
-		if quantize {
-			fmt.Println("predicting through the float32 quantized snapshot")
-			pred = core.PredictEDPQuantized(model.MustQuantize(), fold.Val)
-		}
-		printJointPicks(d, fold, autotune.EDP{}, func(id string) (int, int) { return pred[id], 0 })
+		picks := pred(fold.Val, 0)
+		return autotune.FixedEntry(experiments.TunerPnPStatic, func(t autotune.Task) int {
+			return picks[t.RegionID][core.HeadOf(t.Obj)]
+		})
 	}
+	fmt.Printf("hybrid tuning: model shortlists top-%d, %d validation runs per task\n", k, k)
+	topk := m.TopK(fold.Val, 0, k)
+	entry := autotune.HybridEntry(experiments.TunerPnPHybrid, func(t autotune.Task) []int {
+		return topk[t.RegionID][core.HeadOf(t.Obj)]
+	})
+	entry.Budget = k
+	return entry
 }
 
-// runHybrid trains (or loads) the model, then refines its top-k
-// shortlist with a small noisy execution budget per tuning task.
-func runHybrid(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective string, capW float64, loadPath, savePath string, k int) {
-	var model *core.Model
+// searchEntry is a model-free search baseline under its execution budget.
+func searchEntry(entry autotune.Entry, budget int) autotune.Entry {
+	entry.Budget = budget
+	fmt.Printf("strategy %s: %d executions per tuning task, no model\n", entry.Name, budget)
+	return entry
+}
+
+// model trains the fold's model for objective, or loads it from
+// loadPath, and saves it when savePath is set.
+func model(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective, loadPath, savePath string) *core.Model {
+	var m *core.Model
 	var meta core.ModelMeta
 	if loadPath != "" {
-		model, meta = loadModel(loadPath, d, objective, scenario)
+		m, meta = loadModel(loadPath, d, objective, scenario)
 	} else {
 		var stats core.TrainStats
-		switch objective {
-		case "time":
-			res := core.TrainPower(d, fold, cfg)
-			model, stats = res.Model, res.Stats
-		case "edp":
-			res := core.TrainEDP(d, fold, cfg)
-			model, stats = res.Model, res.Stats
+		targets, err := core.ObjectiveTargets(d.Space, objective)
+		if err == nil {
+			m, stats, err = core.Train(d, fold.Train, targets, cfg, nil)
+		}
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Printf("trained on %d regions in %s (loss %.3f)\n",
 			len(fold.Train), stats.Duration.Round(1e7), stats.FinalLoss)
 		meta = core.MetaFor(d, scenario, objective)
 	}
-	saveModel(model, savePath, meta)
-	fmt.Printf("hybrid tuning: model shortlists top-%d, %d validation runs per task\n", k, k)
-
-	switch objective {
-	case "time":
-		topk := core.TopKPower(d, model, fold.Val, k)
-		entry := autotune.HybridEntry(experiments.TunerPnPHybrid, func(t autotune.Task) []int {
-			return topk[t.RegionID][t.Obj.(autotune.TimeUnderCap).Cap]
-		})
-		entry.Budget = k
-		printTimePicks(d, fold, capW, func(id string, ci int) (int, int) {
-			rd := d.Region(id)
-			res := autotune.RunEntry(entry, rd, timeTask(d, rd, ci))
-			return res.Best, res.Evals
-		})
-	case "edp":
-		topk := core.TopKEDP(d, model, fold.Val, k)
-		entry := autotune.HybridEntry(experiments.TunerPnPHybrid, func(t autotune.Task) []int { return topk[t.RegionID] })
-		entry.Budget = k
-		printJointPicks(d, fold, autotune.EDP{}, func(id string) (int, int) {
-			rd := d.Region(id)
-			res := autotune.RunEntry(entry, rd, jointTask(d, rd, autotune.EDP{}))
-			return res.Best, res.Evals
-		})
-	}
-}
-
-// runSearch runs a model-free search baseline under its execution budget.
-func runSearch(d *dataset.Dataset, fold dataset.Fold, entry autotune.Entry, objective string, capW float64, budget int) {
-	entry.Budget = budget
-	fmt.Printf("strategy %s: %d executions per tuning task, no model\n", entry.Name, budget)
-	switch objective {
-	case "time":
-		printTimePicks(d, fold, capW, func(id string, ci int) (int, int) {
-			rd := d.Region(id)
-			res := autotune.RunEntry(entry, rd, timeTask(d, rd, ci))
-			return res.Best, res.Evals
-		})
-	case "edp":
-		printJointPicks(d, fold, autotune.EDP{}, func(id string) (int, int) {
-			rd := d.Region(id)
-			res := autotune.RunEntry(entry, rd, jointTask(d, rd, autotune.EDP{}))
-			return res.Best, res.Evals
-		})
-	case "energy":
-		printJointPicks(d, fold, autotune.Energy{}, func(id string) (int, int) {
-			rd := d.Region(id)
-			res := autotune.RunEntry(entry, rd, jointTask(d, rd, autotune.Energy{}))
-			return res.Best, res.Evals
-		})
-	}
-}
-
-func timeTask(d *dataset.Dataset, rd *dataset.RegionData, ci int) autotune.Task {
-	return autotune.Task{
-		Problem:  autotune.Problem{Obj: autotune.TimeUnderCap{Cap: ci}, Space: d.Space, Seed: rd.Region.Seed},
-		RegionID: rd.Region.ID,
-	}
-}
-
-func jointTask(d *dataset.Dataset, rd *dataset.RegionData, obj autotune.Objective) autotune.Task {
-	return autotune.Task{
-		Problem:  autotune.Problem{Obj: obj, Space: d.Space, Seed: rd.Region.Seed},
-		RegionID: rd.Region.ID,
-	}
-}
-
-// printTimePicks prints the per-cap recommendations of the target's
-// regions; pickAt returns (config index, executions spent).
-func printTimePicks(d *dataset.Dataset, fold dataset.Fold, capW float64, pickAt func(id string, ci int) (int, int)) {
-	for _, rd := range fold.Val {
-		fmt.Printf("region %s:\n", rd.Region.ID)
-		for ci, cw := range d.Space.Caps() {
-			if capW != 0 && cw != capW {
-				continue
-			}
-			idx, evals := pickAt(rd.Region.ID, ci)
-			cfgP := d.Space.Configs[idx]
-			def := rd.DefaultResult(ci, d.Space).TimeSec
-			got := rd.Results[ci][idx].TimeSec
-			runs := ""
-			if evals > 0 {
-				runs = fmt.Sprintf(" [%d runs]", evals)
-			}
-			fmt.Printf("  %3.0fW: %-22s speedup vs default %.2fx (oracle %.2fx)%s\n",
-				cw, cfgP, metrics.Speedup(def, got), metrics.Speedup(def, rd.BestTime(ci)), runs)
+	// meta is the model's true provenance — for a -load'ed model, its
+	// original metadata, so re-saving can never relabel what the model
+	// was trained on.
+	if savePath != "" {
+		if err := m.Save(savePath, meta); err != nil {
+			fatal(err)
 		}
+		fmt.Printf("saved model to %s\n", savePath)
 	}
+	return m
 }
 
-// printJointPicks prints joint (cap, config) recommendations for a
-// joint-space objective, with improvement vs default at TDP and fraction
-// of the oracle.
-func printJointPicks(d *dataset.Dataset, fold dataset.Fold, obj autotune.Objective, pickOf func(id string) (int, int)) {
+// printPicks tunes the target's regions under objective, one engine
+// session of entry per tuning task, and prints the picks: per cap for
+// "time", one joint (cap, config) pick per region otherwise, with
+// improvement vs default at TDP and fraction of the oracle.
+func printPicks(d *dataset.Dataset, fold dataset.Fold, objective string, capW float64, entry autotune.Entry) {
+	pick := func(rd *dataset.RegionData, obj autotune.Objective) (int, string) {
+		res := autotune.RunEntry(entry, rd, autotune.Task{
+			Problem:  autotune.Problem{Obj: obj, Space: d.Space, Seed: rd.Region.Seed},
+			RegionID: rd.Region.ID,
+		})
+		if res.Evals > 0 {
+			return res.Best, fmt.Sprintf(" [%d runs]", res.Evals)
+		}
+		return res.Best, ""
+	}
 	tdpIdx := len(d.Space.Caps()) - 1
 	for _, rd := range fold.Val {
-		idx, evals := pickOf(rd.Region.ID)
+		if objective == "time" {
+			fmt.Printf("region %s:\n", rd.Region.ID)
+			for ci, cw := range d.Space.Caps() {
+				if capW != 0 && cw != capW {
+					continue
+				}
+				idx, runs := pick(rd, autotune.TimeUnderCap{Cap: ci})
+				def := rd.DefaultResult(ci, d.Space).TimeSec
+				fmt.Printf("  %3.0fW: %-22s speedup vs default %.2fx (oracle %.2fx)%s\n",
+					cw, d.Space.Configs[idx], metrics.Speedup(def, rd.Results[ci][idx].TimeSec),
+					metrics.Speedup(def, rd.BestTime(ci)), runs)
+			}
+			continue
+		}
+		var obj autotune.Objective = autotune.EDP{}
+		if objective == "energy" {
+			obj = autotune.Energy{}
+		}
+		idx, runs := pick(rd, obj)
 		cw, cfgP := d.Space.At(idx)
 		ci, ki := d.Space.SplitJoint(idx)
 		def := rd.DefaultResult(tdpIdx, d.Space)
 		got := rd.Results[ci][ki]
-		runs := ""
-		if evals > 0 {
-			runs = fmt.Sprintf(" [%d runs]", evals)
-		}
-		switch obj.(type) {
-		case autotune.Energy:
+		if objective == "energy" {
 			_, oracleV := autotune.Oracle(rd, d.Space, obj)
 			fmt.Printf("region %s: cap %3.0fW, %-22s greenup %.2fx, speedup %.2fx, oracle frac %.2f%s\n",
 				rd.Region.ID, cw, cfgP,
 				metrics.Greenup(def.EnergyJ(), got.EnergyJ()),
 				metrics.Speedup(def.TimeSec, got.TimeSec),
 				oracleV/obj.Value(rd, d.Space, idx), runs)
-		default:
-			fmt.Printf("region %s: cap %3.0fW, %-22s EDP improvement %.2fx, speedup %.2fx, greenup %.2fx%s\n",
-				rd.Region.ID, cw, cfgP,
-				metrics.EDPImprovement(def.EDP(), got.EDP()),
-				metrics.Speedup(def.TimeSec, got.TimeSec),
-				metrics.Greenup(def.EnergyJ(), got.EnergyJ()), runs)
+			continue
 		}
+		fmt.Printf("region %s: cap %3.0fW, %-22s EDP improvement %.2fx, speedup %.2fx, greenup %.2fx%s\n",
+			rd.Region.ID, cw, cfgP,
+			metrics.EDPImprovement(def.EDP(), got.EDP()),
+			metrics.Speedup(def.TimeSec, got.TimeSec),
+			metrics.Greenup(def.EnergyJ(), got.EnergyJ()), runs)
 	}
 }
 
@@ -371,19 +307,6 @@ func loadModel(path string, d *dataset.Dataset, objective, wantScenario string) 
 	fmt.Printf("loaded model %s (%s/%s/%s), skipping training\n",
 		path, meta.Machine, meta.Objective, meta.Scenario)
 	return m, meta
-}
-
-// saveModel persists the model when -save was given. meta is the model's
-// true provenance — for a -load'ed model, its original metadata, so
-// re-saving can never relabel what the model was trained on.
-func saveModel(m *core.Model, path string, meta core.ModelMeta) {
-	if path == "" {
-		return
-	}
-	if err := m.Save(path, meta); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("saved model to %s\n", path)
 }
 
 // runRemote tunes every region of the target application through a

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"pnptuner/internal/dataset"
+	"pnptuner/internal/omp"
 	"pnptuner/internal/space"
 )
 
@@ -130,6 +131,16 @@ func (Energy) Name() string { return "energy" }
 func (Energy) Value(rd *dataset.RegionData, s *space.Space, cand int) float64 {
 	ci, ki := s.SplitJoint(cand)
 	return rd.Results[ci][ki].EnergyJ()
+}
+
+// PickAt decodes candidate cand of obj into its power cap and OpenMP
+// configuration: the objective's own cap for time under a cap, the joint
+// label's otherwise.
+func PickAt(s *space.Space, obj Objective, cand int) (capW float64, cfg omp.Config) {
+	if o, ok := obj.(TimeUnderCap); ok {
+		return s.Caps()[o.Cap], s.Configs[cand]
+	}
+	return s.At(cand)
 }
 
 // Oracle scans the full grid and returns the candidate minimizing obj on

@@ -8,6 +8,7 @@ import (
 	"pnptuner/internal/dataset"
 	"pnptuner/internal/hw"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/rgcn"
 	"pnptuner/internal/tensor"
 )
 
@@ -25,7 +26,7 @@ func TestEncoderBatchMatchesPerGraph(t *testing.T) {
 		t.Fatalf("batched pool shape %dx%d", pooled.Rows, pooled.Cols)
 	}
 	for i, r := range regions {
-		one := m.Enc.Forward(r, m.Adjacency(r))
+		one := m.Enc.Forward(r, r.CompiledGraph().Adj)
 		for c := 0; c < cfg.Hidden; c++ {
 			if d := math.Abs(one.At(0, c) - pooled.At(i, c)); d > 1e-9 {
 				t.Fatalf("region %s col %d: batched %g vs per-graph %g (diff %g)",
@@ -50,7 +51,7 @@ func TestEncoderBatchBackwardMatchesPerGraph(t *testing.T) {
 	dpool.FillUniform(rng, 1)
 
 	for i, r := range regions {
-		seq.Enc.Forward(r, seq.Adjacency(r))
+		seq.Enc.Forward(r, r.CompiledGraph().Adj)
 		seq.Enc.Backward(dpool.RowMatrix(i))
 	}
 
@@ -81,12 +82,17 @@ func TestEncodeBatchAppendsExtras(t *testing.T) {
 		{7, 8, 9, 10, 11, 12},
 		{13, 14, 15, 16, 17, 18},
 	}
-	enc := m.EncodeBatch(regions, exs)
+	cgs := make([]*rgcn.CompiledGraph, len(regions))
+	for i, r := range regions {
+		cgs[i] = r.CompiledGraph()
+	}
+	enc := m.EncodeCompiled(cgs, exs).Clone()
 	if enc.Rows != 3 || enc.Cols != cfg.Hidden+6 {
 		t.Fatalf("encoded shape %dx%d", enc.Rows, enc.Cols)
 	}
 	for i, ex := range exs {
-		single := m.Encode(regions[i], ex)
+		r := regions[i]
+		single := m.Assemble(m.Enc.Forward(r, r.CompiledGraph().Adj), ex)
 		for c := 0; c < enc.Cols; c++ {
 			if d := math.Abs(enc.At(i, c) - single.At(0, c)); d > 1e-9 {
 				t.Fatalf("row %d col %d: batch %g vs single %g", i, c, enc.At(i, c), single.At(0, c))

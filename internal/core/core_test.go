@@ -9,6 +9,7 @@ import (
 	"pnptuner/internal/kernels"
 	"pnptuner/internal/metrics"
 	"pnptuner/internal/nn"
+	"pnptuner/internal/rgcn"
 	"pnptuner/internal/tensor"
 )
 
@@ -21,6 +22,22 @@ func testConfig() ModelConfig {
 	return cfg
 }
 
+// trainAccuracy is the top-1 label accuracy of m over the labeled cases
+// of samples, each scored through the batched prediction pass.
+func trainAccuracy(m *Model, samples []Sample) float64 {
+	correct, total := 0, 0
+	for _, s := range samples {
+		cgs := []*rgcn.CompiledGraph{s.Region.CompiledGraph()}
+		for _, cs := range s.Cases {
+			if m.PredictCompiled(cgs, [][]float64{cs.Extras})[0][cs.Head] == cs.Label {
+				correct++
+			}
+			total++
+		}
+	}
+	return float64(correct) / float64(total)
+}
+
 func TestModelShapes(t *testing.T) {
 	c := kernels.MustCompile()
 	cfg := testConfig()
@@ -29,7 +46,7 @@ func TestModelShapes(t *testing.T) {
 		t.Fatalf("heads = %d", len(m.Heads))
 	}
 	r := c.Regions[0]
-	enc := m.Encode(r, nil)
+	enc := m.EncodeCompiled([]*rgcn.CompiledGraph{r.CompiledGraph()}, nil)
 	if enc.Rows != 1 || enc.Cols != cfg.Hidden {
 		t.Fatalf("encoded shape %dx%d", enc.Rows, enc.Cols)
 	}
@@ -37,7 +54,7 @@ func TestModelShapes(t *testing.T) {
 	if logits.Cols != 127 {
 		t.Fatalf("logits = %d classes", logits.Cols)
 	}
-	pick := m.Predict(r, nil, 0)
+	pick := m.PredictCompiled([]*rgcn.CompiledGraph{r.CompiledGraph()}, nil)[0][0]
 	if pick < 0 || pick >= 127 {
 		t.Fatalf("prediction out of range: %d", pick)
 	}
@@ -53,7 +70,7 @@ func TestModelExtraFeatures(t *testing.T) {
 		t.Fatalf("extra dim = %d, want 6 (5 counters + cap)", m.ExtraDim)
 	}
 	ex := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.9}
-	enc := m.Encode(c.Regions[0], ex)
+	enc := m.EncodeCompiled([]*rgcn.CompiledGraph{c.Regions[0].CompiledGraph()}, [][]float64{ex})
 	if enc.Cols != cfg.Hidden+6 {
 		t.Fatalf("encoded width %d", enc.Cols)
 	}
@@ -72,7 +89,8 @@ func TestEncodePanicsOnWrongExtras(t *testing.T) {
 	}()
 	c := kernels.MustCompile()
 	m := NewModel(testConfig(), c.Vocab.Size(), 1, 5)
-	m.Encode(c.Regions[0], []float64{1, 2, 3})
+	r := c.Regions[0]
+	m.Assemble(m.Enc.Forward(r, r.CompiledGraph().Adj), []float64{1, 2, 3})
 }
 
 func TestFitLearnsSeparableLabels(t *testing.T) {
@@ -96,7 +114,7 @@ func TestFitLearnsSeparableLabels(t *testing.T) {
 		samples = append(samples, Sample{Region: r, Cases: []Case{{Head: 0, Label: lbl}}})
 	}
 	m.Fit(samples)
-	if acc := m.TrainAccuracy(samples); acc < 0.9 {
+	if acc := trainAccuracy(m, samples); acc < 0.9 {
 		t.Fatalf("train accuracy = %.2f; GNN failed to separate matmul from Monte Carlo", acc)
 	}
 }
@@ -111,7 +129,7 @@ func TestFitGradientsFlowEndToEnd(t *testing.T) {
 	sample := Sample{Region: r, Cases: []Case{{Head: 0, Label: 1}, {Head: 1, Label: 2}}}
 
 	loss := func() float64 {
-		pooled := m.Enc.Forward(r, m.Adjacency(r))
+		pooled := m.Enc.Forward(r, r.CompiledGraph().Adj)
 		total := 0.0
 		for _, cs := range sample.Cases {
 			l, _ := nn.SoftmaxCrossEntropy(m.Logits(m.Assemble(pooled, nil), cs.Head), []int{cs.Label})
@@ -122,7 +140,7 @@ func TestFitGradientsFlowEndToEnd(t *testing.T) {
 
 	params := m.Params()
 	nn.ZeroGrads(params)
-	pooled := m.Enc.Forward(r, m.Adjacency(r))
+	pooled := m.Enc.Forward(r, r.CompiledGraph().Adj)
 	dpool := tensor.New(1, cfg.Hidden)
 	for _, cs := range sample.Cases {
 		_, dlogits := nn.SoftmaxCrossEntropy(m.Logits(m.Assemble(pooled, nil), cs.Head), []int{cs.Label})
@@ -174,7 +192,7 @@ func TestTrainPowerEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if acc := res.Model.TrainAccuracy(powerSamples(d, fold.Train, cfg)); acc <= 0.05 {
+	if acc := trainAccuracy(res.Model, PowerSamples(d, fold.Train, cfg)); acc <= 0.05 {
 		t.Fatalf("training did not move accuracy: %.2f after %+v", acc, res.Stats)
 	}
 }
@@ -196,13 +214,31 @@ func TestTrainEDPEndToEnd(t *testing.T) {
 func TestTrainUnseenCapEndToEnd(t *testing.T) {
 	d := dataset.MustBuild(hw.Haswell())
 	fold := d.LOOCVFolds()[2]
-	res := TrainUnseenCap(d, fold, 0, testConfig())
-	if len(res.Pred) != len(fold.Val) {
+	cfg := testConfig()
+	cfg.UseCounters, cfg.UseCapFeature = true, true
+	// Every cap but the lowest trains one shared head; the lowest is
+	// scored unseen through the cap feature.
+	caps := CapTargets(d)
+	train := caps[1:]
+	for _, s := range Samples(d, fold.Train, train, cfg) {
+		if len(s.Cases) != 3 {
+			t.Fatalf("%d cases per region, want 3 (held-out cap excluded)", len(s.Cases))
+		}
+	}
+	m, _, err := Train(d, fold.Train, train, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumHeads() != 1 {
+		t.Fatalf("%d heads, want 1", m.NumHeads())
+	}
+	pred := m.Picks(fold.Val, caps[0].CapNorm)
+	if len(pred) != len(fold.Val) {
 		t.Fatal("missing predictions")
 	}
-	for _, pick := range res.Pred {
-		if pick < 0 || pick >= d.Space.NumConfigs() {
-			t.Fatalf("pick %d out of range", pick)
+	for _, picks := range pred {
+		if p := picks[0]; p < 0 || p >= d.Space.NumConfigs() {
+			t.Fatalf("pick %d out of range", p)
 		}
 	}
 }
@@ -259,7 +295,7 @@ func TestRefineWithCountersOnlyChangesPoorPredictions(t *testing.T) {
 	fold := d.LOOCVFolds()[4]
 	cfg := testConfig()
 	static := TrainPower(d, fold, cfg)
-	merged := RefineWithCounters(d, fold, static.Pred, 0.95, cfg)
+	merged := Refine(d, fold, PowerTargets(d.Space), static.Pred, 0.95, cfg)
 	for _, rd := range fold.Val {
 		st := static.Pred[rd.Region.ID]
 		mg := merged[rd.Region.ID]

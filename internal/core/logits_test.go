@@ -34,7 +34,7 @@ func logitsDigests(d *dataset.Dataset) (f64, f32 string) {
 	cfg.UseCounters = true
 	cfg.UseCapFeature = true
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), len(d.Space.Caps()), d.Space.NumConfigs())
-	m.Fit(powerSamples(d, d.Regions, cfg))
+	m.Fit(PowerSamples(d, d.Regions, cfg))
 	q := m.MustQuantize()
 
 	cgs := make([]*rgcn.CompiledGraph, len(d.Regions))

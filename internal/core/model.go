@@ -239,40 +239,47 @@ func (n *network[T]) Logits(encoded *tensor.MatrixOf[T], h int) *tensor.MatrixOf
 	return n.Heads[h].Forward(encoded)
 }
 
-// PredictCompiled scores precompiled graphs in one encoder pass: out[i][h]
-// is head h's pick for cgs[i]. This is the micro-batched serving hot
-// path: N concurrent requests cost one block-diagonal forward instead of
-// N, and each head scores the whole window with a single matrix multiply.
-func (n *network[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
+// TopKCompiled scores precompiled graphs in one encoder pass and
+// returns each graph's k best classes per head, best first: out[i][h]
+// lists head h's top-k picks for cgs[i]. Every head scores the whole
+// batch with a single matrix multiply, so N concurrent requests cost one
+// block-diagonal forward instead of N. At k=1 each list is the head's
+// argmax (first-max tie-break), and all lists share one flat backing
+// array, so a sweep costs a handful of allocations.
+func (n *network[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
 	enc := n.EncodeCompiled(cgs, extras)
-	out := make([][]int, len(cgs))
-	flat := make([]int, len(cgs)*len(n.Heads))
-	for i := range out {
-		out[i] = flat[i*len(n.Heads) : (i+1)*len(n.Heads)]
-	}
+	heads := len(n.Heads)
+	lists := make([][]int, len(cgs)*heads)
+	flat := make([]int, len(lists)) // the k=1 picks
 	for h := range n.Heads {
 		logits := n.Logits(enc, h)
 		for i := range cgs {
-			out[i][h] = nn.Argmax(logits, i)
+			j := i*heads + h
+			if k != 1 {
+				lists[j] = nn.TopK(logits, i, k)
+				continue
+			}
+			flat[j] = nn.Argmax(logits, i)
+			lists[j] = flat[j : j+1 : j+1]
 		}
+	}
+	out := make([][][]int, len(cgs))
+	for i := range out {
+		out[i] = lists[i*heads : (i+1)*heads]
 	}
 	return out
 }
 
-// TopKCompiled scores precompiled graphs in one encoder pass and
-// returns each graph's k best classes per head, best first: out[i][h]
-// lists head h's top-k picks for cgs[i]. k=1 reproduces PredictCompiled;
-// larger k feeds hybrid tuning sessions their proposal shortlists.
-func (n *network[T]) TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int {
-	enc := n.EncodeCompiled(cgs, extras)
-	out := make([][][]int, len(cgs))
-	for i := range out {
-		out[i] = make([][]int, len(n.Heads))
-	}
-	for h := range n.Heads {
-		logits := n.Logits(enc, h)
-		for i := range cgs {
-			out[i][h] = nn.TopK(logits, i, k)
+// PredictCompiled is TopKCompiled at k=1, flattened: out[i][h] is head
+// h's pick for cgs[i].
+func (n *network[T]) PredictCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64) [][]int {
+	lists := n.TopKCompiled(cgs, extras, 1)
+	out := make([][]int, len(lists))
+	flat := make([]int, len(lists)*len(n.Heads))
+	for i, heads := range lists {
+		out[i] = flat[i*len(n.Heads) : (i+1)*len(n.Heads)]
+		for h, l := range heads {
+			out[i][h] = l[0]
 		}
 	}
 	return out
@@ -353,17 +360,10 @@ func (m *Model) MustQuantize() *CompiledModel {
 	return q
 }
 
-// Adjacency returns the region's message-passing structure — the
-// finalized adjacency of its compile-once artifact, built once per
-// process and shared across models and folds.
-func (m *Model) Adjacency(r *kernels.Region) *rgcn.Adjacency {
-	return r.CompiledGraph().Adj
-}
-
 // Batch merges regions' compile-once artifacts into one block-diagonal
 // rgcn.Batch; row i of the batched readout is regions[i]. The batch is
-// backed by the model's merger buffers and valid until the next Batch,
-// EncodeBatch, or EncodeCompiled call on this model.
+// backed by the model's merger buffers and valid until the next Batch or
+// EncodeCompiled call on this model.
 func (m *Model) Batch(regions []*kernels.Region) *rgcn.Batch {
 	if cap(m.cgs) < len(regions) {
 		m.cgs = make([]*rgcn.CompiledGraph, len(regions))
@@ -388,19 +388,6 @@ func (m *Model) Assemble(pooled *tensor.Matrix, extras []float64) *tensor.Matrix
 	copy(full.Data[:m.Cfg.Hidden], pooled.Data)
 	copy(full.Data[m.Cfg.Hidden:], extras)
 	return full
-}
-
-// Encode runs the encoder and appends extra features, returning the dense
-// input vector.
-func (m *Model) Encode(r *kernels.Region, extras []float64) *tensor.Matrix {
-	return m.Assemble(m.Enc.Forward(r, m.Adjacency(r)), extras)
-}
-
-// EncodeBatch encodes regions in one batched pass and appends each
-// region's extra features: row i is the dense-head input for regions[i].
-// extras may be nil when the model uses no extra features.
-func (m *Model) EncodeBatch(regions []*kernels.Region, extras [][]float64) *tensor.Matrix {
-	return m.encode(m.Batch(regions), extras)
 }
 
 // PredictGraphs scores a batch of raw graphs in one encoder pass and
@@ -437,11 +424,6 @@ func (m *Model) ScoreAll(pooled *tensor.Matrix, extras [][]float64, h int) *tens
 		copy(row[m.Cfg.Hidden:], ex)
 	}
 	return m.Logits(in, h)
-}
-
-// Predict returns the argmax class of head h for region r.
-func (m *Model) Predict(r *kernels.Region, extras []float64, h int) int {
-	return nn.Argmax(m.Logits(m.Encode(r, extras), h), 0)
 }
 
 // Params returns all parameters (encoder + heads).

@@ -63,7 +63,7 @@ func TestScoreAllMatchesPerConfigLoop(t *testing.T) {
 	}
 	exs = append(exs, exs[0])
 
-	pooled := m.Enc.Forward(rd.Region, m.Adjacency(rd.Region))
+	pooled := m.Enc.Forward(rd.Region, rd.Region.CompiledGraph().Adj)
 	// Reference: per-config 1-row head passes, copied out before the next
 	// pass reuses the head buffers.
 	ref := make([][]float64, len(exs))
@@ -106,7 +106,7 @@ func TestTrainStepAllocsRegression(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 1
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), len(d.Space.Caps()), d.Space.NumConfigs())
-	samples := powerSamples(d, d.Regions, cfg)
+	samples := PowerSamples(d, d.Regions, cfg)
 	m.Fit(samples) // reach buffer high-water marks
 	per := testing.AllocsPerRun(3, func() { m.Fit(samples) })
 	// Measured ~960 at the time of writing (optimizer state and the
@@ -126,7 +126,7 @@ func TestPredictSweepAllocsRegression(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 1
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), len(d.Space.Caps()), d.Space.NumConfigs())
-	m.Fit(powerSamples(d, d.Regions, cfg))
+	m.Fit(PowerSamples(d, d.Regions, cfg))
 	PredictPower(d, m, d.Regions) // warm buffers
 	per := testing.AllocsPerRun(5, func() { PredictPower(d, m, d.Regions) })
 	// Measured 7 at the time of writing (result map + flat picks + the

@@ -26,7 +26,7 @@ func quantizeParity(t *testing.T, d *dataset.Dataset) {
 	cfg.UseCounters = true
 	cfg.UseCapFeature = true
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), len(d.Space.Caps()), d.Space.NumConfigs())
-	m.Fit(powerSamples(d, d.Regions, cfg))
+	m.Fit(PowerSamples(d, d.Regions, cfg))
 
 	q, err := m.Quantize()
 	if err != nil {
@@ -110,7 +110,7 @@ func TestQuantizeIndependentOfSource(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epochs = 1
 	m := NewModel(cfg, d.Corpus.Vocab.Size(), len(d.Space.Caps()), d.Space.NumConfigs())
-	samples := powerSamples(d, d.Regions, cfg)
+	samples := PowerSamples(d, d.Regions, cfg)
 	m.Fit(samples)
 	q := m.MustQuantize()
 

@@ -35,8 +35,7 @@ type Sample struct {
 type TrainStats struct {
 	Epochs    int
 	FinalLoss float64
-	// Duration is the wall time of the epochs. Training-set accuracy is
-	// a separate encoding pass, (*Model).TrainAccuracy.
+	// Duration is the wall time of the epochs.
 	Duration time.Duration
 	// UpdatedParams is the number of parameters given to the optimizer
 	// (smaller under transfer learning).
@@ -48,14 +47,6 @@ type TrainStats struct {
 // heads, AdamW(amsgrad), gradient clipping.
 func (m *Model) Fit(samples []Sample) TrainStats {
 	return m.fit(samples, false)
-}
-
-// FitFrozen trains only the dense heads, keeping the encoder fixed — the
-// transfer-learning path of §IV-B. Graph encodings are computed once and
-// reused across epochs, which is where the paper's ~4× training speedup
-// comes from.
-func (m *Model) FitFrozen(samples []Sample) TrainStats {
-	return m.fit(samples, true)
 }
 
 // encodeAll runs one batched encoder pass over every sample, returning a
@@ -156,6 +147,10 @@ func (m *Model) headPassBatch(sc *fitScratch, samples []Sample, batch []int,
 	return loss, n
 }
 
+// fit runs the Table II recipe; frozen trains only the dense heads,
+// keeping the encoder fixed — the transfer-learning path of §IV-B. A
+// frozen encoder's graph encodings are computed once and reused across
+// epochs, which is where the paper's ~4× training speedup comes from.
 func (m *Model) fit(samples []Sample, frozen bool) TrainStats {
 	start := time.Now()
 	cfg := m.Cfg
@@ -224,48 +219,6 @@ func (m *Model) fit(samples []Sample, frozen bool) TrainStats {
 	return stats
 }
 
-// TrainAccuracy is the top-1 label accuracy of m over the labeled cases
-// of samples, from one batched encoding pass; each sample's per-head
-// candidate set scores in one ScoreAll pass. It returns 0 when no case is
-// labeled.
-func (m *Model) TrainAccuracy(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	encoded := m.encodeAll(samples)
-	correct, total := 0, 0
-	var exs [][]float64
-	var cis []int
-	for i := range samples {
-		s := &samples[i]
-		pooled := encoded.RowMatrix(i)
-		for h := range m.Heads {
-			exs, cis = exs[:0], cis[:0]
-			for ci, cs := range s.Cases {
-				if cs.Label < 0 || cs.Head != h {
-					continue
-				}
-				exs = append(exs, cs.Extras)
-				cis = append(cis, ci)
-			}
-			if len(cis) == 0 {
-				continue
-			}
-			logits := m.ScoreAll(pooled, exs, h)
-			for r, ci := range cis {
-				if nn.Argmax(logits, r) == s.Cases[ci].Label {
-					correct++
-				}
-				total++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // growRegions resizes a region scratch slice, reusing its backing array.
 func growRegions(s []*kernels.Region, n int) []*kernels.Region {
 	if cap(s) < n {
@@ -293,17 +246,4 @@ func countParams(params []*nn.Param) int {
 		n += len(p.W.Data)
 	}
 	return n
-}
-
-// EncoderCheckpoint snapshots the encoder parameters for transfer to
-// another machine's model.
-func (m *Model) EncoderCheckpoint() *nn.Checkpoint {
-	return nn.Snapshot(m.Enc.Params())
-}
-
-// RestoreEncoder loads encoder parameters from a checkpoint (shapes must
-// match: same ModelConfig sizing). The checkpoint must describe exactly
-// the encoder — entries matching no encoder parameter fail the load.
-func (m *Model) RestoreEncoder(ck *nn.Checkpoint) (int, error) {
-	return ck.RestoreStrict(m.Enc.Params())
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"fmt"
+
 	"pnptuner/internal/autotune"
 	"pnptuner/internal/dataset"
-	"pnptuner/internal/kernels"
 	"pnptuner/internal/nn"
 	"pnptuner/internal/papi"
 	"pnptuner/internal/rgcn"
-	"pnptuner/internal/tensor"
+	"pnptuner/internal/space"
 )
 
 // extras assembles the extra-feature vector for a region under cfg.
@@ -23,37 +24,61 @@ func extras(cfg ModelConfig, counters papi.Counters, capNorm float64) []float64 
 	return out
 }
 
-// PowerResult is a trained scenario-1 model plus its held-out predictions.
-type PowerResult struct {
-	Model *Model
-	Stats TrainStats
-	// Pred maps region ID → per-cap predicted config index.
-	Pred map[string][]int
+// Target is one supervised objective a model head learns: head Head
+// classifies Obj's candidates, and CapNorm (cap/TDP) is the cap feature
+// its cases carry when ModelConfig.UseCapFeature is set. Every target of
+// one model has the same candidate count.
+type Target struct {
+	Head    int
+	Obj     autotune.Objective
+	CapNorm float64
 }
 
-// TrainPower trains the scenario-1 model (best config per power cap) on a
-// LOOCV fold: one classifier head per cap over the per-cap configuration
-// space, shared graph encoder.
-func TrainPower(d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) *PowerResult {
-	nCaps := len(d.Space.Caps())
-	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
-	samples := powerSamples(d, fold.Train, cfg)
-	stats := m.Fit(samples)
-	return &PowerResult{Model: m, Stats: stats, Pred: PredictPower(d, m, fold.Val)}
-}
-
-// TransferPower trains a scenario-1 model for d reusing a source model's
-// encoder (the Haswell→Skylake trick of §IV-B): encoder weights are
-// restored and frozen; only the dense heads train.
-func TransferPower(src *Model, d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) (*PowerResult, error) {
-	nCaps := len(d.Space.Caps())
-	m := NewModel(cfg, d.Corpus.Vocab.Size(), nCaps, d.Space.NumConfigs())
-	if _, err := m.RestoreEncoder(src.EncoderCheckpoint()); err != nil {
-		return nil, err
+// PowerTargets returns scenario 1's targets: time under each power cap,
+// one head per cap.
+func PowerTargets(s *space.Space) []Target {
+	ts := make([]Target, len(s.Caps()))
+	for c := range ts {
+		ts[c] = Target{Head: c, Obj: autotune.TimeUnderCap{Cap: c}}
 	}
-	samples := powerSamples(d, fold.Train, cfg)
-	stats := m.FitFrozen(samples)
-	return &PowerResult{Model: m, Stats: stats, Pred: PredictPower(d, m, fold.Val)}, nil
+	return ts
+}
+
+// EDPTargets returns scenario 2's target: the joint (power cap × OpenMP
+// configuration) energy-delay product on head 0.
+func EDPTargets() []Target { return []Target{{Obj: autotune.EDP{}}} }
+
+// CapTargets returns the cap-conditioned variant's targets, indexed by
+// cap: time under each cap, all on head 0, told apart by the cap feature
+// cap/TDP. The unseen-cap experiments train on all but one of them.
+func CapTargets(d *dataset.Dataset) []Target {
+	ts := make([]Target, len(d.Space.Caps()))
+	for c, capW := range d.Space.Caps() {
+		ts[c] = Target{Obj: autotune.TimeUnderCap{Cap: c}, CapNorm: capW / d.Machine.TDP}
+	}
+	return ts
+}
+
+// ObjectiveTargets maps a trainable objective's name, as the registry
+// keys and the CLI spell it ("time" or "edp"), to its targets.
+func ObjectiveTargets(s *space.Space, objective string) ([]Target, error) {
+	switch objective {
+	case "time":
+		return PowerTargets(s), nil
+	case "edp":
+		return EDPTargets(), nil
+	}
+	return nil, fmt.Errorf("core: no trained model for objective %q", objective)
+}
+
+// HeadOf returns the head that scores obj in a PowerTargets or
+// EDPTargets model: the cap for time under a cap, 0 for a joint
+// objective.
+func HeadOf(obj autotune.Objective) int {
+	if o, ok := obj.(autotune.TimeUnderCap); ok {
+		return o.Cap
+	}
+	return 0
 }
 
 // softTargets builds the near-optimal label distribution: p ∝ (best/v)^γ
@@ -97,103 +122,136 @@ func pow(x, g float64) float64 {
 	return r
 }
 
-// PowerSamples builds the scenario-1 training set for the given regions:
-// one sample per region, one case per power cap (head). Exported so
-// benchmarks and serving-side retraining can assemble the same set
-// TrainPower trains on.
-func PowerSamples(d *dataset.Dataset, train []*dataset.RegionData, cfg ModelConfig) []Sample {
-	return powerSamples(d, train, cfg)
-}
-
-func powerSamples(d *dataset.Dataset, train []*dataset.RegionData, cfg ModelConfig) []Sample {
+// Samples builds the training set for targets over the given regions:
+// one sample per region, one case per target, labelled with the target
+// objective's oracle (autotune.Oracle, which reproduces the dataset's
+// labels and follows a sample-refined grid) and its soft targets.
+func Samples(d *dataset.Dataset, train []*dataset.RegionData, targets []Target, cfg ModelConfig) []Sample {
 	samples := make([]Sample, 0, len(train))
 	for _, rd := range train {
-		s := Sample{Region: rd.Region}
-		ex := extras(cfg, rd.Counters, 0)
-		for h, lbl := range rd.BestTimeCfg {
-			// Labels and soft targets read the same objective the engine
-			// searches and the figures report.
-			obj := autotune.TimeUnderCap{Cap: h}
-			soft := softTargets(cfg, func(i int) float64 { return obj.Value(rd, d.Space, i) },
-				d.Space.NumConfigs(), obj.Value(rd, d.Space, lbl))
-			s.Cases = append(s.Cases, Case{Extras: ex, Head: h, Label: lbl, Soft: soft})
+		s := Sample{Region: rd.Region, Cases: make([]Case, 0, len(targets))}
+		for _, t := range targets {
+			label, best := autotune.Oracle(rd, d.Space, t.Obj)
+			soft := softTargets(cfg, func(i int) float64 { return t.Obj.Value(rd, d.Space, i) },
+				t.Obj.NumCandidates(d.Space), best)
+			s.Cases = append(s.Cases, Case{Extras: extras(cfg, rd.Counters, t.CapNorm), Head: t.Head, Label: label, Soft: soft})
 		}
 		samples = append(samples, s)
 	}
 	return samples
 }
 
-// encodeRegions batch-encodes the regions of val with their per-region
-// extra features: row i of the result feeds the heads for val[i].
-func encodeRegions(m *Model, cfg ModelConfig, val []*dataset.RegionData, capNorm float64) *tensor.Matrix {
-	regions := make([]*kernels.Region, len(val))
-	exs := make([][]float64, len(val))
-	for i, rd := range val {
-		regions[i] = rd.Region
-		exs[i] = extras(cfg, rd.Counters, capNorm)
-	}
-	return m.EncodeBatch(regions, exs)
+// PowerSamples is Samples for PowerTargets: the set TrainPower trains on.
+func PowerSamples(d *dataset.Dataset, train []*dataset.RegionData, cfg ModelConfig) []Sample {
+	return Samples(d, train, PowerTargets(d.Space), cfg)
 }
 
-// regionPicks scores every validation region in one batched encoder pass
-// (capNorm 0) and returns each region's argmax pick of every head.
-// Per-region pick slices share one flat backing array, so a full sweep
-// costs a handful of allocations.
-func regionPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) [][]int {
+// Train builds a model for targets and fits it on the train regions with
+// the Table II recipe. With src nil every weight trains from scratch;
+// otherwise the model borrows src's encoder weights, freezes them, and
+// trains only the dense heads — the Haswell→Skylake transfer of §IV-B.
+// Only restoring src's encoder can fail.
+func Train(d *dataset.Dataset, train []*dataset.RegionData, targets []Target, cfg ModelConfig, src *Model) (*Model, TrainStats, error) {
+	heads := 0
+	for _, t := range targets {
+		heads = max(heads, t.Head+1)
+	}
+	m := NewModel(cfg, d.Corpus.Vocab.Size(), heads, targets[0].Obj.NumCandidates(d.Space))
+	if src != nil {
+		// The checkpoint must describe exactly the encoder: same sizing.
+		if _, err := nn.Snapshot(src.Enc.Params()).RestoreStrict(m.Enc.Params()); err != nil {
+			return nil, TrainStats{}, err
+		}
+	}
+	return m, m.fit(Samples(d, train, targets, cfg), src != nil), nil
+}
+
+// inputs gathers the regions' compile-once graphs and their extra
+// features with the cap feature at capNorm.
+func (n *network[T]) inputs(val []*dataset.RegionData, capNorm float64) ([]*rgcn.CompiledGraph, [][]float64) {
 	cgs := make([]*rgcn.CompiledGraph, len(val))
 	exs := make([][]float64, len(val))
 	for i, rd := range val {
 		cgs[i] = rd.Region.CompiledGraph()
-		exs[i] = extras(n.Cfg, rd.Counters, 0)
+		exs[i] = extras(n.Cfg, rd.Counters, capNorm)
 	}
-	return n.PredictCompiled(cgs, exs)
+	return cgs, exs
 }
 
-// powerPicks maps each validation region to its per-cap config picks.
-func powerPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) map[string][]int {
-	pred := make(map[string][]int, len(val))
+// TopK scores regions in one batched encoder pass, with the cap feature
+// (when the model has one) at capNorm, and maps each region ID to its k
+// best classes per head, best first — the proposal shortlists hybrid
+// tuning sessions refine by measurement.
+func (n *network[T]) TopK(val []*dataset.RegionData, capNorm float64, k int) map[string][][]int {
+	out := make(map[string][][]int, len(val))
 	if len(val) == 0 {
-		return pred
+		return out
 	}
-	for i, picks := range regionPicks(n, val) {
-		pred[val[i].Region.ID] = picks
+	cgs, exs := n.inputs(val, capNorm)
+	for i, lists := range n.TopKCompiled(cgs, exs, k) {
+		out[val[i].Region.ID] = lists
 	}
-	return pred
+	return out
 }
 
-// edpPicks maps each validation region to its joint (cap, config) pick.
-func edpPicks[T tensor.Float](n *network[T], val []*dataset.RegionData) map[string]int {
-	pred := make(map[string]int, len(val))
+// Picks is TopK at k=1: it maps each region ID to its one pick per head.
+func (n *network[T]) Picks(val []*dataset.RegionData, capNorm float64) map[string][]int {
+	out := make(map[string][]int, len(val))
 	if len(val) == 0 {
-		return pred
+		return out
 	}
-	for i, picks := range regionPicks(n, val) {
-		pred[val[i].Region.ID] = picks[0]
+	cgs, exs := n.inputs(val, capNorm)
+	for i, picks := range n.PredictCompiled(cgs, exs) {
+		out[val[i].Region.ID] = picks
 	}
-	return pred
+	return out
+}
+
+// Result is a model trained on a LOOCV fold plus its held-out picks.
+type Result struct {
+	Model *Model
+	Stats TrainStats
+	// Pred maps region ID → one pick per head.
+	Pred map[string][]int
+}
+
+// PowerResult is a trained scenario-1 model: Pred[id][c] is the config
+// picked at cap c.
+type PowerResult = Result
+
+// trainFold trains a model for targets on the fold (see Train) and
+// picks every held-out region.
+func trainFold(d *dataset.Dataset, fold dataset.Fold, targets []Target, cfg ModelConfig, src *Model) (*Result, error) {
+	m, stats, err := Train(d, fold.Train, targets, cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Model: m, Stats: stats, Pred: m.Picks(fold.Val, 0)}, nil
+}
+
+// TrainPower trains the scenario-1 model (best config per power cap) on a
+// LOOCV fold: one classifier head per cap over the per-cap configuration
+// space, shared graph encoder.
+func TrainPower(d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) *PowerResult {
+	res, _ := trainFold(d, fold, PowerTargets(d.Space), cfg, nil) // from scratch: no error
+	return res
+}
+
+// TransferPower trains a scenario-1 model for d on src's frozen encoder.
+func TransferPower(src *Model, d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) (*PowerResult, error) {
+	return trainFold(d, fold, PowerTargets(d.Space), cfg, src)
 }
 
 // PredictPower scores validation regions with an already-trained
 // scenario-1 model (e.g. one restored by LoadModel), returning per-region
 // per-cap config picks — the train-once/predict-many path.
 func PredictPower(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string][]int {
-	return powerPicks(&m.network, val)
+	return m.Picks(val, 0)
 }
 
 // PredictPowerQuantized is PredictPower on the float32 snapshot.
 func PredictPowerQuantized(q *CompiledModel, val []*dataset.RegionData) map[string][]int {
-	return powerPicks(&q.network, val)
-}
-
-// PredictEDP scores validation regions with an already-trained scenario-2
-// model, returning per-region joint (cap, config) picks.
-func PredictEDP(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string]int {
-	return edpPicks(&m.network, val)
-}
-
-// PredictEDPQuantized is PredictEDP on the float32 snapshot.
-func PredictEDPQuantized(q *CompiledModel, val []*dataset.RegionData) map[string]int {
-	return edpPicks(&q.network, val)
+	return q.Picks(val, 0)
 }
 
 // EDPResult is a trained scenario-2 model plus its held-out predictions.
@@ -208,191 +266,51 @@ type EDPResult struct {
 // joint 508-point (power cap × OpenMP configuration) space targeting the
 // minimum energy-delay product.
 func TrainEDP(d *dataset.Dataset, fold dataset.Fold, cfg ModelConfig) *EDPResult {
-	m := NewModel(cfg, d.Corpus.Vocab.Size(), 1, d.Space.NumJoint())
-	stats := m.Fit(EDPSamples(d, fold.Train, cfg))
-	return &EDPResult{Model: m, Stats: stats, Pred: PredictEDP(d, m, fold.Val)}
+	res, _ := trainFold(d, fold, EDPTargets(), cfg, nil) // from scratch: no error
+	return &EDPResult{Model: res.Model, Stats: res.Stats, Pred: firstHead(res.Pred)}
 }
 
-// EDPSamples builds the scenario-2 training set for the given regions:
-// one single-head joint-label case per region. Exported (like
-// PowerSamples) so serving-side retraining assembles the same set
-// TrainEDP trains on — against a sample-refined dataset, the labels and
-// soft targets shift with the measured grid.
-func EDPSamples(d *dataset.Dataset, train []*dataset.RegionData, cfg ModelConfig) []Sample {
-	obj := autotune.EDP{}
-	samples := make([]Sample, 0, len(train))
-	for _, rd := range train {
-		soft := softTargets(cfg, func(j int) float64 { return obj.Value(rd, d.Space, j) },
-			d.Space.NumJoint(), rd.BestEDP(d.Space))
-		samples = append(samples, Sample{
-			Region: rd.Region,
-			Cases:  []Case{{Extras: extras(cfg, rd.Counters, 0), Head: 0, Label: rd.BestEDPJoint, Soft: soft}},
-		})
-	}
-	return samples
+// PredictEDP scores validation regions with an already-trained scenario-2
+// model, returning per-region joint (cap, config) picks.
+func PredictEDP(d *dataset.Dataset, m *Model, val []*dataset.RegionData) map[string]int {
+	return firstHead(m.Picks(val, 0))
 }
 
-// UnseenCapResult is a cap-conditioned model evaluated at a power
-// constraint excluded from training (Figs. 4–5).
-type UnseenCapResult struct {
-	Model *Model
-	Stats TrainStats
-	// Pred maps region ID → predicted config index at the unseen cap.
-	Pred map[string]int
+// PredictEDPQuantized is PredictEDP on the float32 snapshot.
+func PredictEDPQuantized(q *CompiledModel, val []*dataset.RegionData) map[string]int {
+	return firstHead(q.Picks(val, 0))
 }
 
-// TrainUnseenCap trains the cap-conditioned variant: counters and the
-// normalized power cap join the feature set, a single head classifies the
-// per-cap configuration space, and every measurement at the target cap is
-// excluded from training (in addition to the LOOCV holdout).
-func TrainUnseenCap(d *dataset.Dataset, fold dataset.Fold, targetCapIdx int, cfg ModelConfig) *UnseenCapResult {
-	cfg.UseCounters = true
-	cfg.UseCapFeature = true
-	m := NewModel(cfg, d.Corpus.Vocab.Size(), 1, d.Space.NumConfigs())
-
-	caps := d.Space.Caps()
-	tdp := d.Machine.TDP
-	var samples []Sample
-	for _, rd := range fold.Train {
-		s := Sample{Region: rd.Region}
-		for ci := range caps {
-			if ci == targetCapIdx {
-				continue
-			}
-			obj := autotune.TimeUnderCap{Cap: ci}
-			soft := softTargets(cfg, func(i int) float64 { return obj.Value(rd, d.Space, i) },
-				d.Space.NumConfigs(), obj.Value(rd, d.Space, rd.BestTimeCfg[ci]))
-			s.Cases = append(s.Cases, Case{
-				Extras: extras(cfg, rd.Counters, caps[ci]/tdp),
-				Head:   0,
-				Label:  rd.BestTimeCfg[ci],
-				Soft:   soft,
-			})
-		}
-		samples = append(samples, s)
-	}
-	stats := m.Fit(samples)
-
-	pred := make(map[string]int, len(fold.Val))
-	if len(fold.Val) > 0 {
-		logits := m.Logits(encodeRegions(m, cfg, fold.Val, caps[targetCapIdx]/tdp), 0)
-		for i, rd := range fold.Val {
-			pred[rd.Region.ID] = nn.Argmax(logits, i)
-		}
-	}
-	return &UnseenCapResult{Model: m, Stats: stats, Pred: pred}
-}
-
-// TopKPower returns, per validation region and cap, the model's k
-// highest-scoring config indices (best first) from one batched encoder
-// pass — the proposal shortlists hybrid tuning sessions refine by
-// measurement.
-func TopKPower(d *dataset.Dataset, m *Model, val []*dataset.RegionData, k int) map[string][][]int {
-	out := make(map[string][][]int, len(val))
-	if len(val) == 0 {
-		return out
-	}
-	enc := encodeRegions(m, m.Cfg, val, 0)
-	nCaps := len(d.Space.Caps())
-	lists := make([][][]int, len(val))
-	for i, rd := range val {
-		lists[i] = make([][]int, nCaps)
-		out[rd.Region.ID] = lists[i]
-	}
-	for h := 0; h < nCaps; h++ {
-		logits := m.Logits(enc, h)
-		for i := range val {
-			lists[i][h] = nn.TopK(logits, i, k)
-		}
+// firstHead narrows per-head picks to head 0's, for single-head models.
+func firstHead(picks map[string][]int) map[string]int {
+	out := make(map[string]int, len(picks))
+	for id, p := range picks {
+		out[id] = p[0]
 	}
 	return out
 }
 
-// TopKEDP returns, per validation region, the scenario-2 model's k
-// highest-scoring joint (cap, config) labels, best first, from one
-// batched encoder pass.
-func TopKEDP(d *dataset.Dataset, m *Model, val []*dataset.RegionData, k int) map[string][]int {
-	out := make(map[string][]int, len(val))
-	if len(val) == 0 {
-		return out
-	}
-	logits := m.Logits(encodeRegions(m, m.Cfg, val, 0), 0)
-	for i, rd := range val {
-		out[rd.Region.ID] = nn.TopK(logits, i, k)
-	}
-	return out
-}
-
-// HybridPower picks, per validation region and cap, the best of the
-// model's top-k candidates by measuring them through a noise-free engine
-// session (k executions per cap instead of BLISS's 20 per region). All
-// validation regions encode in one batched pass; only the per-(region,
-// cap) refinement runs through the engine.
-func HybridPower(d *dataset.Dataset, res *PowerResult, fold dataset.Fold, k int) map[string][]int {
-	topk := TopKPower(d, res.Model, fold.Val, k)
-	out := make(map[string][]int, len(fold.Val))
-	nCaps := len(d.Space.Caps())
-	for _, rd := range fold.Val {
-		picks := make([]int, nCaps)
-		for ci := range picks {
-			p := autotune.Problem{
-				Obj:    autotune.TimeUnderCap{Cap: ci},
-				Space:  d.Space,
-				Budget: k,
-				Seed:   rd.Region.Seed,
-			}
-			eval := autotune.NewOracle(rd, d.Space, p.Obj)
-			picks[ci] = autotune.Run(p, eval, autotune.NewShortlist(topk[rd.Region.ID][ci])).Best
-		}
-		out[rd.Region.ID] = picks
-	}
-	return out
-}
-
-// RefineEDPWithCounters is the §IV-C analogue of RefineWithCounters:
-// regions whose static EDP prediction falls below a normalized-improvement
-// threshold are re-predicted with the dynamic-feature model.
-func RefineEDPWithCounters(d *dataset.Dataset, fold dataset.Fold, staticPred map[string]int,
-	threshold float64, cfg ModelConfig) map[string]int {
-
-	cfg.UseCounters = true
-	dyn := TrainEDP(d, fold, cfg)
-	merged := make(map[string]int, len(staticPred))
-	for _, rd := range fold.Val {
-		pick := staticPred[rd.Region.ID]
-		ci, ki := d.Space.SplitJoint(pick)
-		best := rd.BestEDP(d.Space)
-		got := rd.Results[ci][ki].EDP()
-		if best/got < threshold {
-			pick = dyn.Pred[rd.Region.ID]
-		}
-		merged[rd.Region.ID] = pick
-	}
-	return merged
-}
-
-// RefineWithCounters mirrors the paper's §IV-B refinement: regions whose
-// static prediction falls below a normalized-speedup threshold are
-// re-predicted with the dynamic-feature model. It returns the merged
-// per-cap predictions.
-func RefineWithCounters(d *dataset.Dataset, fold dataset.Fold, staticPred map[string][]int,
+// Refine is the dynamic-feature refinement of §IV-B and §IV-C: it trains
+// the counter-augmented model for targets (one per head) on the fold and,
+// wherever a held-out static pick reaches less than threshold of its
+// target's oracle value (best/value), takes the counter model's pick.
+// static and the result map region ID → per-head picks.
+func Refine(d *dataset.Dataset, fold dataset.Fold, targets []Target, static map[string][]int,
 	threshold float64, cfg ModelConfig) map[string][]int {
 
 	cfg.UseCounters = true
-	dyn := TrainPower(d, fold, cfg)
-	merged := make(map[string][]int, len(staticPred))
+	dyn, _ := trainFold(d, fold, targets, cfg, nil) // from scratch: no error
+	merged := make(map[string][]int, len(static))
 	for _, rd := range fold.Val {
-		static := staticPred[rd.Region.ID]
-		out := make([]int, len(static))
-		copy(out, static)
-		for ci := range static {
-			best := rd.BestTime(ci)
-			got := rd.Results[ci][static[ci]].TimeSec
-			if best/got < threshold {
-				out[ci] = dyn.Pred[rd.Region.ID][ci]
+		id := rd.Region.ID
+		out := append([]int(nil), static[id]...)
+		for _, t := range targets {
+			_, best := autotune.Oracle(rd, d.Space, t.Obj)
+			if best/t.Obj.Value(rd, d.Space, out[t.Head]) < threshold {
+				out[t.Head] = dyn.Pred[id][t.Head]
 			}
 		}
-		merged[rd.Region.ID] = out
+		merged[id] = out
 	}
 	return merged
 }

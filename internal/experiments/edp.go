@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"pnptuner/internal/autotune"
-	"pnptuner/internal/bliss"
 	"pnptuner/internal/core"
 	"pnptuner/internal/dataset"
 	"pnptuner/internal/hw"
 	"pnptuner/internal/metrics"
-	"pnptuner/internal/opentuner"
 )
 
 // UnseenCapFigure is the data behind Fig. 4 (Skylake) or Fig. 5 (Haswell):
@@ -42,51 +40,49 @@ func Fig5(w io.Writer, opts Options) (*UnseenCapFigure, error) {
 }
 
 func unseenCapFigure(w io.Writer, m *hw.Machine, opts Options, title string) (*UnseenCapFigure, error) {
-	d, err := dataset.Build(m)
+	d, folds, err := opts.folds(m)
 	if err != nil {
 		return nil, err
-	}
-	folds := d.LOOCVFolds()
-	if opts.MaxFolds > 0 && opts.MaxFolds < len(folds) {
-		folds = folds[:opts.MaxFolds]
 	}
 	// The paper tests the highest and lowest caps.
 	targets := []int{len(d.Space.Caps()) - 1, 0}
 
 	uf := &UnseenCapFigure{Machine: m.Name}
-	for _, t := range targets {
-		uf.TargetCaps = append(uf.TargetCaps, d.Space.Caps()[t])
-	}
-	present := map[string]bool{}
 	type appAgg struct{ def, pnp []float64 }
 	perApp := make([]map[string]*appAgg, len(targets))
-	var speedups, oracles [][]float64
-	for range targets {
-		speedups = append(speedups, nil)
-		oracles = append(oracles, nil)
-	}
-	for ti := range targets {
+	speedups := make([][]float64, len(targets))
+	oracles := make([][]float64, len(targets))
+	for ti, t := range targets {
+		uf.TargetCaps = append(uf.TargetCaps, d.Space.Caps()[t])
 		perApp[ti] = map[string]*appAgg{}
 	}
 
-	// One training run per (fold, target cap) — all independent, so they
-	// fan out across the fold pool and merge in deterministic order.
-	// Only the prediction maps are retained.
-	preds := make([]map[string]int, len(folds)*len(targets))
-	parallelFolds(len(preds), func(i int) {
-		fold, capIdx := folds[i/len(targets)], targets[i%len(targets)]
-		preds[i] = core.TrainUnseenCap(d, fold, capIdx, opts.Model).Pred
-	})
+	// One cap-conditioned model per (fold, target cap): counters and the
+	// normalized cap join the features, one head learns every other cap,
+	// and the held-out regions are scored at the excluded cap.
+	caps := core.CapTargets(d)
+	var jobs []foldJob
+	for _, fold := range folds {
+		for _, capIdx := range targets {
+			seen := slices.Delete(slices.Clone(caps), capIdx, capIdx+1)
+			jobs = append(jobs, foldJob{fold: fold, targets: seen, capNorm: caps[capIdx].CapNorm})
+		}
+	}
+	capOpts := opts
+	capOpts.Model.UseCounters, capOpts.Model.UseCapFeature = true, true
+	outs, err := runFolds(d, jobs, capOpts, nil, false)
+	if err != nil {
+		return nil, err
+	}
 
 	for fi, fold := range folds {
 		for ti, capIdx := range targets {
-			pred := preds[fi*len(targets)+ti]
+			pred := outs[fi*len(targets)+ti].static
 			for _, rd := range fold.Val {
-				present[rd.Region.App] = true
 				def := rd.DefaultResult(capIdx, d.Space).TimeSec
 				best := rd.BestTime(capIdx)
 				oracleSp := metrics.Speedup(def, best)
-				pick := pred[rd.Region.ID]
+				pick := pred[rd.Region.ID][0]
 				sp := metrics.Speedup(def, rd.Results[capIdx][pick].TimeSec)
 
 				agg := perApp[ti][rd.Region.App]
@@ -104,7 +100,7 @@ func unseenCapFigure(w io.Writer, m *hw.Machine, opts Options, title string) (*U
 		}
 	}
 
-	uf.Apps = appOrder(present)
+	uf.Apps = appOrder(perApp[0])
 	uf.DefaultNorm = make([][]float64, len(targets))
 	uf.PnPNorm = make([][]float64, len(targets))
 	for ti := range targets {
@@ -161,13 +157,9 @@ type EDPFigure struct {
 // Fig6And7 reproduces the EDP experiments for machine m: Fig. 6's
 // normalized EDP improvements and Fig. 7's speedup/greenup series.
 func Fig6And7(w io.Writer, m *hw.Machine, opts Options) (*EDPFigure, error) {
-	d, err := dataset.Build(m)
+	d, folds, err := opts.folds(m)
 	if err != nil {
 		return nil, err
-	}
-	folds := d.LOOCVFolds()
-	if opts.MaxFolds > 0 && opts.MaxFolds < len(folds) {
-		folds = folds[:opts.MaxFolds]
 	}
 	tdpIdx := len(d.Space.Caps()) - 1
 
@@ -179,14 +171,13 @@ func Fig6And7(w io.Writer, m *hw.Machine, opts Options) (*EDPFigure, error) {
 		Greenup:        map[string][]float64{},
 		EDPImprovement: map[string]float64{},
 	}
-	present := map[string]bool{}
 	perApp := map[string]map[string][]float64{}
 	for _, tn := range Tuners {
 		perApp[tn] = map[string][]float64{}
 	}
 	improvements := map[string][]float64{}
 
-	record := func(tuner string, rd *dataset.RegionData, joint int) {
+	record := func(tuner string, rd *dataset.RegionData, _, joint int) {
 		def := rd.DefaultResult(tdpIdx, d.Space)
 		ci, ki := d.Space.SplitJoint(joint)
 		got := rd.Results[ci][ki]
@@ -201,49 +192,14 @@ func Fig6And7(w io.Writer, m *hw.Machine, opts Options) (*EDPFigure, error) {
 		improvements[tuner] = append(improvements[tuner], imp)
 	}
 
-	// Per-fold EDP models are independent: train in parallel, merge in
-	// fold order. Only the prediction maps and shortlists are retained.
-	type foldOut struct {
-		static  map[string]int
-		dynamic map[string]int
-		topk    map[string][]int
+	targets := core.EDPTargets()
+	outs, err := runFolds(d, foldJobs(folds, targets), opts, nil, true)
+	if err != nil {
+		return nil, err
 	}
-	outs := make([]foldOut, len(folds))
-	parallelFolds(len(folds), func(fi int) {
-		static := core.TrainEDP(d, folds[fi], opts.Model)
-		outs[fi] = foldOut{
-			static:  static.Pred,
-			dynamic: core.RefineEDPWithCounters(d, folds[fi], static.Pred, opts.Threshold, opts.Model),
-			topk:    core.TopKEDP(d, static.Model, folds[fi].Val, HybridK),
-		}
-	})
+	scoreFolds(d, folds, outs, targets, d.Space.JointIndex(tdpIdx, d.Space.DefaultIndex()), record)
 
-	for fi, fold := range folds {
-		o := outs[fi]
-		// One engine entry per tuner column over the joint space.
-		entries := []autotune.Entry{
-			autotune.FixedEntry(TunerDefault, func(t autotune.Task) int {
-				return d.Space.JointIndex(tdpIdx, d.Space.DefaultIndex())
-			}),
-			autotune.FixedEntry(TunerPnPStatic, func(t autotune.Task) int { return o.static[t.RegionID] }),
-			autotune.FixedEntry(TunerPnPDyn, func(t autotune.Task) int { return o.dynamic[t.RegionID] }),
-			autotune.HybridEntry(TunerPnPHybrid, func(t autotune.Task) []int { return o.topk[t.RegionID] }),
-			bliss.Entry(TunerBLISS),
-			opentuner.Entry(TunerOpenTuner),
-		}
-		for _, rd := range fold.Val {
-			present[rd.Region.App] = true
-			task := autotune.Task{
-				Problem:  autotune.Problem{Obj: autotune.EDP{}, Space: d.Space, Seed: rd.Region.Seed},
-				RegionID: rd.Region.ID,
-			}
-			for _, en := range entries {
-				record(en.Name, rd, autotune.RunEntry(en, rd, task).Best)
-			}
-		}
-	}
-
-	ef.Apps = appOrder(present)
+	ef.Apps = appOrder(perApp[TunerDefault])
 	for _, tn := range Tuners {
 		row := make([]float64, len(ef.Apps))
 		for ai, app := range ef.Apps {

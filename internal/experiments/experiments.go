@@ -88,6 +88,82 @@ func QuickOptions() Options {
 	return o
 }
 
+// folds builds m's dataset and its LOOCV folds, truncated to MaxFolds.
+func (o Options) folds(m *hw.Machine) (*dataset.Dataset, []dataset.Fold, error) {
+	d, err := dataset.Build(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	folds := d.LOOCVFolds()
+	if o.MaxFolds > 0 && o.MaxFolds < len(folds) {
+		folds = folds[:o.MaxFolds]
+	}
+	return d, folds, nil
+}
+
+// foldJob is one PnP model a figure trains: the LOOCV fold, the targets
+// the model learns, and the cap feature its held-out regions are scored
+// at.
+type foldJob struct {
+	fold    dataset.Fold
+	targets []core.Target
+	capNorm float64
+}
+
+// foldJobs pairs every fold with the same targets.
+func foldJobs(folds []dataset.Fold, targets []core.Target) []foldJob {
+	jobs := make([]foldJob, len(folds))
+	for i, f := range folds {
+		jobs[i] = foldJob{fold: f, targets: targets}
+	}
+	return jobs
+}
+
+// foldOut is what one trained job leaves for scoring, per held-out region
+// and head: static picks, refined picks and hybrid shortlists, plus the
+// full and transfer training seconds.
+type foldOut struct {
+	static, dynamic  map[string][]int
+	topk             map[string][][]int
+	fullDur, xferDur float64
+}
+
+// runFolds trains one static model per job across the fold pool —
+// heads-only on src's frozen encoder when src is non-nil, timing a full
+// retrain beside it — and with refine adds the PnP(Dynamic) and
+// PnP(Hybrid) columns. Only picks outlive a job, and outputs come back in
+// job order, so the figures merge deterministically.
+func runFolds(d *dataset.Dataset, jobs []foldJob, opts Options, src *core.Model, refine bool) ([]foldOut, error) {
+	outs := make([]foldOut, len(jobs))
+	errs := make([]error, len(jobs))
+	parallelFolds(len(jobs), func(i int) {
+		j, o := jobs[i], &outs[i]
+		if src != nil {
+			_, full, _ := core.Train(d, j.fold.Train, j.targets, opts.Model, nil)
+			o.fullDur = full.Duration.Seconds()
+		}
+		m, stats, err := core.Train(d, j.fold.Train, j.targets, opts.Model, src)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if src != nil {
+			o.xferDur = stats.Duration.Seconds()
+		}
+		o.static = m.Picks(j.fold.Val, j.capNorm)
+		if refine {
+			o.dynamic = core.Refine(d, j.fold, j.targets, o.static, opts.Threshold, opts.Model)
+			o.topk = m.TopK(j.fold.Val, j.capNorm, HybridK)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // Tuner labels, in the figures' legend order.
 const (
 	TunerDefault   = "Default"
@@ -108,19 +184,43 @@ var Tuners = []string{TunerDefault, TunerPnPStatic, TunerPnPDyn, TunerPnPHybrid,
 // figures' PnP(Hybrid) column spends per tuning task.
 const HybridK = autotune.HybridK
 
-// timeEntries assembles the scenario-1 strategy columns for one fold:
-// zero-execution entries from the default config and the static/dynamic
-// prediction maps, the hybrid shortlist entry, and the engine-driven
-// search baselines.
-func timeEntries(d *dataset.Dataset, static, dynamic map[string][]int, topk map[string][][]int) []autotune.Entry {
-	capOf := func(t autotune.Task) int { return t.Obj.(autotune.TimeUnderCap).Cap }
+// pnpEntries assembles one fold's tuner columns as engine entries: the
+// default candidate def and the static and refined picks as
+// zero-execution entries, the hybrid shortlist under its k-execution
+// budget, and the search baselines' full noisy-replay sessions. Picks
+// are read at the head that scores the task's objective.
+func pnpEntries(def int, o foldOut) []autotune.Entry {
+	head := func(t autotune.Task) int { return core.HeadOf(t.Obj) }
 	return []autotune.Entry{
-		autotune.FixedEntry(TunerDefault, func(t autotune.Task) int { return d.Space.DefaultIndex() }),
-		autotune.FixedEntry(TunerPnPStatic, func(t autotune.Task) int { return static[t.RegionID][capOf(t)] }),
-		autotune.FixedEntry(TunerPnPDyn, func(t autotune.Task) int { return dynamic[t.RegionID][capOf(t)] }),
-		autotune.HybridEntry(TunerPnPHybrid, func(t autotune.Task) []int { return topk[t.RegionID][capOf(t)] }),
+		autotune.FixedEntry(TunerDefault, func(autotune.Task) int { return def }),
+		autotune.FixedEntry(TunerPnPStatic, func(t autotune.Task) int { return o.static[t.RegionID][head(t)] }),
+		autotune.FixedEntry(TunerPnPDyn, func(t autotune.Task) int { return o.dynamic[t.RegionID][head(t)] }),
+		autotune.HybridEntry(TunerPnPHybrid, func(t autotune.Task) []int { return o.topk[t.RegionID][head(t)] }),
 		bliss.Entry(TunerBLISS),
 		opentuner.Entry(TunerOpenTuner),
+	}
+}
+
+// scoreFolds runs every tuner column (pnpEntries, with def as the
+// default candidate) on every held-out region of every fold, one engine
+// session per target, and records each session's pick with its target's
+// head.
+func scoreFolds(d *dataset.Dataset, folds []dataset.Fold, outs []foldOut, targets []core.Target, def int,
+	record func(tuner string, rd *dataset.RegionData, head, pick int)) {
+
+	for fi, fold := range folds {
+		entries := pnpEntries(def, outs[fi])
+		for _, rd := range fold.Val {
+			for _, t := range targets {
+				task := autotune.Task{
+					Problem:  autotune.Problem{Obj: t.Obj, Space: d.Space, Seed: rd.Region.Seed},
+					RegionID: rd.Region.ID,
+				}
+				for _, en := range entries {
+					record(en.Name, rd, t.Head, autotune.RunEntry(en, rd, task).Best)
+				}
+			}
+		}
 	}
 }
 
@@ -301,19 +401,16 @@ func Fig3(w io.Writer, opts Options) (*PowerFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcFold := dataset.Fold{App: "", Train: dH.Regions}
-	src := core.TrainPower(dH, srcFold, opts.Model)
+	src := core.TrainPower(dH, dH.FullFold(), opts.Model).Model
 	return powerFigure(w, hw.Skylake(), src, opts, "Fig 3: Power Constrained Tuning (Skylake, transfer-trained)")
 }
 
-func powerFigure(w io.Writer, m *hw.Machine, transferSrc *core.PowerResult, opts Options, title string) (*PowerFigure, error) {
-	d, err := dataset.Build(m)
+// powerFigure scores every tuner per (region, cap) over the LOOCV folds,
+// training the PnP models on src's encoder when src is non-nil.
+func powerFigure(w io.Writer, m *hw.Machine, src *core.Model, opts Options, title string) (*PowerFigure, error) {
+	d, folds, err := opts.folds(m)
 	if err != nil {
 		return nil, err
-	}
-	folds := d.LOOCVFolds()
-	if opts.MaxFolds > 0 && opts.MaxFolds < len(folds) {
-		folds = folds[:opts.MaxFolds]
 	}
 
 	pf := &PowerFigure{
@@ -329,98 +426,36 @@ func powerFigure(w io.Writer, m *hw.Machine, transferSrc *core.PowerResult, opts
 	for _, tn := range Tuners {
 		perApp[tn] = map[string][]cell{}
 	}
-	addRegion := func(tuner, app string, ci int, norm, speedup float64) {
-		cells := perApp[tuner][app]
+
+	targets := core.PowerTargets(d.Space)
+	outs, err := runFolds(d, foldJobs(folds, targets), opts, src, true)
+	if err != nil {
+		return nil, err
+	}
+	scoreFolds(d, folds, outs, targets, d.Space.DefaultIndex(), func(tuner string, rd *dataset.RegionData, ci, pick int) {
+		def := rd.DefaultResult(ci, d.Space).TimeSec
+		sp := metrics.Speedup(def, rd.Results[ci][pick].TimeSec)
+		norm := metrics.Normalize(sp, metrics.Speedup(def, rd.BestTime(ci)))
+		cells := perApp[tuner][rd.Region.App]
 		if cells == nil {
 			cells = make([]cell, len(pf.Caps))
+			perApp[tuner][rd.Region.App] = cells
 		}
 		cells[ci].norm = append(cells[ci].norm, norm)
-		cells[ci].speedup = append(cells[ci].speedup, speedup)
-		perApp[tuner][app] = cells
+		cells[ci].speedup = append(cells[ci].speedup, sp)
 		pf.RegionNorm[tuner] = append(pf.RegionNorm[tuner], norm)
-	}
-
-	// Train every fold in parallel (each fold is an independent model),
-	// then merge in fold order so the output is deterministic. Only the
-	// prediction maps survive the fold — the trained models would
-	// otherwise all stay live until the merge.
-	type foldOut struct {
-		static           map[string][]int
-		dynamic          map[string][]int
-		topk             map[string][][]int
-		fullDur, xferDur float64
-		err              error
-	}
-	outs := make([]foldOut, len(folds))
-	parallelFolds(len(folds), func(fi int) {
-		fold := folds[fi]
-		o := &outs[fi]
-		var res *core.PowerResult
-		if transferSrc != nil {
-			// Measure the transfer-vs-full training speedup on this fold.
-			full := core.TrainPower(d, fold, opts.Model)
-			o.fullDur = full.Stats.Duration.Seconds()
-			var err error
-			res, err = core.TransferPower(transferSrc.Model, d, fold, opts.Model)
-			if err != nil {
-				o.err = err
-				return
-			}
-			o.xferDur = res.Stats.Duration.Seconds()
-		} else {
-			res = core.TrainPower(d, fold, opts.Model)
-		}
-		o.static = res.Pred
-		o.dynamic = core.RefineWithCounters(d, fold, res.Pred, opts.Threshold, opts.Model)
-		o.topk = core.TopKPower(d, res.Model, fold.Val, HybridK)
 	})
-
 	var fullDur, xferDur float64
-	for fi, fold := range folds {
-		o := outs[fi]
-		if o.err != nil {
-			return nil, o.err
-		}
+	for _, o := range outs {
 		fullDur += o.fullDur
 		xferDur += o.xferDur
-
-		// Every tuner column is one engine entry: the predictions become
-		// zero-execution Fixed strategies, the hybrid shortlist gets its
-		// k-execution refinement budget, and the search baselines run
-		// their full noisy-replay sessions.
-		entries := timeEntries(d, o.static, o.dynamic, o.topk)
-		for _, rd := range fold.Val {
-			for ci := range pf.Caps {
-				def := rd.DefaultResult(ci, d.Space).TimeSec
-				best := rd.BestTime(ci)
-				oracleSp := metrics.Speedup(def, best)
-				task := autotune.Task{
-					Problem: autotune.Problem{
-						Obj:   autotune.TimeUnderCap{Cap: ci},
-						Space: d.Space,
-						Seed:  rd.Region.Seed,
-					},
-					RegionID: rd.Region.ID,
-				}
-				for _, en := range entries {
-					pick := autotune.RunEntry(en, rd, task).Best
-					sp := metrics.Speedup(def, rd.Results[ci][pick].TimeSec)
-					addRegion(en.Name, rd.Region.App, ci, metrics.Normalize(sp, oracleSp), sp)
-				}
-			}
-		}
 	}
 	if xferDur > 0 {
 		pf.TransferSpeedup = fullDur / xferDur
 	}
 
 	// Collapse per-app geomeans in figure order.
-	for _, app := range kernels.AppNames() {
-		if len(perApp[TunerDefault][app]) == 0 {
-			continue
-		}
-		pf.Apps = append(pf.Apps, app)
-	}
+	pf.Apps = appOrder(perApp[TunerDefault])
 	for _, tn := range Tuners {
 		grid := make([][]float64, len(pf.Caps))
 		agg := make([]float64, len(pf.Caps))
@@ -442,11 +477,12 @@ func powerFigure(w io.Writer, m *hw.Machine, transferSrc *core.PowerResult, opts
 	return pf, nil
 }
 
-// appOrder returns the corpus apps present in the figure, in figure order.
-func appOrder(present map[string]bool) []string {
+// appOrder returns the corpus apps a figure holds data for (the keys of
+// perApp), in figure order.
+func appOrder[V any](perApp map[string]V) []string {
 	var out []string
 	for _, app := range kernels.AppNames() {
-		if present[app] {
+		if _, ok := perApp[app]; ok {
 			out = append(out, app)
 		}
 	}

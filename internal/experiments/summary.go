@@ -9,7 +9,7 @@ import (
 )
 
 // AllResults bundles every experiment's data for the summary and for
-// EXPERIMENTS.md generation.
+// programmatic checks.
 type AllResults struct {
 	Motivation *MotivationResult
 	Fig2       *PowerFigure // Haswell

@@ -29,8 +29,8 @@ var ErrForward = errors.New("registry: batched forward failed")
 
 // Request is one prediction: a program graph (already token-annotated)
 // plus the extra features the model expects (nil for static models).
-// TopK > 1 additionally requests each head's k best classes (hybrid
-// tuning shortlists); 0 asks for argmax picks only.
+// TopK is the number of best classes per head the caller wants back;
+// PredictTopK sets it, and Predict asks for 1 (the argmax picks).
 type Request struct {
 	Graph  *programl.Graph
 	Extras []float64
@@ -39,9 +39,8 @@ type Request struct {
 
 // reply carries one request's result back to its caller.
 type reply struct {
-	picks []int
-	topk  [][]int
-	err   error
+	topk [][]int
+	err  error
 }
 
 // request is a queued Request with its reply channel. The graph is
@@ -145,12 +144,15 @@ func (b *Batcher) Predict(req Request) ([]int, error) {
 // request is queued abandons it — the window that takes it drops it
 // without a forward.
 func (b *Batcher) PredictContext(ctx context.Context, req Request) ([]int, error) {
-	req.TopK = 0
-	rep, err := b.submit(ctx, req)
+	lists, err := b.PredictTopKContext(ctx, req, 1)
 	if err != nil {
 		return nil, err
 	}
-	return rep.picks, nil
+	picks := make([]int, len(lists))
+	for h, l := range lists {
+		picks[h] = l[0]
+	}
+	return picks, nil
 }
 
 // PredictTopK queues a request and blocks for each head's k best
@@ -322,12 +324,12 @@ func (b *Batcher) drain() {
 
 // run scores one window in a single batched forward pass — merging the
 // requests' precompiled plans instead of rebuilding adjacencies — and
-// fans the per-head results back out to the callers: argmax picks for
-// Predict requests, per-head shortlists for PredictTopK ones (the window
-// computes the widest k any member asked for and slices). Members whose
-// ctx is done were abandoned (their callers return the ctx error) and
-// cost no forward. A panic from the model (a malformed graph that
-// slipped past validation) fails the window, not the process.
+// fans the per-head results back out to the callers: each member's k
+// best per head (the window computes the widest k any member asked for
+// and slices; Predict asks for 1). Members whose ctx is done were
+// abandoned (their callers return the ctx error) and cost no forward. A
+// panic from the model (a malformed graph that slipped past validation)
+// fails the window, not the process.
 func (b *Batcher) run(batch []*request) {
 	start := time.Now()
 	if b.obs != nil {
@@ -381,22 +383,11 @@ func (b *Batcher) run(batch []*request) {
 			r.reply <- reply{err: err}
 			continue
 		}
-		if k := r.req.TopK; k > 0 {
-			topk := make([][]int, len(lists[i]))
-			for h, l := range lists[i] {
-				if k < len(l) {
-					l = l[:k]
-				}
-				topk[h] = l
-			}
-			r.reply <- reply{topk: topk}
-			continue
-		}
-		picks := make([]int, len(lists[i]))
+		topk := make([][]int, len(lists[i]))
 		for h, l := range lists[i] {
-			picks[h] = l[0]
+			topk[h] = l[:min(r.req.TopK, len(l))]
 		}
-		r.reply <- reply{picks: picks}
+		r.reply <- reply{topk: topk}
 	}
 }
 
@@ -406,6 +397,5 @@ func (b *Batcher) forward(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) 
 			err = fmt.Errorf("%w: %v", ErrForward, p)
 		}
 	}()
-	// k=1 is exactly the argmax of PredictCompiled (first-max tie-break).
 	return b.model.TopKCompiled(cgs, extras, k), nil
 }

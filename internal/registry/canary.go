@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pnptuner/internal/autotune"
+	"pnptuner/internal/core"
 	"pnptuner/internal/dataset"
 	"pnptuner/internal/hw"
 	"pnptuner/internal/programl"
@@ -239,23 +240,19 @@ func (s *Server) groundTruth(key Key, regionID string) (*dataset.RegionData, *sp
 }
 
 // predictQuality scores one version's picks for a region: the mean
-// oracle fraction over heads (1 = every head picked the optimum).
+// oracle fraction over the objective's targets (1 = every head picked
+// the optimum).
 func predictQuality(rd *dataset.RegionData, sp *space.Space, objective string, picks []int) float64 {
-	switch objective {
-	case ObjectiveTime:
-		sum := 0.0
-		for h, p := range picks {
-			obj := autotune.TimeUnderCap{Cap: h}
-			_, best := autotune.Oracle(rd, sp, obj)
-			sum += best / obj.Value(rd, sp, p)
-		}
-		return sum / float64(len(picks))
-	case ObjectiveEDP:
-		obj := autotune.EDP{}
-		_, best := autotune.Oracle(rd, sp, obj)
-		return best / obj.Value(rd, sp, picks[0])
+	targets, err := core.ObjectiveTargets(sp, objective)
+	if err != nil {
+		return 0
 	}
-	return 0
+	sum := 0.0
+	for _, t := range targets {
+		_, best := autotune.Oracle(rd, sp, t.Obj)
+		sum += best / t.Obj.Value(rd, sp, picks[t.Head])
+	}
+	return sum / float64(len(targets))
 }
 
 // finishCanary resolves a shadow rollout: on promote the refreshed entry

@@ -2,13 +2,11 @@ package registry
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
 	"pnptuner/internal/dataset"
-	"pnptuner/internal/hw"
 )
 
 // Model refresh: the registry half of the measure→learn loop. Tune
@@ -67,21 +65,9 @@ func (r *Registry) Retrain(key Key, cur *Entry, epochs int) (*Entry, error) {
 	if len(snap) == 0 {
 		return nil, fmt.Errorf("registry: refresh %s: no measured samples", key)
 	}
-	m, err := hw.ByName(key.Machine)
+	derived, fold, targets, err := trainingSet(key, snap)
 	if err != nil {
-		return nil, err
-	}
-	base, err := dataset.Build(m)
-	if err != nil {
-		return nil, err
-	}
-	derived := base.WithSamples(snap)
-	fold := derived.FullFold()
-	if app, ok := strings.CutPrefix(key.Scenario, "loocv:"); ok {
-		fold, ok = derived.FoldByApp(app)
-		if !ok {
-			return nil, fmt.Errorf("registry: refresh %s: unknown application %q", key, app)
-		}
+		return nil, fmt.Errorf("registry: refresh %s: %w", key, err)
 	}
 
 	start := time.Now()
@@ -98,16 +84,7 @@ func (r *Registry) Retrain(key Key, cur *Entry, epochs int) (*Entry, error) {
 	if epochs > 0 {
 		clone.Cfg.Epochs = epochs
 	}
-	var samples []core.Sample
-	switch key.Objective {
-	case ObjectiveTime:
-		samples = core.PowerSamples(derived, fold.Train, clone.Cfg)
-	case ObjectiveEDP:
-		samples = core.EDPSamples(derived, fold.Train, clone.Cfg)
-	default:
-		return nil, fmt.Errorf("registry: refresh %s: unknown objective %q", key, key.Objective)
-	}
-	clone.Fit(samples)
+	clone.Fit(core.Samples(derived, fold.Train, targets, clone.Cfg))
 	r.observe("retrain", time.Since(start))
 
 	consumed := log.MarkTrained()

@@ -457,28 +457,36 @@ func (r *Registry) storedMeta(path string) (core.ModelMeta, error) {
 // the paper's training recipe under cfg.
 func DefaultTrainer(cfg core.ModelConfig) TrainFunc {
 	return func(k Key) (*core.Model, core.ModelMeta, error) {
-		m, err := hw.ByName(k.Machine)
+		d, fold, targets, err := trainingSet(k, nil)
 		if err != nil {
 			return nil, core.ModelMeta{}, err
 		}
-		d, err := dataset.Build(m)
-		if err != nil {
-			return nil, core.ModelMeta{}, err
-		}
-		fold := d.FullFold()
-		if app, ok := strings.CutPrefix(k.Scenario, "loocv:"); ok {
-			fold, ok = d.FoldByApp(app)
-			if !ok {
-				return nil, core.ModelMeta{}, fmt.Errorf("registry: unknown application %q", app)
-			}
-		}
-		meta := core.MetaFor(d, k.Scenario, k.Objective)
-		switch k.Objective {
-		case ObjectiveTime:
-			return core.TrainPower(d, fold, cfg).Model, meta, nil
-		case ObjectiveEDP:
-			return core.TrainEDP(d, fold, cfg).Model, meta, nil
-		}
-		return nil, core.ModelMeta{}, fmt.Errorf("registry: unknown objective %q", k.Objective)
+		model, _, err := core.Train(d, fold.Train, targets, cfg, nil)
+		return model, core.MetaFor(d, k.Scenario, k.Objective), err
 	}
+}
+
+// trainingSet resolves what key k trains on: the machine's exhaustive
+// dataset with the measured samples' cell means in place of the
+// simulated ones, the key's fold (every region for "full", the
+// leave-one-out split for "loocv:<App>") and its objective's targets.
+// Training and refresh share it.
+func trainingSet(k Key, samples []dataset.MeasuredSample) (*dataset.Dataset, dataset.Fold, []core.Target, error) {
+	m, err := hw.ByName(k.Machine)
+	if err != nil {
+		return nil, dataset.Fold{}, nil, err
+	}
+	d, err := dataset.Build(m)
+	if err != nil {
+		return nil, dataset.Fold{}, nil, err
+	}
+	d = d.WithSamples(samples)
+	fold := d.FullFold()
+	if app, ok := strings.CutPrefix(k.Scenario, "loocv:"); ok {
+		if fold, ok = d.FoldByApp(app); !ok {
+			return nil, fold, nil, fmt.Errorf("registry: unknown application %q", app)
+		}
+	}
+	targets, err := core.ObjectiveTargets(d.Space, k.Objective)
+	return d, fold, targets, err
 }

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/autotune"
+	"pnptuner/internal/core"
 	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 	"pnptuner/internal/vocab"
@@ -373,20 +375,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Scenario:     key.Scenario,
 		ModelVersion: b.Meta.Version,
 	}
-	switch key.Objective {
-	case ObjectiveTime:
-		// One head per cap: picks[h] indexes the per-cap config space.
-		for h, pick := range picks {
-			resp.Picks = append(resp.Picks, api.Pick{
-				CapW:        sp.Caps()[h],
-				ConfigIndex: pick,
-				Config:      sp.Configs[pick].String(),
-			})
-		}
-	case ObjectiveEDP:
-		// Single head over the joint space: decode (cap, config).
-		capW, cfg := sp.At(picks[0])
-		resp.Picks = []api.Pick{{CapW: capW, ConfigIndex: picks[0], Config: cfg.String()}}
+	// One pick per target: per cap for time, one joint (cap, config) for EDP.
+	targets, _ := core.ObjectiveTargets(sp, key.Objective)
+	for _, t := range targets {
+		capW, cfg := autotune.PickAt(sp, t.Obj, picks[t.Head])
+		resp.Picks = append(resp.Picks, api.Pick{CapW: capW, ConfigIndex: picks[t.Head], Config: cfg.String()})
 	}
 	// Shadow rollout: while a canary is in flight for this model, every
 	// scoreable predict is also handed to the refreshed version, and the

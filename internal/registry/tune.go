@@ -8,6 +8,7 @@ import (
 	"pnptuner/internal/api"
 	"pnptuner/internal/autotune"
 	"pnptuner/internal/bliss"
+	"pnptuner/internal/core"
 	"pnptuner/internal/dataset"
 	"pnptuner/internal/hw"
 	"pnptuner/internal/measure"
@@ -30,12 +31,14 @@ var tuneStrategies = map[string]int{
 // runs wherever the caller wants (inline for sync, a job-store worker
 // for async) under a cancellable context.
 type tuneSession struct {
-	s     *Server
-	req   api.TuneRequest    // normalized: scenario defaulted, budget resolved
-	joint autotune.Objective // nil for the per-cap time objective
-	d     *dataset.Dataset
-	rd    *dataset.RegionData
-	seed  uint64
+	s   *Server
+	req api.TuneRequest // normalized: scenario defaulted, budget resolved
+	// targets holds one engine session each: per cap for time, one joint
+	// session for edp and energy.
+	targets []core.Target
+	d       *dataset.Dataset
+	rd      *dataset.RegionData
+	seed    uint64
 }
 
 // prepTune validates req and binds it to its corpus region. Every error
@@ -65,17 +68,13 @@ func (s *Server) prepTune(req api.TuneRequest) (*tuneSession, *api.ErrorInfo) {
 
 	// Objective validation: model strategies serve the registry's
 	// objectives; the searches additionally tune raw energy.
-	var joint autotune.Objective
 	switch req.Objective {
-	case ObjectiveTime:
-	case ObjectiveEDP:
-		joint = autotune.EDP{}
+	case ObjectiveTime, ObjectiveEDP:
 	case "energy":
 		if modelDriven {
 			return nil, api.Errorf(api.CodeBadRequest,
 				"objective \"energy\" has no trained model; use strategy bliss or opentuner")
 		}
-		joint = autotune.Energy{}
 	default:
 		return nil, api.Errorf(api.CodeBadRequest,
 			"unknown objective %q (valid: time, edp, energy)", req.Objective)
@@ -106,7 +105,11 @@ func (s *Server) prepTune(req api.TuneRequest) (*tuneSession, *api.ErrorInfo) {
 	if seed == 0 {
 		seed = rd.Region.Seed
 	}
-	return &tuneSession{s: s, req: req, joint: joint, d: d, rd: rd, seed: seed}, nil
+	targets, err := core.ObjectiveTargets(d.Space, req.Objective)
+	if err != nil {
+		targets = []core.Target{{Obj: autotune.Energy{}}} // search-only
+	}
+	return &tuneSession{s: s, req: req, targets: targets, d: d, rd: rd, seed: seed}, nil
 }
 
 // run executes the session's engine sessions under ctx: model-driven
@@ -122,10 +125,7 @@ func (ts *tuneSession) run(ctx context.Context) (*api.TuneResponse, *api.ErrorIn
 	// A measurement budget swaps the replay evaluator for real
 	// executions on the simulated hardware, split evenly across the
 	// session's heads (one per cap for the time objective).
-	heads := 1
-	if req.Objective == ObjectiveTime {
-		heads = len(d.Space.Caps())
-	}
+	heads := len(ts.targets)
 	var runner *measure.Runner
 	share := 0
 	if req.MeasureBudget > 0 {
@@ -200,36 +200,22 @@ func (ts *tuneSession) run(ctx context.Context) (*api.TuneResponse, *api.ErrorIn
 		}
 		return autotune.RunEntryContext(ctx, entry, rd, task)
 	}
-	if req.Objective == ObjectiveTime {
-		// One session per power cap, mirroring /v1/predict's shape.
-		for ci, capW := range d.Space.Caps() {
-			if ctx.Err() != nil {
-				return nil, cancelInfo(ctx)
-			}
-			obj := autotune.TimeUnderCap{Cap: ci}
-			res := session(obj)
-			_, oracleV := autotune.Oracle(rd, d.Space, obj)
-			resp.Picks = append(resp.Picks, api.TunePick{
-				CapW:        capW,
-				ConfigIndex: res.Best,
-				Config:      d.Space.Configs[res.Best].String(),
-				Evals:       res.Evals,
-				OracleFrac:  oracleV / obj.Value(rd, d.Space, res.Best),
-				Trace:       tracePoints(res.Trace),
-			})
+	// One session per target, mirroring /v1/predict's shape.
+	for _, t := range ts.targets {
+		if ctx.Err() != nil {
+			return nil, cancelInfo(ctx)
 		}
-	} else {
-		res := session(ts.joint)
-		capW, cfg := d.Space.At(res.Best)
-		_, oracleV := autotune.Oracle(rd, d.Space, ts.joint)
-		resp.Picks = []api.TunePick{{
+		res := session(t.Obj)
+		capW, cfg := autotune.PickAt(d.Space, t.Obj, res.Best)
+		_, oracleV := autotune.Oracle(rd, d.Space, t.Obj)
+		resp.Picks = append(resp.Picks, api.TunePick{
 			CapW:        capW,
 			ConfigIndex: res.Best,
 			Config:      cfg.String(),
 			Evals:       res.Evals,
-			OracleFrac:  oracleV / ts.joint.Value(rd, d.Space, res.Best),
+			OracleFrac:  oracleV / t.Obj.Value(rd, d.Space, res.Best),
 			Trace:       tracePoints(res.Trace),
-		}}
+		})
 	}
 	// The zero-execution gnn strategy spends its measurement budget
 	// verifying the picks: one real run each, as far as the budget goes.
@@ -238,11 +224,7 @@ func (ts *tuneSession) run(ctx context.Context) (*api.TuneResponse, *api.ErrorIn
 			if runner.Runs() >= req.MeasureBudget || ctx.Err() != nil {
 				break
 			}
-			var obj autotune.Objective = ts.joint
-			if req.Objective == ObjectiveTime {
-				obj = autotune.TimeUnderCap{Cap: i}
-			}
-			runner.Evaluator(obj).Measure(pick.ConfigIndex)
+			runner.Evaluator(ts.targets[i].Obj).Measure(pick.ConfigIndex)
 		}
 	}
 	if ctx.Err() != nil {
@@ -294,11 +276,11 @@ func tuneEntry(strategy string, budget int, shortlists [][]int) autotune.Entry {
 	switch strategy {
 	case "gnn":
 		return autotune.FixedEntry("gnn", func(t autotune.Task) int {
-			return shortlists[tuneHead(t)][0]
+			return shortlists[core.HeadOf(t.Obj)][0]
 		})
 	case "hybrid":
 		e := autotune.HybridEntry("hybrid", func(t autotune.Task) []int {
-			return shortlists[tuneHead(t)]
+			return shortlists[core.HeadOf(t.Obj)]
 		})
 		e.Budget = budget
 		return e
@@ -311,14 +293,6 @@ func tuneEntry(strategy string, budget int, shortlists [][]int) autotune.Entry {
 		e.Budget = budget
 		return e
 	}
-}
-
-// tuneHead maps a task's objective to the serving model's head index.
-func tuneHead(t autotune.Task) int {
-	if o, ok := t.Obj.(autotune.TimeUnderCap); ok {
-		return o.Cap
-	}
-	return 0
 }
 
 // modelShortlists resolves the key's model and returns each head's top-k
