@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments -run all            # everything, full scale (~15 min)
+//	experiments -run all            # everything, full scale (about 4 min on 2 vCPUs)
 //	experiments -run fig2 -quick    # one figure at reduced scale
 //	experiments -run table1,motivation
 //
