@@ -139,7 +139,7 @@ func runFolds(d *dataset.Dataset, jobs []foldJob, opts Options, src *core.Model,
 	parallelFolds(len(jobs), func(i int) {
 		j, o := jobs[i], &outs[i]
 		if src != nil {
-			_, full, _ := core.Train(d, j.fold.Train, j.targets, opts.Model, nil)
+			_, full, _ := core.Train(d, j.fold.Train, j.targets, opts.Model, nil) // from scratch: no error
 			o.fullDur = full.Duration.Seconds()
 		}
 		m, stats, err := core.Train(d, j.fold.Train, j.targets, opts.Model, src)

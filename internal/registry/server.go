@@ -376,7 +376,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		ModelVersion: b.Meta.Version,
 	}
 	// One pick per target: per cap for time, one joint (cap, config) for EDP.
-	targets, _ := core.ObjectiveTargets(sp, key.Objective)
+	targets, _ := core.ObjectiveTargets(sp, key.Objective) // key.Validate admitted it
 	for _, t := range targets {
 		capW, cfg := autotune.PickAt(sp, t.Obj, picks[t.Head])
 		resp.Picks = append(resp.Picks, api.Pick{CapW: capW, ConfigIndex: picks[t.Head], Config: cfg.String()})
