@@ -11,17 +11,21 @@
 //	pnpserve -addr :8080 -dir ./models
 //	pnpserve -addr :8080 -dir ./models -preload haswell/time,skylake/edp
 //
-// Endpoints (legacy pre-versioning aliases in parentheses):
+// Endpoints:
 //
-//	POST   /v1/predict    (/predict)  {"machine","objective","graph",...} → picks
-//	POST   /v1/tune       (/tune)     bounded engine session; "async":true → job
-//	GET    /v1/jobs[/{id}]            list / poll async tuning jobs
-//	DELETE /v1/jobs/{id}              cancel an async tuning job
-//	GET    /v1/models     (/models)   registry contents (cached + on disk)
-//	GET    /v1/models/{id}            one model's version + refresh detail
-//	GET    /v1/healthz    (/healthz)  liveness + traffic counters
-//	GET    /v1/traces/{id}            one request's recorded span timeline
-//	GET    /metrics                   Prometheus text exposition
+//	POST   /v1/predict      {"machine","objective","graph",...} → picks
+//	POST   /v1/tune         bounded engine session; "async":true → job
+//	GET    /v1/jobs[/{id}]  list / poll async tuning jobs
+//	DELETE /v1/jobs/{id}    cancel an async tuning job
+//	GET    /v1/models       registry contents (cached + on disk)
+//	GET    /v1/models/{id}  one model's version + refresh detail
+//	GET    /v1/healthz      liveness + traffic counters
+//	GET    /v1/traces/{id}  one request's recorded span timeline
+//	GET    /metrics         Prometheus text exposition
+//
+// Every model serves from a float32 snapshot of its float64 weights
+// (picks match the float64 argmax), and trains, saves and exports in
+// float64.
 //
 // With -refresh-threshold N, tune sessions carrying a measure_budget
 // feed their real-execution samples back into the registry; every N
@@ -87,8 +91,6 @@ func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr
 	refreshEpochs := fs.Int("refresh-epochs", 4, "fine-tune epochs per refresh retrain")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 30*time.Second,
 		"grace period for in-flight requests and running jobs on SIGINT/SIGTERM")
-	quantize := fs.Bool("quantize", false,
-		"serve predictions through float32 quantized model snapshots (picks are parity-gated bit-equal to float64)")
 	preload := fs.String("preload", "", "comma-separated machine/objective[/scenario] keys to resolve at startup")
 	peers := fs.String("peers", "", "comma-separated peer replica base URLs to fetch cold models from before training")
 	enablePprof := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/ for in-place profiling of the serving hot paths")
@@ -141,7 +143,6 @@ func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr
 	srv := registry.NewServer(reg, corpus.Vocab, registry.ServerConfig{
 		MaxBatch:    *maxBatch,
 		MaxInflight: *maxInflight,
-		Quantize:    *quantize,
 		Jobs: registry.JobStoreConfig{
 			Workers: *jobWorkers,
 			Queue:   *jobQueue,
@@ -157,9 +158,6 @@ func run(ctx context.Context, args []string, logger *log.Logger, ready func(addr
 	if *refreshThreshold > 0 {
 		logger.Printf("model refresh enabled: threshold %d samples, canary window %d, %d epochs",
 			*refreshThreshold, *canaryWindow, *refreshEpochs)
-	}
-	if *quantize {
-		logger.Printf("quantized serving enabled: forwarding on float32 model snapshots")
 	}
 	if *traceLog > 0 {
 		srv.SetTraceLogging(*traceLog)

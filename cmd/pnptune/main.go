@@ -58,7 +58,7 @@ import (
 
 // Valid flag values, also the rejection messages' contents.
 var (
-	validObjectives = []string{"time", "edp", "energy"}
+	validObjectives = append(slices.Clone(core.TrainedObjectives), "energy")
 	validStrategies = []string{"gnn", "bliss", "opentuner", "hybrid"}
 )
 
@@ -76,8 +76,6 @@ func main() {
 	async := flag.Bool("async", false, "with -remote, run each session as an async job (submit → poll → result)")
 	measureBudget := flag.Int("measure", 0,
 		"with -remote, real executions granted per session instead of dataset replay; samples feed the server's model refresh (0 = replay)")
-	quantize := flag.Bool("quantize", false,
-		"with -strategy gnn, predict through the float32 quantized model snapshot (picks match float64 bit-for-bit)")
 	list := flag.Bool("list", false, "list corpus applications and exit")
 	flag.Parse()
 
@@ -96,7 +94,7 @@ func main() {
 		fatal(fmt.Errorf("unknown strategy %q (valid: %s)", *strategy, strings.Join(validStrategies, ", ")))
 	}
 	modelDriven := *strategy == "gnn" || *strategy == "hybrid"
-	if *objective == "energy" && modelDriven {
+	if modelDriven && !slices.Contains(core.TrainedObjectives, *objective) {
 		fatal(fmt.Errorf("objective \"energy\" has no trained model; use -strategy bliss or opentuner"))
 	}
 	if *budget < 0 {
@@ -108,9 +106,6 @@ func main() {
 	}
 	if *async && *remote == "" {
 		fatal(fmt.Errorf("-async only applies with -remote"))
-	}
-	if *quantize && (*strategy != "gnn" || *remote != "") {
-		fatal(fmt.Errorf("-quantize only applies with -strategy gnn in-process"))
 	}
 	if *measureBudget != 0 && *remote == "" {
 		fatal(fmt.Errorf("-measure only applies with -remote"))
@@ -142,9 +137,9 @@ func main() {
 	var entry autotune.Entry
 	switch *strategy {
 	case "gnn":
-		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, *quantize, 0)
+		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, 0)
 	case "hybrid":
-		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, false, pick(*budget, experiments.HybridK))
+		entry = modelEntry(d, fold, cfg, scenario, *objective, *loadPath, *savePath, pick(*budget, experiments.HybridK))
 	case "bliss":
 		entry = searchEntry(bliss.Entry("BLISS"), pick(*budget, bliss.Budget))
 	case "opentuner":
@@ -162,18 +157,13 @@ func pick(v, def int) int {
 
 // modelEntry trains (or loads) the model and tunes with it. With k=0
 // (strategy gnn) it is the paper's zero-execution scenario: the model's
-// argmax picks, through the float32 snapshot when quantize is set. With
+// argmax picks, predicted in the float64 the model trains in. With
 // k>0 (strategy hybrid) the model shortlists its top-k and a noisy k-run
 // budget per tuning task validates them.
-func modelEntry(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective, loadPath, savePath string, quantize bool, k int) autotune.Entry {
+func modelEntry(d *dataset.Dataset, fold dataset.Fold, cfg core.ModelConfig, scenario, objective, loadPath, savePath string, k int) autotune.Entry {
 	m := model(d, fold, cfg, scenario, objective, loadPath, savePath)
 	if k == 0 {
-		pred := m.Picks
-		if quantize {
-			fmt.Println("predicting through the float32 quantized snapshot")
-			pred = m.MustQuantize().Picks
-		}
-		picks := pred(fold.Val, 0)
+		picks := m.Picks(fold.Val, 0)
 		return autotune.FixedEntry(experiments.TunerPnPStatic, func(t autotune.Task) int {
 			return picks[t.RegionID][core.HeadOf(t.Obj)]
 		})

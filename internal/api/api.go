@@ -11,9 +11,8 @@
 // All endpoints are mounted under the Version prefix ("/v1"). Breaking
 // changes to any type in this package require a new version prefix; the
 // old prefix keeps serving the old contract for at least one release.
-// The pre-versioning paths (/predict, /tune, /healthz, /models) remain
-// as deprecated aliases of their /v1 equivalents: same handlers, same
-// bodies, plus a Deprecation response header.
+// Paths outside a version prefix, the pre-versioning /predict, /tune,
+// /healthz and /models included, answer the not_found envelope.
 //
 // # Errors
 //

@@ -38,7 +38,6 @@ type Client struct {
 	http      *http.Client
 	retries   int
 	retryWait time.Duration
-	policy    RetryPolicy
 }
 
 // Option configures a Client.
@@ -59,14 +58,6 @@ func WithRetries(n int, wait time.Duration) Option {
 	return func(c *Client) { c.retries, c.retryWait = n, wait }
 }
 
-// WithRetryPolicy swaps the transient-failure decision table (default
-// DefaultRetryPolicy). The gate uses this with a zero RetryPolicy to
-// disable in-client retries entirely and drive failover across replicas
-// itself — consulting the same table.
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(c *Client) { c.policy = p }
-}
-
 // New builds a client for the server at baseURL (e.g.
 // "http://localhost:8080"). The version prefix is appended internally —
 // pass the bare host base, not ".../v1".
@@ -76,7 +67,6 @@ func New(baseURL string, opts ...Option) *Client {
 		http:      &http.Client{},
 		retries:   2,
 		retryWait: 100 * time.Millisecond,
-		policy:    DefaultRetryPolicy(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -252,7 +242,7 @@ func (c *Client) ModelBlob(ctx context.Context, id string) (io.ReadCloser, error
 			return rc, nil
 		}
 		lastErr = err
-		if !c.policy.ShouldRetry(class, true) || ctx.Err() != nil {
+		if !DefaultRetryPolicy().ShouldRetry(class, true) || ctx.Err() != nil {
 			return nil, err
 		}
 	}
@@ -274,59 +264,6 @@ func (c *Client) blobOnce(ctx context.Context, id string) (io.ReadCloser, Failur
 		return resp.Body, FailOther, nil
 	}
 	defer resp.Body.Close()
-	apiErr := decodeAPIError(resp)
-	return nil, Classify(apiErr), apiErr
-}
-
-// PushModelBlob imports a serialized model blob into the server's
-// store. id must be the blob's own content address; the server rejects
-// mismatches, so a corrupted transfer can never install a model under
-// the wrong key.
-func (c *Client) PushModelBlob(ctx context.Context, id string, blob []byte) (*api.ModelInfo, error) {
-	idempotent := true // PUT of content-addressed bytes: re-sending converges
-	wait := c.retryWait
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(retryDelay(lastErr, wait)):
-				wait *= 2
-			case <-ctx.Done():
-				return nil, fmt.Errorf("pnpserve: PUT model blob: %w (last: %v)", ctx.Err(), lastErr)
-			}
-		}
-		info, class, err := c.pushBlobOnce(ctx, id, blob)
-		if err == nil {
-			return info, nil
-		}
-		lastErr = err
-		if !c.policy.ShouldRetry(class, idempotent) || ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-func (c *Client) pushBlobOnce(ctx context.Context, id string, blob []byte) (*api.ModelInfo, FailureClass, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+api.PathModelBlob(id), bytes.NewReader(blob))
-	if err != nil {
-		return nil, FailOther, fmt.Errorf("pnpserve: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	stampDeadline(ctx, req)
-	stampTraceID(ctx, req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, FailTransport, fmt.Errorf("pnpserve: PUT %s: %w", api.PathModelBlob(id), err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		var info api.ModelInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			return nil, FailOther, fmt.Errorf("pnpserve: decode blob import response: %w", err)
-		}
-		return &info, FailOther, nil
-	}
 	apiErr := decodeAPIError(resp)
 	return nil, Classify(apiErr), apiErr
 }
@@ -436,7 +373,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 			return nil
 		}
 		lastErr = err
-		if !c.policy.ShouldRetry(class, idempotent) {
+		if !DefaultRetryPolicy().ShouldRetry(class, idempotent) {
 			return err
 		}
 		if ctx.Err() != nil {

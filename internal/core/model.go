@@ -328,10 +328,11 @@ func NewModel(cfg ModelConfig, vocabSize, nHeads, classes int) *Model {
 	return m
 }
 
-// CompiledModel is the float32 serving snapshot of a trained Model: the
-// same forward code at float32, with every weight converted once by
-// Quantize. It cannot train, and like Model it is not goroutine-safe, so
-// serving funnels it through a single batcher goroutine.
+// CompiledModel is the float32 snapshot of a trained Model that serving
+// forwards on: the same forward code at float32, with every weight
+// converted once by Quantize. It cannot train, and like Model it is not
+// goroutine-safe, so each registry batcher owns one and forwards on it
+// from its single goroutine.
 type CompiledModel struct{ network[float32] }
 
 // Quantize converts the model's weights once into a float32

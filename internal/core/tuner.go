@@ -59,8 +59,12 @@ func CapTargets(d *dataset.Dataset) []Target {
 	return ts
 }
 
-// ObjectiveTargets maps a trainable objective's name, as the registry
-// keys and the CLI spell it ("time" or "edp"), to its targets.
+// TrainedObjectives names the objectives a model trains for, as
+// registry keys, the tune API and the CLI spell them; ObjectiveTargets
+// maps each to its targets. The model-free searches also tune "energy".
+var TrainedObjectives = []string{"time", "edp"}
+
+// ObjectiveTargets maps a name in TrainedObjectives to its targets.
 func ObjectiveTargets(s *space.Space, objective string) ([]Target, error) {
 	switch objective {
 	case "time":

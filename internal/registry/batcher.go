@@ -60,24 +60,17 @@ type request struct {
 	enq time.Time
 }
 
-// forwarder is the model a batcher runs its windows on: a *core.Model,
-// or the float32 *core.CompiledModel its Quantize converts. Both run the
-// same forward code.
-type forwarder interface {
-	TopKCompiled(cgs []*rgcn.CompiledGraph, extras [][]float64, k int) [][][]int
-	NumHeads() int
-	Inputs() (vocab, extras int)
-}
-
 // Batcher funnels concurrent predictions into micro-batches without
 // waiting: whenever the model is free it runs everything already queued
 // (up to maxBatch) as one block-diagonal forward pass, and requests that
-// arrive meanwhile form the next window, so windows grow with load. A
-// model is not goroutine-safe (layers cache per-call state), so the
-// single batcher goroutine is also the serialization point — batching is
-// what turns that constraint into throughput instead of a bottleneck.
+// arrive meanwhile form the next window, so windows grow with load. The
+// batcher forwards on its own float32 snapshot of the model, which it
+// alone uses: a snapshot is not goroutine-safe (layers cache per-call
+// state), so the single batcher goroutine is also the serialization
+// point — batching is what turns that constraint into throughput
+// instead of a bottleneck.
 type Batcher struct {
-	model           forwarder
+	model           *core.CompiledModel
 	vocab, extraDim int // the model's Inputs
 	maxBatch        int
 
@@ -99,14 +92,16 @@ type Batcher struct {
 	senders sync.WaitGroup
 }
 
-// NewBatcher starts a batcher over m. maxBatch bounds the window size
-// (min 1). maxWait is ignored: a window never waits for company. The
-// parameter stays only so existing callers keep compiling.
+// NewBatcher starts a batcher over a float32 snapshot of m, taken once
+// here with MustQuantize; m itself is never forwarded on, so it stays
+// free for training. maxBatch bounds the window size (min 1). maxWait is
+// ignored: a window never waits for company. The parameter stays only so
+// existing callers keep compiling.
 func NewBatcher(m *core.Model, maxBatch int, maxWait time.Duration) *Batcher {
-	return newBatcher(m, maxBatch)
+	return newBatcher(m.MustQuantize(), maxBatch)
 }
 
-func newBatcher(m forwarder, maxBatch int) *Batcher {
+func newBatcher(m *core.CompiledModel, maxBatch int) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}

@@ -146,9 +146,12 @@ func (s *Server) refreshModel(key Key) {
 
 // startCanary publishes a shadow rollout for key serving entry next and
 // starts its scoring worker. The shadow batcher is built the same way
-// serving batchers are, so quantized servers canary quantized snapshots.
+// serving batchers are, on its own float32 snapshot.
 func (s *Server) startCanary(key Key, next *Entry) {
-	b := s.newServingBatcher(next)
+	b, err := s.newServingBatcher(next)
+	if err != nil {
+		return
+	}
 	id := key.ID()
 	c := &canary{
 		key: key, entry: next, b: b,

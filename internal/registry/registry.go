@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +30,7 @@ import (
 )
 
 // Objectives a registry key may carry (scenario 1 and scenario 2 of the
-// paper).
+// paper): the names in core.TrainedObjectives.
 const (
 	ObjectiveTime = "time"
 	ObjectiveEDP  = "edp"
@@ -71,7 +72,7 @@ func (k Key) Validate() error {
 	if _, err := hw.ByName(k.Machine); err != nil {
 		return err
 	}
-	if k.Objective != ObjectiveTime && k.Objective != ObjectiveEDP {
+	if !slices.Contains(core.TrainedObjectives, k.Objective) {
 		return fmt.Errorf("registry: unknown objective %q", k.Objective)
 	}
 	if app, ok := strings.CutPrefix(k.Scenario, "loocv:"); ok {

@@ -26,18 +26,18 @@ import (
 // cache capacity, so the operator's -cache flag bounds resident models,
 // not just registry entries.
 //
-// Routes (legacy pre-versioning aliases in parentheses):
+// Routes:
 //
-//	POST   /v1/predict    (/predict)  micro-batched model predictions
-//	POST   /v1/tune       (/tune)     engine session; async:true → 202 + Job
-//	GET    /v1/jobs                   list retained jobs
-//	GET    /v1/jobs/{id}              poll one job's status/trace/result
-//	DELETE /v1/jobs/{id}              cancel a queued or running job
-//	GET    /v1/models     (/models)   registry contents
-//	GET    /v1/models/{id}            one model's version + refresh detail
-//	GET    /v1/models/{id}/blob       export a model's serialized blob
-//	PUT    /v1/models/{id}/blob       import a peer's serialized blob
-//	GET    /v1/healthz    (/healthz)  liveness and traffic counters
+//	POST   /v1/predict           micro-batched model predictions
+//	POST   /v1/tune              engine session; async:true → 202 + Job
+//	GET    /v1/jobs              list retained jobs
+//	GET    /v1/jobs/{id}         poll one job's status/trace/result
+//	DELETE /v1/jobs/{id}         cancel a queued or running job
+//	GET    /v1/models            registry contents
+//	GET    /v1/models/{id}       one model's version + refresh detail
+//	GET    /v1/models/{id}/blob  export a model's serialized blob
+//	PUT    /v1/models/{id}/blob  import a peer's serialized blob
+//	GET    /v1/healthz           liveness and traffic counters
 type Server struct {
 	reg      *Registry
 	vocab    *vocab.Vocabulary
@@ -47,18 +47,12 @@ type Server struct {
 	tele     *serverTelemetry
 	metrics  *telemetry.RouteMetrics
 	inflight int
-	quantize bool
 
 	refresh RefreshConfig
 
 	mu       sync.Mutex
 	closed   bool
 	batchers *lruCache // Key.ID() → *Batcher
-	// closing marks evicted batchers still draining: creating a new
-	// batcher for one of these ids waits on its channel, because the
-	// registry may hand the same (not goroutine-safe) *core.Model back
-	// out and two batchers must never forward on it concurrently.
-	closing map[string]chan struct{}
 	// canaries holds in-flight shadow rollouts (canary.go): the refreshed
 	// model scoring against the serving one on live predict traffic.
 	// refreshing marks keys with a background retrain under way.
@@ -86,10 +80,6 @@ type ServerConfig struct {
 	// requests; past it the route sheds with CodeOverloaded before any
 	// work (default 1024, negative = unlimited).
 	MaxInflight int
-	// Quantize serves every model through a float32 quantized snapshot
-	// (batchers forward on a core.CompiledModel). Picks are parity-gated
-	// bit-equal to the float64 path; default off.
-	Quantize bool
 }
 
 // NewServer builds a server over reg. v is the (frozen) corpus
@@ -114,35 +104,29 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 		vocab:      v,
 		maxBatch:   cfg.MaxBatch,
 		refresh:    cfg.Refresh,
-		quantize:   cfg.Quantize,
 		start:      time.Now(),
 		inflight:   cfg.MaxInflight,
 		jobs:       jobs,
 		tele:       tele,
 		metrics:    telemetry.NewRouteMetrics(tele.tel, "pnp"),
 		batchers:   newLRU(reg.Capacity()),
-		closing:    map[string]chan struct{}{},
 		canaries:   map[string]*canary{},
 		refreshing: map[string]bool{},
 	}
 }
 
-// Handler returns the route mux: the v1 surface, the deprecated legacy
-// aliases, and the request-ID + per-route-metrics middleware around
-// everything.
+// Handler returns the route mux: the v1 surface, and the request-ID +
+// per-route-metrics middleware around everything.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.metrics.Wrap(pattern, h))
 	}
-	// The heavy routes share one limiter per handler across their v1 and
-	// legacy mounts — the bound is on the work, not the spelling of the
-	// path. Cheap routes (jobs, models, healthz) stay unlimited so
-	// overload never blinds the operator or wedges the refresh loop.
-	predict := withLimit(s.inflight, s.handlePredict)
-	tune := withLimit(s.inflight, s.handleTune)
-	route(api.PathPredict, predict)
-	route(api.PathTune, tune)
+	// The heavy routes each get one limiter. Cheap routes (jobs, models,
+	// healthz) stay unlimited so overload never blinds the operator or
+	// wedges the refresh loop.
+	route(api.PathPredict, withLimit(s.inflight, s.handlePredict))
+	route(api.PathTune, withLimit(s.inflight, s.handleTune))
 	route(api.PathJobs, s.handleJobs)
 	route(api.PathJobs+"/", s.handleJob)
 	route(api.PathModels, s.handleModels)
@@ -153,20 +137,6 @@ func (s *Server) Handler() http.Handler {
 	// pnp_http_* families they read, and the path is unversioned by
 	// convention (Prometheus scrapers expect exactly /metrics).
 	mux.Handle("/metrics", s.tele.tel.Handler())
-
-	// Legacy pre-versioning aliases: same handlers, same bodies, plus
-	// deprecation headers pointing at the successor route.
-	legacy := func(pattern string, successor string, h http.HandlerFunc) {
-		route(pattern, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-			h(w, r)
-		})
-	}
-	legacy("/predict", api.PathPredict, predict)
-	legacy("/tune", api.PathTune, tune)
-	legacy("/models", api.PathModels, s.handleModels)
-	legacy("/healthz", api.PathHealthz, s.handleHealthz)
 
 	mux.HandleFunc("/", s.metrics.Wrap("(unmatched)", func(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
@@ -208,33 +178,27 @@ func (s *Server) Close() {
 	s.Shutdown(ctx)
 }
 
+// newServingBatcher builds the batcher for one registry entry. The
+// batcher forwards on a float32 snapshot converted once here, so the
+// entry's float64 model is only ever read: it stays free for background
+// retraining, export and a successor batcher's own snapshot.
+func (s *Server) newServingBatcher(entry *Entry) (*Batcher, error) {
+	q, err := entry.Model.Quantize()
+	if err != nil {
+		return nil, err
+	}
+	b := newBatcher(q, s.maxBatch)
+	b.Meta = entry.Meta
+	b.obs = s.tele.batch
+	return b, nil
+}
+
 // batcherFor returns the micro-batcher serving key, resolving the model
 // through the registry (training on miss) and starting the batcher on
 // first use. Inserting past capacity evicts the least-recently-used
-// batcher: it drains on its own goroutine (no global stall), but its id
-// sits in s.closing until the drain finishes, and only a batcher whose
-// id is fully closed may be recreated — the registry can hand the same
-// (not goroutine-safe) *core.Model back out for an evicted key, and two
-// batchers must never forward on one model concurrently.
-// newServingBatcher builds the batcher for one registry entry, honoring
-// the server's quantized-serving mode: the batcher then forwards on a
-// float32 snapshot converted once here, and the entry's model stays free
-// for background retraining. A model that cannot quantize (never one
-// this registry trains) falls back to float64 serving rather than
-// failing the request.
-func (s *Server) newServingBatcher(entry *Entry) *Batcher {
-	var m forwarder = entry.Model
-	if s.quantize {
-		if q, err := entry.Model.Quantize(); err == nil {
-			m = q
-		}
-	}
-	b := newBatcher(m, s.maxBatch)
-	b.Meta = entry.Meta
-	b.obs = s.tele.batch
-	return b
-}
-
+// batcher, which drains on its own goroutine (no global stall). Every
+// batcher owns its snapshot, so an evicted one may drain beside the
+// successor a later request builds for the same key.
 func (s *Server) batcherFor(ctx context.Context, key Key) (*Batcher, error) {
 	id := key.ID()
 	s.mu.Lock()
@@ -260,37 +224,29 @@ func (s *Server) batcherFor(ctx context.Context, key Key) (*Batcher, error) {
 		return nil, err
 	}
 
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if v, ok := s.batchers.get(id); ok {
-			s.mu.Unlock()
-			return v.(*Batcher), nil
-		}
-		if ch, ok := s.closing[id]; ok {
-			// Our own previous batcher is still draining; wait it out.
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		b := s.newServingBatcher(entry)
-		for _, item := range s.batchers.put(id, b) {
-			ch := make(chan struct{})
-			s.closing[item.key] = ch
-			go func(old *Batcher, evictedID string, done chan struct{}) {
-				old.Close()
-				s.mu.Lock()
-				delete(s.closing, evictedID)
-				s.mu.Unlock()
-				close(done)
-			}(item.value.(*Batcher), item.key, ch)
-		}
-		s.mu.Unlock()
-		return b, nil
+	// The snapshot converts outside the lock too; a caller that loses the
+	// race to publish closes its unused batcher.
+	b, err := s.newServingBatcher(entry)
+	if err != nil {
+		return nil, err
 	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		b.Close()
+		return nil, ErrClosed
+	}
+	if v, ok := s.batchers.get(id); ok {
+		s.mu.Unlock()
+		b.Close()
+		return v.(*Batcher), nil
+	}
+	evicted := s.batchers.put(id, b)
+	s.mu.Unlock()
+	for _, item := range evicted {
+		go item.value.(*Batcher).Close()
+	}
+	return b, nil
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {

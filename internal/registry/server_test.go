@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/core"
 	"pnptuner/internal/kernels"
+	"pnptuner/internal/programl"
 	"pnptuner/internal/telemetry"
 )
 
@@ -134,30 +138,18 @@ func TestServerPredictTimeAndEDP(t *testing.T) {
 	}
 }
 
-// TestServerLegacyPredictAlias: the pre-versioning /predict path serves
-// the identical body, flagged deprecated.
+// TestServerLegacyPredictAlias: the pre-versioning /predict path is
+// gone; it answers the typed not_found envelope like any unknown route.
 func TestServerLegacyPredictAlias(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := predictBody(t, "haswell", ObjectiveTime, 0)
-
-	v1 := postPredict(t, ts, api.PathPredict, body)
 	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy alias not flagged deprecated")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), api.PathPredict) {
-		t.Fatalf("legacy Link header = %q", resp.Header.Get("Link"))
-	}
-	var legacy api.PredictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, legacy) {
-		t.Fatalf("legacy /predict diverges from v1: %+v vs %+v", legacy, v1)
+	if got := decodeError(t, resp).Error.Code; got != api.CodeNotFound {
+		t.Fatalf("POST /predict code %q, want %q", got, api.CodeNotFound)
 	}
 }
 
@@ -224,8 +216,8 @@ func TestServerErrorCodes(t *testing.T) {
 		{"GET /v1/predict", func() (*http.Response, error) {
 			return http.Get(ts.URL + api.PathPredict)
 		}, api.CodeMethodNotAllowed},
-		{"GET legacy /predict", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/predict")
+		{"GET /v1/tune", func() (*http.Response, error) {
+			return http.Get(ts.URL + api.PathTune)
 		}, api.CodeMethodNotAllowed},
 		{"POST /v1/healthz", func() (*http.Response, error) {
 			return http.Post(ts.URL+api.PathHealthz, "application/json", nil)
@@ -233,11 +225,12 @@ func TestServerErrorCodes(t *testing.T) {
 		{"POST /v1/models", func() (*http.Response, error) {
 			return http.Post(ts.URL+api.PathModels, "application/json", nil)
 		}, api.CodeMethodNotAllowed},
-		{"POST legacy /healthz", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/healthz", "application/json", nil)
+		{"POST /v1/jobs", func() (*http.Response, error) {
+			return http.Post(ts.URL+api.PathJobs, "application/json", nil)
 		}, api.CodeMethodNotAllowed},
-		{"POST legacy /models", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/models", "application/json", nil)
+		{"DELETE /v1/healthz", func() (*http.Response, error) {
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+api.PathHealthz, nil)
+			return http.DefaultClient.Do(req)
 		}, api.CodeMethodNotAllowed},
 		{"unknown route", func() (*http.Response, error) {
 			return http.Get(ts.URL + "/v2/predict")
@@ -420,6 +413,105 @@ func TestServerBatcherLRUBounded(t *testing.T) {
 	}
 }
 
+// TestEvictedBatcherDrainsBesideSuccessor: a batcher evicted while its
+// queue is busy drains on its own goroutine while batcherFor builds its
+// successor over the same float64 model at once. Each batcher forwards
+// on its own float32 snapshot, so both answer with the model's picks
+// (under -race, with no data race), and the evicted one then refuses
+// work with ErrClosed.
+func TestEvictedBatcherDrainsBesideSuccessor(t *testing.T) {
+	keyA := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	keyB := Key{Machine: "skylake", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	models := map[Key]*core.Model{}
+	metas := map[Key]core.ModelMeta{}
+	for _, k := range []Key{keyA, keyB} {
+		models[k], metas[k] = tinyModel(k)
+	}
+	// The trainer hands the same *core.Model back for a key, as a
+	// registry holding it would.
+	reg, err := New("", 1, func(k Key) (*core.Model, core.ModelMeta, error) {
+		return models[k], metas[k], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := corpusGraphs(t, 4)
+	want := make([][]int, len(graphs))
+	for i, g := range graphs {
+		want[i] = models[keyA].PredictGraphs([]*programl.Graph{g}, nil)[0]
+	}
+	check := func(b *Batcher, i int) error {
+		got, err := b.Predict(Request{Graph: graphs[i]})
+		if err == nil && !reflect.DeepEqual(got, want[i]) {
+			err = fmt.Errorf("graph %d: picks %v, want %v", i, got, want[i])
+		}
+		return err
+	}
+	c := kernels.MustCompile()
+	srv := NewServer(reg, c.Vocab, ServerConfig{MaxBatch: 2})
+	defer srv.Close()
+	ctx := context.Background()
+
+	old, err := srv.batcherFor(ctx, keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the first batcher's queue busy until it closes.
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				err := check(old, i%len(graphs))
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("evicted batcher: %v", err)
+					return
+				}
+				served.Add(1)
+			}
+		}(w)
+	}
+	for served.Load() < 8 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Capacity 1: serving keyB evicts keyA's batcher, and keyA at once
+	// gets a successor while the evicted one drains.
+	if _, err := srv.batcherFor(ctx, keyB); err != nil {
+		t.Fatal(err)
+	}
+	succ, err := srv.batcherFor(ctx, keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if succ == old {
+		t.Fatal("batcherFor handed the evicted batcher out again")
+	}
+	for i := range graphs {
+		if err := check(succ, i); err != nil {
+			t.Fatalf("successor: %v", err)
+		}
+	}
+
+	select {
+	case <-old.exit:
+	case <-time.After(10 * time.Second):
+		t.Fatal("evicted batcher never closed")
+	}
+	wg.Wait()
+	if err := check(old, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("evicted batcher after its drain: %v, want ErrClosed", err)
+	}
+	if err := check(succ, 0); err != nil {
+		t.Fatalf("successor after the drain: %v", err)
+	}
+}
+
 // TestServerClosedRefusesNewBatchers: batcherFor racing Close must not
 // leak a live batcher.
 func TestServerClosedRefusesNewBatchers(t *testing.T) {
@@ -443,26 +535,24 @@ func TestServerHealthzAndModels(t *testing.T) {
 	_, ts := newTestServer(t)
 	postPredict(t, ts, api.PathPredict, predictBody(t, "haswell", ObjectiveTime, 0))
 
-	for _, path := range []string{api.PathHealthz, "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var health api.Health
-		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if health.Status != "ok" {
-			t.Fatalf("%s health = %+v", path, health)
-		}
-		if health.Served < 1 || health.ModelsTrained != 1 {
-			t.Fatalf("%s health counters = %+v", path, health)
-		}
+	resp, err := http.Get(ts.URL + api.PathHealthz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health api.Health
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if health.Status != "ok" {
+		t.Fatalf("health = %+v", health)
+	}
+	if health.Served < 1 || health.ModelsTrained != 1 {
+		t.Fatalf("health counters = %+v", health)
 	}
 
 	// Per-route counters live in /metrics.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,22 +565,20 @@ func TestServerHealthzAndModels(t *testing.T) {
 		t.Fatalf("/metrics lacks the /v1/predict request count: %v", m)
 	}
 
-	for _, path := range []string{api.PathModels, "/models"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var infos []api.ModelInfo
-		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(infos) != 1 || !infos[0].Cached || infos[0].Key.Machine != "haswell" {
-			t.Fatalf("%s models = %+v", path, infos)
-		}
-		if len(infos[0].Meta) == 0 {
-			t.Fatalf("%s model meta missing: %+v", path, infos[0])
-		}
+	resp, err = http.Get(ts.URL + api.PathModels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var infos []api.ModelInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(infos) != 1 || !infos[0].Cached || infos[0].Key.Machine != "haswell" {
+		t.Fatalf("models = %+v", infos)
+	}
+	if len(infos[0].Meta) == 0 {
+		t.Fatalf("model meta missing: %+v", infos[0])
 	}
 }
 
@@ -661,8 +749,8 @@ func pollJob(t *testing.T, base, id string) api.Job {
 
 // TestServerAsyncTuneParity is the acceptance criterion: for the same
 // (model, region, strategy, seed, budget), the synchronous /v1/tune
-// response, the async job's result, and the legacy /tune response are
-// bit-identical — best config and full trace.
+// response and the async job's result are bit-identical — best config
+// and full trace.
 func TestServerAsyncTuneParity(t *testing.T) {
 	_, ts := newTestServer(t)
 	c := kernels.MustCompile()
@@ -679,13 +767,6 @@ func TestServerAsyncTuneParity(t *testing.T) {
 		resp, sync := postTune(t, ts.URL, api.PathTune, tuneBody(t, req))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: sync status %d", name, resp.StatusCode)
-		}
-		resp, legacy := postTune(t, ts.URL, "/tune", tuneBody(t, req))
-		if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s: legacy status %d, Deprecation %q", name, resp.StatusCode, resp.Header.Get("Deprecation"))
-		}
-		if !reflect.DeepEqual(sync, legacy) {
-			t.Fatalf("%s: legacy /tune diverges from v1:\n%+v\n%+v", name, legacy, sync)
 		}
 
 		async := req

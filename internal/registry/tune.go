@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/autotune"
@@ -68,16 +70,16 @@ func (s *Server) prepTune(req api.TuneRequest) (*tuneSession, *api.ErrorInfo) {
 
 	// Objective validation: model strategies serve the registry's
 	// objectives; the searches additionally tune raw energy.
-	switch req.Objective {
-	case ObjectiveTime, ObjectiveEDP:
-	case "energy":
+	switch {
+	case slices.Contains(core.TrainedObjectives, req.Objective):
+	case req.Objective == "energy":
 		if modelDriven {
 			return nil, api.Errorf(api.CodeBadRequest,
 				"objective \"energy\" has no trained model; use strategy bliss or opentuner")
 		}
 	default:
-		return nil, api.Errorf(api.CodeBadRequest,
-			"unknown objective %q (valid: time, edp, energy)", req.Objective)
+		return nil, api.Errorf(api.CodeBadRequest, "unknown objective %q (valid: %s, energy)",
+			req.Objective, strings.Join(core.TrainedObjectives, ", "))
 	}
 	if modelDriven {
 		key := Key{Machine: req.Machine, Scenario: req.Scenario, Objective: req.Objective}
@@ -117,7 +119,7 @@ func (s *Server) prepTune(req api.TuneRequest) (*tuneSession, *api.ErrorInfo) {
 // model on first use), then each head's session runs the
 // propose/observe loop, which checks ctx before every measurement. The
 // response is bit-identical for the same request whether run inline
-// (sync /v1/tune, legacy /tune) or on a job-store worker (async).
+// (sync /v1/tune) or on a job-store worker (async).
 func (ts *tuneSession) run(ctx context.Context) (*api.TuneResponse, *api.ErrorInfo) {
 	req, d, rd := ts.req, ts.d, ts.rd
 	modelDriven := req.Strategy == "gnn" || req.Strategy == "hybrid"
@@ -141,7 +143,7 @@ func (ts *tuneSession) run(ctx context.Context) (*api.TuneResponse, *api.ErrorIn
 			// Even a cancelled session's real runs are real data: feed
 			// whatever was measured back for refresh retraining.
 			// Objective "energy" has no trained model to refresh.
-			if req.Objective == ObjectiveTime || req.Objective == ObjectiveEDP {
+			if slices.Contains(core.TrainedObjectives, req.Objective) {
 				key := Key{Machine: req.Machine, Scenario: req.Scenario, Objective: req.Objective}
 				ts.s.recordMeasured(key, runner.DatasetSamples())
 			}
