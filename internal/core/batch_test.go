@@ -14,19 +14,19 @@ import (
 
 // TestEncoderBatchMatchesPerGraph is the engine's end-to-end parity
 // guarantee: the batched block-diagonal encoder pass must reproduce the
-// per-graph pooled vectors within 1e-9 on real corpus graphs.
+// pooled vectors of one-graph batches within 1e-9 on real corpus graphs.
 func TestEncoderBatchMatchesPerGraph(t *testing.T) {
 	c := kernels.MustCompile()
 	cfg := testConfig()
 	m := NewModel(cfg, c.Vocab.Size(), 1, 8)
 	regions := c.Regions[:12]
 
-	pooled := m.Enc.ForwardBatch(m.Batch(regions))
+	pooled := m.Enc.ForwardBatch(m.Batch(regions)).Clone()
 	if pooled.Rows != len(regions) || pooled.Cols != cfg.Hidden {
 		t.Fatalf("batched pool shape %dx%d", pooled.Rows, pooled.Cols)
 	}
 	for i, r := range regions {
-		one := m.Enc.Forward(r, r.CompiledGraph().Adj)
+		one := m.Enc.ForwardBatch(m.Batch([]*kernels.Region{r}))
 		for c := 0; c < cfg.Hidden; c++ {
 			if d := math.Abs(one.At(0, c) - pooled.At(i, c)); d > 1e-9 {
 				t.Fatalf("region %s col %d: batched %g vs per-graph %g (diff %g)",
@@ -38,7 +38,7 @@ func TestEncoderBatchMatchesPerGraph(t *testing.T) {
 
 // TestEncoderBatchBackwardMatchesPerGraph checks the training-path parity:
 // one batched backward accumulates the same encoder gradients as N
-// per-graph backwards.
+// one-graph batch backwards.
 func TestEncoderBatchBackwardMatchesPerGraph(t *testing.T) {
 	c := kernels.MustCompile()
 	cfg := testConfig()
@@ -51,8 +51,8 @@ func TestEncoderBatchBackwardMatchesPerGraph(t *testing.T) {
 	dpool.FillUniform(rng, 1)
 
 	for i, r := range regions {
-		seq.Enc.Forward(r, r.CompiledGraph().Adj)
-		seq.Enc.Backward(dpool.RowMatrix(i))
+		seq.Enc.ForwardBatch(seq.Batch([]*kernels.Region{r}))
+		seq.Enc.BackwardBatch(dpool.RowMatrix(i))
 	}
 
 	bat.Enc.ForwardBatch(bat.Batch(regions))
@@ -69,7 +69,8 @@ func TestEncoderBatchBackwardMatchesPerGraph(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchAppendsExtras checks row-wise extra-feature assembly.
+// TestEncodeBatchAppendsExtras checks row-wise extra-feature assembly
+// against one-graph batches.
 func TestEncodeBatchAppendsExtras(t *testing.T) {
 	c := kernels.MustCompile()
 	cfg := testConfig()
@@ -91,8 +92,7 @@ func TestEncodeBatchAppendsExtras(t *testing.T) {
 		t.Fatalf("encoded shape %dx%d", enc.Rows, enc.Cols)
 	}
 	for i, ex := range exs {
-		r := regions[i]
-		single := m.Assemble(m.Enc.Forward(r, r.CompiledGraph().Adj), ex)
+		single := m.EncodeCompiled(cgs[i:i+1], [][]float64{ex})
 		for c := 0; c < enc.Cols; c++ {
 			if d := math.Abs(enc.At(i, c) - single.At(0, c)); d > 1e-9 {
 				t.Fatalf("row %d col %d: batch %g vs single %g", i, c, enc.At(i, c), single.At(0, c))

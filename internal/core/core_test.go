@@ -81,16 +81,36 @@ func TestModelExtraFeatures(t *testing.T) {
 	}
 }
 
+// TestEncodePanicsOnWrongExtras: extras must be nil (on a model without
+// extra features) or one row of ExtraDim features per graph; anything
+// else panics instead of being dropped or indexed out of range.
 func TestEncodePanicsOnWrongExtras(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
 	c := kernels.MustCompile()
-	m := NewModel(testConfig(), c.Vocab.Size(), 1, 5)
-	r := c.Regions[0]
-	m.Assemble(m.Enc.Forward(r, r.CompiledGraph().Adj), []float64{1, 2, 3})
+	cfg := testConfig()
+	plain := NewModel(cfg, c.Vocab.Size(), 1, 5)
+	cfg.UseCounters = true
+	counters := NewModel(cfg, c.Vocab.Size(), 1, 5)
+	cgs := []*rgcn.CompiledGraph{c.Regions[0].CompiledGraph(), c.Regions[1].CompiledGraph()}
+	for _, tc := range []struct {
+		name   string
+		m      *Model
+		extras [][]float64
+	}{
+		{"extras on a model without", plain, [][]float64{{1, 2, 3}, {1, 2, 3}}},
+		{"one row for two graphs", plain, [][]float64{nil}},
+		{"nil on a model with extras", counters, nil},
+		{"short row", counters, [][]float64{{1, 2, 3, 4, 5}, {1, 2, 3}}},
+		{"missing row", counters, [][]float64{{1, 2, 3, 4, 5}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.m.EncodeCompiled(cgs, tc.extras)
+		}()
+	}
 }
 
 func TestFitLearnsSeparableLabels(t *testing.T) {
@@ -128,11 +148,12 @@ func TestFitGradientsFlowEndToEnd(t *testing.T) {
 	r := c.Regions[3]
 	sample := Sample{Region: r, Cases: []Case{{Head: 0, Label: 1}, {Head: 1, Label: 2}}}
 
+	one := []*kernels.Region{r}
 	loss := func() float64 {
-		pooled := m.Enc.Forward(r, r.CompiledGraph().Adj)
+		pooled := m.Enc.ForwardBatch(m.Batch(one))
 		total := 0.0
 		for _, cs := range sample.Cases {
-			l, _ := nn.SoftmaxCrossEntropy(m.Logits(m.Assemble(pooled, nil), cs.Head), []int{cs.Label})
+			l, _ := nn.SoftmaxCrossEntropy(m.Logits(pooled, cs.Head), []int{cs.Label})
 			total += l
 		}
 		return total
@@ -140,16 +161,16 @@ func TestFitGradientsFlowEndToEnd(t *testing.T) {
 
 	params := m.Params()
 	nn.ZeroGrads(params)
-	pooled := m.Enc.Forward(r, r.CompiledGraph().Adj)
+	pooled := m.Enc.ForwardBatch(m.Batch(one))
 	dpool := tensor.New(1, cfg.Hidden)
 	for _, cs := range sample.Cases {
-		_, dlogits := nn.SoftmaxCrossEntropy(m.Logits(m.Assemble(pooled, nil), cs.Head), []int{cs.Label})
+		_, dlogits := nn.SoftmaxCrossEntropy(m.Logits(pooled, cs.Head), []int{cs.Label})
 		dIn := m.Heads[cs.Head].Backward(dlogits)
 		for i := 0; i < cfg.Hidden; i++ {
 			dpool.Data[i] += dIn.Data[i]
 		}
 	}
-	m.Enc.Backward(dpool)
+	m.Enc.BackwardBatch(dpool)
 
 	// Check a few parameters from different depths.
 	checked := 0

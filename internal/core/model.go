@@ -80,15 +80,13 @@ func DefaultModelConfig() ModelConfig {
 
 // EncoderOf is the GNN half of the model at precision T: embedding, RGCN
 // stack, readout. Its parameters are the ones shared in the
-// Haswell→Skylake transfer. Forward encodes one graph; ForwardBatch
-// encodes a whole block-diagonal batch in a single pass, which is the
-// hot path.
+// Haswell→Skylake transfer. ForwardBatch encodes a whole block-diagonal
+// batch in a single pass; one graph is a one-graph batch.
 type EncoderOf[T tensor.Float] struct {
 	Emb    *rgcn.EmbeddingOf[T]
 	Layers []*rgcn.LayerOf[T]
 	Acts   []*nn.LeakyReLUOf[T]
-	Pool   rgcn.MeanPoolOf[T]
-	// BatchPool is the segment-aware readout the batched path uses.
+	// BatchPool is the segment-aware mean-pool readout.
 	BatchPool nn.SegmentPoolOf[T]
 	Hidden    int
 }
@@ -122,31 +120,10 @@ func convertEncoder[T tensor.Float](e *Encoder) *EncoderOf[T] {
 	return q
 }
 
-// Forward encodes a graph into a 1×Hidden pooled vector. The adjacency
-// must be the one built from g.
-func (e *EncoderOf[T]) Forward(g *kernels.Region, adj *rgcn.Adjacency) *tensor.MatrixOf[T] {
-	h := e.Emb.Forward(g.Graph)
-	for i, l := range e.Layers {
-		l.SetGraph(adj)
-		h = e.Acts[i].Forward(l.Forward(h))
-	}
-	return e.Pool.Forward(h)
-}
-
-// Backward propagates the pooled gradient through the stack, accumulating
-// parameter gradients.
-func (e *EncoderOf[T]) Backward(dpool *tensor.MatrixOf[T]) {
-	d := e.Pool.Backward(dpool)
-	for i := len(e.Layers) - 1; i >= 0; i-- {
-		d = e.Layers[i].Backward(e.Acts[i].Backward(d))
-	}
-	e.Emb.Backward(d)
-}
-
 // ForwardBatch encodes every graph of a block-diagonal batch in one pass:
-// row g of the result is the pooled vector of b.Graphs[g]. One set of big
-// matrix operations replaces NumGraphs small ones, and a large batch
-// splits each RGCN layer's rows across the tensor pool.
+// row g of the result is the pooled vector of the batch's graph g. One
+// set of big matrix operations replaces NumGraphs small ones, and a large
+// batch splits each RGCN layer's rows across the tensor pool.
 func (e *EncoderOf[T]) ForwardBatch(b *rgcn.Batch) *tensor.MatrixOf[T] {
 	h := e.Emb.ForwardBatch(b)
 	for i, l := range e.Layers {
@@ -210,9 +187,21 @@ func (n *network[T]) EncodeCompiled(cgs []*rgcn.CompiledGraph, extras [][]float6
 }
 
 // encode runs the encoder over a merged batch and widens each pooled row
-// with its extra features, rounded to T. extras may be nil when the model
-// uses no extra features.
+// with its extra features, rounded to T. extras holds one row of
+// ExtraDim features per graph; it may be nil only when the model uses no
+// extra features.
 func (n *network[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[T] {
+	if extras != nil || n.ExtraDim > 0 {
+		if len(extras) != b.NumGraphs() {
+			panic(fmt.Sprintf("core: %d extra-feature rows for %d graphs", len(extras), b.NumGraphs()))
+		}
+		for i, ex := range extras {
+			if len(ex) != n.ExtraDim {
+				panic(fmt.Sprintf("core: %d extra features for row %d, model wants %d",
+					len(ex), i, n.ExtraDim))
+			}
+		}
+	}
 	pooled := n.Enc.ForwardBatch(b)
 	if n.ExtraDim == 0 {
 		return pooled
@@ -220,10 +209,6 @@ func (n *network[T]) encode(b *rgcn.Batch, extras [][]float64) *tensor.MatrixOf[
 	hidden := n.Cfg.Hidden
 	full := n.extraBuf.Get(pooled.Rows, hidden+n.ExtraDim)
 	for i := 0; i < pooled.Rows; i++ {
-		if len(extras[i]) != n.ExtraDim {
-			panic(fmt.Sprintf("core: %d extra features for row %d, model wants %d",
-				len(extras[i]), i, n.ExtraDim))
-		}
 		row := full.Row(i)
 		copy(row[:hidden], pooled.Row(i))
 		for c, v := range extras[i] {
@@ -374,21 +359,6 @@ func (m *Model) Batch(regions []*kernels.Region) *rgcn.Batch {
 		m.cgs[i] = r.CompiledGraph()
 	}
 	return m.merger.Merge(m.cgs)
-}
-
-// Assemble concatenates a pooled graph vector with extra features into
-// the dense-head input.
-func (m *Model) Assemble(pooled *tensor.Matrix, extras []float64) *tensor.Matrix {
-	if len(extras) != m.ExtraDim {
-		panic(fmt.Sprintf("core: %d extra features, model wants %d", len(extras), m.ExtraDim))
-	}
-	if m.ExtraDim == 0 {
-		return pooled
-	}
-	full := tensor.New(1, m.Cfg.Hidden+m.ExtraDim)
-	copy(full.Data[:m.Cfg.Hidden], pooled.Data)
-	copy(full.Data[m.Cfg.Hidden:], extras)
-	return full
 }
 
 // PredictGraphs scores a batch of raw graphs in one encoder pass and

@@ -1,8 +1,8 @@
 package core
 
 // Parity and allocation-regression tests for the compile-once graph
-// pipeline (ISSUE 3): the compiled/merged path must be bit-identical to
-// the rebuild-from-edge-lists path on real corpus graphs, ScoreAll must
+// pipeline: the cached compiled/merged path must be bit-identical to
+// compiling the raw graphs afresh on real corpus graphs, ScoreAll must
 // be bit-identical to the per-config 1-row loop it replaces, and the
 // steady-state training step and prediction sweep must stay within their
 // allocation budgets (≥5× below the pre-compile-once baseline of ~15.5k
@@ -20,19 +20,20 @@ import (
 )
 
 // TestCompiledPipelineMatchesRawBatch: encoding corpus regions through
-// the compile-once pipeline (cached CompiledGraph artifacts merged by
-// plan-copy) is bit-identical to encoding a batch rebuilt from the raw
-// graphs' edge lists.
+// the compile-once pipeline (cached CompiledGraph artifacts merged by the
+// model's reused Merger) is bit-identical to encoding a batch compiled
+// afresh from the raw graphs. The edge-list reference for CompileGraph
+// itself lives in package rgcn's tests.
 func TestCompiledPipelineMatchesRawBatch(t *testing.T) {
 	c := kernels.MustCompile()
 	cfg := testConfig()
 	m := NewModel(cfg, c.Vocab.Size(), 1, 16)
 	regions := c.Regions[:12]
-	graphs := make([]*programl.Graph, len(regions))
+	fresh := make([]*rgcn.CompiledGraph, len(regions))
 	for i, r := range regions {
-		graphs[i] = r.Graph
+		fresh[i] = rgcn.CompileGraph(r.Graph)
 	}
-	ref := m.Enc.ForwardBatch(rgcn.NewBatch(graphs, nil)).Clone()
+	ref := m.Enc.ForwardBatch(rgcn.MergeCompiled(fresh)).Clone()
 	got := m.Enc.ForwardBatch(m.Batch(regions))
 	if ref.Rows != got.Rows || ref.Cols != got.Cols {
 		t.Fatalf("shape %dx%d vs %dx%d", ref.Rows, ref.Cols, got.Rows, got.Cols)
@@ -46,7 +47,7 @@ func TestCompiledPipelineMatchesRawBatch(t *testing.T) {
 
 // TestScoreAllMatchesPerConfigLoop: scoring every candidate extras row in
 // one assembled matrix pass is bit-identical to the per-candidate loop of
-// Assemble + 1-row Logits calls it replaces.
+// one-graph EncodeCompiled + 1-row Logits calls it replaces.
 func TestScoreAllMatchesPerConfigLoop(t *testing.T) {
 	d := dataset.MustBuild(hw.Haswell())
 	cfg := testConfig()
@@ -63,12 +64,13 @@ func TestScoreAllMatchesPerConfigLoop(t *testing.T) {
 	}
 	exs = append(exs, exs[0])
 
-	pooled := m.Enc.Forward(rd.Region, rd.Region.CompiledGraph().Adj)
+	cgs := []*rgcn.CompiledGraph{rd.Region.CompiledGraph()}
+	pooled := m.Enc.ForwardBatch(m.Batch([]*kernels.Region{rd.Region})).Clone()
 	// Reference: per-config 1-row head passes, copied out before the next
 	// pass reuses the head buffers.
 	ref := make([][]float64, len(exs))
 	for i, ex := range exs {
-		logits := m.Logits(m.Assemble(pooled, ex), 0)
+		logits := m.Logits(m.EncodeCompiled(cgs, [][]float64{ex}), 0)
 		row := make([]float64, logits.Cols)
 		copy(row, logits.Row(0))
 		ref[i] = row

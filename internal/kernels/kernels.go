@@ -44,7 +44,7 @@ type Region struct {
 }
 
 // CompiledGraph returns the region's compile-once GNN artifact — gather
-// indices, node-kind tags, and finalized per-relation CSR plans — built on
+// indices, node-kind tags, and per-relation CSR plans — built on
 // first use and shared by every model, fold, and epoch thereafter (the
 // corpus is cached process-wide, so each region graph is compiled exactly
 // once per process). The artifact is immutable and goroutine-safe.

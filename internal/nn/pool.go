@@ -8,9 +8,8 @@ import (
 
 // SegmentPoolOf is the batch-aware mean-pool readout: row segment g of the
 // input — rows [offsets[g], offsets[g+1]), one graph of a block-diagonal
-// batch — pools to output row g. It generalizes the single-graph MeanPool
-// (offsets {0, n} reproduce it exactly) so one batched forward pass yields
-// every graph's pooled vector at once.
+// batch — pools to output row g, so one batched forward pass yields every
+// graph's pooled vector at once; offsets {0, n} pool a single graph.
 type SegmentPoolOf[T tensor.Float] struct {
 	offsets []int
 	cols    int
@@ -53,7 +52,7 @@ func (p *SegmentPoolOf[T]) Forward(x *tensor.MatrixOf[T], offsets []int) *tensor
 }
 
 // Backward broadcasts each pooled-row gradient back over its segment,
-// scaled by 1/segment size — the batched analogue of MeanPool.Backward.
+// scaled by 1/segment size.
 // The result is owned by the pool and valid until the next Backward.
 func (p *SegmentPoolOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if dout.Rows != len(p.offsets)-1 || dout.Cols != p.cols {

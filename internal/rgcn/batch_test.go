@@ -43,7 +43,58 @@ func batchOfRows(rng *tensor.RNG, rows int) *Batch {
 		graphs = append(graphs, sizedGraph(rng, fmt.Sprintf("g%d", len(graphs)), n))
 		left -= n
 	}
-	return NewBatch(graphs, nil)
+	return MergeCompiled(compileAll(graphs))
+}
+
+// edgeCaseGraphs are the CSR builder's corner inputs: no nodes, nodes
+// without edges, self-loops, duplicate edges, and a single relation.
+func edgeCaseGraphs() []*programl.Graph {
+	nodes := func(n int) []programl.Node {
+		out := make([]programl.Node, n)
+		for i := range out {
+			out[i] = programl.Node{Kind: programl.NodeKind(i % 3), Token: 1 + i}
+		}
+		return out
+	}
+	return []*programl.Graph{
+		{RegionID: "no-nodes"},
+		{RegionID: "no-edges", Nodes: nodes(4)},
+		{RegionID: "self-loops", Nodes: nodes(3), Edges: []programl.Edge{
+			{Src: 0, Dst: 0, Rel: programl.RelControl},
+			{Src: 1, Dst: 1, Rel: programl.RelData},
+			{Src: 2, Dst: 2, Rel: programl.RelCall},
+			{Src: 0, Dst: 1, Rel: programl.RelControl},
+			{Src: 1, Dst: 1, Rel: programl.RelControl},
+		}},
+		{RegionID: "duplicates", Nodes: nodes(3), Edges: []programl.Edge{
+			{Src: 0, Dst: 1, Rel: programl.RelData},
+			{Src: 2, Dst: 1, Rel: programl.RelData},
+			{Src: 0, Dst: 1, Rel: programl.RelData},
+			{Src: 1, Dst: 0, Rel: programl.RelData},
+			{Src: 0, Dst: 1, Rel: programl.RelData},
+			{Src: 1, Dst: 0, Rel: programl.RelCall},
+		}},
+		{RegionID: "one-relation", Nodes: nodes(5), Edges: []programl.Edge{
+			{Src: 0, Dst: 4, Rel: programl.RelCall},
+			{Src: 4, Dst: 1, Rel: programl.RelCall},
+			{Src: 3, Dst: 4, Rel: programl.RelCall},
+			{Src: 2, Dst: 2, Rel: programl.RelCall},
+		}},
+	}
+}
+
+// propagate runs the layers' CSR gather over every row: out = Â_d·h.
+func propagate(a *Adjacency, d int, h *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(h.Rows, h.Cols)
+	gatherRange(&a.plans[d], a.Norm[d], h, out, 0, out.Rows)
+	return out
+}
+
+// propagateT runs the layers' CSR transpose over every row: out = Â_dᵀ·h.
+func propagateT(a *Adjacency, d int, h *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(h.Rows, h.Cols)
+	gatherTRange(&a.plans[d], a.Norm[d], h, out, 0, out.Rows)
+	return out
 }
 
 // gateRows is the smallest row count at which a layer of l's width
@@ -77,29 +128,35 @@ func maxAbsDiff(a, b *tensor.Matrix) float64 {
 	return worst
 }
 
-// TestFinalizedPropagateMatchesReference checks that the CSR plan path
-// produces the same message passing as the sequential edge-list path.
+// TestFinalizedPropagateMatchesReference checks that the CSR plans
+// BuildAdjacency compiles produce the same message passing as the
+// reference's per-edge scatter, on random graphs and on the builder's
+// corner cases.
 func TestFinalizedPropagateMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(11)
+	graphs := edgeCaseGraphs()
 	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, "p")
-		ref := BuildAdjacency(g)
-		fin := BuildAdjacency(g).Finalize()
+		graphs = append(graphs, randomGraph(rng, "p"))
+	}
+	for _, g := range graphs {
+		ref := refBuild(g)
+		fin := BuildAdjacency(g)
 		h := tensor.New(len(g.Nodes), 7)
 		h.FillUniform(rng, 1)
 		for d := 0; d < NumDirections; d++ {
-			if diff := maxAbsDiff(ref.propagate(d, h), fin.propagate(d, h)); diff > 1e-9 {
-				t.Fatalf("trial %d dir %d: propagate diff %g", trial, d, diff)
+			if diff := maxAbsDiff(ref.propagate(d, h), propagate(fin, d, h)); diff > 1e-9 {
+				t.Fatalf("%s dir %d: propagate diff %g", g.RegionID, d, diff)
 			}
-			if diff := maxAbsDiff(ref.propagateT(d, h), fin.propagateT(d, h)); diff > 1e-9 {
-				t.Fatalf("trial %d dir %d: propagateT diff %g", trial, d, diff)
+			if diff := maxAbsDiff(ref.propagateT(d, h), propagateT(fin, d, h)); diff > 1e-9 {
+				t.Fatalf("%s dir %d: propagateT diff %g", g.RegionID, d, diff)
 			}
 		}
 	}
 }
 
 // TestBatchForwardMatchesPerGraph is the core parity guarantee: one
-// block-diagonal batched forward equals N per-graph forwards within 1e-9.
+// block-diagonal batched forward equals N one-graph batch forwards
+// within 1e-9.
 func TestBatchForwardMatchesPerGraph(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	var graphs []*programl.Graph
@@ -109,16 +166,18 @@ func TestBatchForwardMatchesPerGraph(t *testing.T) {
 	emb := NewEmbedding("e", 50, 12, tensor.NewRNG(5))
 	layer := NewLayer("l", emb.OutDim(), 16, tensor.NewRNG(6))
 
-	batch := NewBatch(graphs, nil)
+	cgs := compileAll(graphs)
+	batch := MergeCompiled(cgs)
 	hb := emb.ForwardBatch(batch)
 	layer.SetGraph(batch.Adj)
 	// Forward results live in layer-owned buffers, so snapshot the batched
-	// output before running the per-graph passes.
+	// output before running the one-graph passes.
 	outBatch := layer.Forward(hb).Clone()
 
-	for gi, g := range graphs {
-		h := emb.Forward(g)
-		layer.SetGraph(BuildAdjacency(g))
+	for gi, cg := range cgs {
+		one := MergeCompiled([]*CompiledGraph{cg})
+		h := emb.ForwardBatch(one)
+		layer.SetGraph(one.Adj)
 		out := layer.Forward(h)
 		lo, hi := batch.Segment(gi)
 		if hi-lo != out.Rows {
@@ -127,7 +186,7 @@ func TestBatchForwardMatchesPerGraph(t *testing.T) {
 		for r := 0; r < out.Rows; r++ {
 			for c := 0; c < out.Cols; c++ {
 				if d := math.Abs(out.At(r, c) - outBatch.At(lo+r, c)); d > 1e-9 {
-					t.Fatalf("graph %d node %d col %d: batched %g vs per-graph %g",
+					t.Fatalf("graph %d node %d col %d: batched %g vs one-graph %g",
 						gi, r, c, outBatch.At(lo+r, c), out.At(r, c))
 				}
 			}
@@ -136,7 +195,7 @@ func TestBatchForwardMatchesPerGraph(t *testing.T) {
 }
 
 // TestBatchBackwardMatchesPerGraph checks gradient parity: the batched
-// backward accumulates the same parameter gradients as N per-graph
+// backward accumulates the same parameter gradients as N one-graph batch
 // backwards.
 func TestBatchBackwardMatchesPerGraph(t *testing.T) {
 	rng := tensor.NewRNG(33)
@@ -150,14 +209,16 @@ func TestBatchBackwardMatchesPerGraph(t *testing.T) {
 	layA := NewLayer("l", embA.OutDim(), hidden, tensor.NewRNG(6))
 	layB := NewLayer("l", embB.OutDim(), hidden, tensor.NewRNG(6))
 
-	batch := NewBatch(graphs, nil)
+	cgs := compileAll(graphs)
+	batch := MergeCompiled(cgs)
 	dout := tensor.New(batch.NumNodes(), hidden)
 	dout.FillUniform(rng, 1)
 
-	// Per-graph reference: forward+backward each graph, grads accumulate.
-	for gi, g := range graphs {
-		h := embA.Forward(g)
-		layA.SetGraph(BuildAdjacency(g))
+	// One-graph reference: forward+backward each graph, grads accumulate.
+	for gi, cg := range cgs {
+		one := MergeCompiled([]*CompiledGraph{cg})
+		h := embA.ForwardBatch(one)
+		layA.SetGraph(one.Adj)
 		layA.Forward(h)
 		lo, hi := batch.Segment(gi)
 		dg := tensor.New(hi-lo, hidden)
@@ -176,7 +237,7 @@ func TestBatchBackwardMatchesPerGraph(t *testing.T) {
 	pa, pb := append(layA.Params(), embA.Params()...), append(layB.Params(), embB.Params()...)
 	for i := range pa {
 		if diff := maxAbsDiff(pa[i].Grad, pb[i].Grad); diff > 1e-9 {
-			t.Fatalf("%s: grad diff %g between per-graph and batched", pa[i].Name, diff)
+			t.Fatalf("%s: grad diff %g between one-graph and batched", pa[i].Name, diff)
 		}
 	}
 }
@@ -230,7 +291,7 @@ func TestBatchParallelDeterministic(t *testing.T) {
 }
 
 // TestLayerRowSplitBitExact holds the layer forward's row split to the
-// one-goroutine pass bit for bit, at both precisions: on finalized
+// one-goroutine pass bit for bit, at both precisions: on merged
 // batches one row below, at and above the split gate and well above it,
 // the output at GOMAXPROCS 1, 2, 3 and 8 must match SetWorkerCap(1)'s,
 // and so must the relational weight gradients of a following Backward,
@@ -307,7 +368,7 @@ func ExampleBuildAdjacency() {
 	}
 	adj := BuildAdjacency(g)
 	fmt.Println("nodes:", adj.NumNodes)
-	fmt.Println("control edges:", len(adj.Edges[programl.RelControl]))
+	fmt.Println("control edges:", adj.EdgeCount(int(programl.RelControl)))
 	// Node 1 has one incoming control and one incoming data edge, each
 	// normalized by its per-relation in-degree.
 	fmt.Println("control norm of node 1:", adj.Norm[programl.RelControl][1])
@@ -328,18 +389,18 @@ func ExampleNewBatch() {
 		Nodes:    []programl.Node{{Token: 3}, {Token: 4}, {Token: 5}},
 		Edges:    []programl.Edge{{Src: 1, Dst: 2, Rel: programl.RelData}},
 	}
-	batch := NewBatch([]*programl.Graph{a, b}, nil)
+	batch := NewBatch([]*programl.Graph{a, b})
 	fmt.Println("graphs:", batch.NumGraphs())
 	fmt.Println("total nodes:", batch.NumNodes())
 	lo, hi := batch.Segment(1)
 	fmt.Printf("graph b owns rows [%d, %d)\n", lo, hi)
-	// The merged adjacency is block-diagonal: b's data edge lands at
-	// offset 2.
-	e := batch.Adj.Edges[programl.RelData][0]
-	fmt.Printf("merged data edge: %d -> %d\n", e[0], e[1])
+	// The merged adjacency is block-diagonal: b's data edge 1 -> 2 lands
+	// at offset 2, so node 4's one data in-neighbour is node 3.
+	p := &batch.Adj.plans[programl.RelData]
+	fmt.Println("data in-neighbours of node 4:", p.dstSrc[p.dstPtr[4]:p.dstPtr[5]])
 	// Output:
 	// graphs: 2
 	// total nodes: 5
 	// graph b owns rows [2, 5)
-	// merged data edge: 3 -> 4
+	// data in-neighbours of node 4: [3]
 }

@@ -1,13 +1,12 @@
 // Compile-once graph pipeline: a CompiledGraph is the per-graph artifact
 // the whole training and serving stack reuses — embedding gather indices,
-// node-kind tags, in-degree norms, and finalized per-relation CSR plans —
-// built exactly once per graph and merged into block-diagonal minibatches
-// by offset-copying the precompiled plans in O(edges), instead of
-// re-concatenating edge lists and re-running CSR construction for every
-// minibatch of every epoch. MergeCompiled is bit-identical to
-// NewBatch-then-Finalize: concatenation preserves each destination's
-// in-neighbour order, so the merged CSR arrays are the per-graph arrays
-// with node and edge offsets added.
+// node-kind tags, in-degree norms, and per-relation CSR plans — built
+// exactly once per graph and merged into block-diagonal minibatches by
+// offset-copying the precompiled plans in O(edges), instead of
+// re-running CSR construction for every minibatch of every epoch.
+// Merging preserves each destination's in-neighbour order, so the merged
+// CSR arrays are the per-graph arrays with node and edge offsets added:
+// bit for bit what one CSR build over all the graphs' edges would give.
 package rgcn
 
 import (
@@ -16,13 +15,13 @@ import (
 	"pnptuner/internal/programl"
 )
 
-// CompiledGraph is a graph compiled for the GNN: the finalized adjacency
-// (CSR execution plans included) plus flat token and node-kind arrays for
+// CompiledGraph is a graph compiled for the GNN: the adjacency (CSR
+// execution plans included) plus flat token and node-kind arrays for
 // the embedding gather. Compile once, reuse for every epoch, fold, and
 // prediction sweep — the artifact is immutable and safe to share across
 // models and goroutines.
 type CompiledGraph struct {
-	// Adj is the graph's finalized adjacency (plans built).
+	// Adj is the graph's adjacency.
 	Adj *Adjacency
 	// Tokens[i] is node i's embedding row. Tokens that int32 cannot hold,
 	// and negative ones, clamp to 0 (the unknown token) at compile time;
@@ -37,7 +36,7 @@ type CompiledGraph struct {
 // adjacency, CSR plans, and the embedding gather arrays.
 func CompileGraph(g *programl.Graph) *CompiledGraph {
 	cg := &CompiledGraph{
-		Adj:    BuildAdjacency(g).Finalize(),
+		Adj:    BuildAdjacency(g),
 		Tokens: make([]int32, len(g.Nodes)),
 		Kinds:  make([]uint8, len(g.Nodes)),
 	}
@@ -74,7 +73,6 @@ func (b *i32buf) get(n int) []int32 {
 type Merger struct {
 	batch   Batch
 	adj     Adjacency
-	plans   []csrPlan
 	dstPtr  [NumDirections]i32buf
 	dstSrc  [NumDirections]i32buf
 	srcPtr  [NumDirections]i32buf
@@ -87,9 +85,8 @@ type Merger struct {
 
 // MergeCompiled merges compiled graphs into one block-diagonal Batch by
 // offset-copying their precompiled CSR plans — O(total edges), no edge
-// re-grouping, no re-finalization. The result is bit-identical to
-// NewBatch over the same graphs. For repeated merging (training epochs,
-// serving windows) use a Merger, which reuses its buffers across calls.
+// re-grouping. For repeated merging (training epochs, serving windows)
+// use a Merger, which reuses its buffers across calls.
 func MergeCompiled(cgs []*CompiledGraph) *Batch {
 	return new(Merger).Merge(cgs)
 }
@@ -127,9 +124,6 @@ func (mg *Merger) Merge(cgs []*CompiledGraph) *Batch {
 	// shifts by the running edge base and its index array by the node
 	// offset. Graph boundaries line up exactly (ptr[n] of one graph equals
 	// ptr[0]+base of the next), so a single pass per graph suffices.
-	if mg.plans == nil {
-		mg.plans = make([]csrPlan, NumDirections)
-	}
 	for d := 0; d < NumDirections; d++ {
 		nEdges := 0
 		for _, cg := range cgs {
@@ -166,12 +160,10 @@ func (mg *Merger) Merge(cgs []*CompiledGraph) *Batch {
 		if total == 0 {
 			dstPtr[0], srcPtr[0] = 0, 0
 		}
-		mg.plans[d] = csrPlan{dstPtr: dstPtr, dstSrc: dstSrc, srcPtr: srcPtr, srcDst: srcDst}
+		mg.adj.plans[d] = csrPlan{dstPtr: dstPtr, dstSrc: dstSrc, srcPtr: srcPtr, srcDst: srcDst}
 		mg.adj.Norm[d] = mg.norm[d]
-		mg.adj.Edges[d] = nil // plans are authoritative for merged batches
 	}
 	mg.adj.NumNodes = total
-	mg.adj.plans = mg.plans
 
 	mg.batch = Batch{
 		Offsets: mg.offsets,

@@ -78,8 +78,10 @@ func assertBatchBitIdentical(t *testing.T, label string, ref, got *Batch) {
 }
 
 // TestMergeCompiledMatchesNewBatch is the compile-once parity guarantee:
-// merging precompiled CSR plans is bit-identical to rebuilding and
-// re-finalizing the block-diagonal adjacency from edge lists.
+// compiling each graph's CSR plans straight from its edges and merging
+// them is bit-identical to the reference's grouping of the concatenated
+// edge lists, on random batches and on the builder's corner cases, alone
+// and merged together.
 func TestMergeCompiledMatchesNewBatch(t *testing.T) {
 	rng := tensor.NewRNG(77)
 	for trial := 0; trial < 10; trial++ {
@@ -88,10 +90,17 @@ func TestMergeCompiledMatchesNewBatch(t *testing.T) {
 		for i := range graphs {
 			graphs[i] = randomGraph(rng, fmt.Sprintf("t%d-g%d", trial, i))
 		}
-		ref := NewBatch(graphs, nil)
+		ref := NewBatch(graphs)
 		got := MergeCompiled(compileAll(graphs))
 		assertBatchBitIdentical(t, fmt.Sprintf("trial %d", trial), ref, got)
 	}
+	corners := edgeCaseGraphs()
+	for _, g := range corners {
+		graphs := []*programl.Graph{g}
+		assertBatchBitIdentical(t, g.RegionID, NewBatch(graphs), MergeCompiled(compileAll(graphs)))
+	}
+	mixed := append(corners, randomGraph(rng, "r"))
+	assertBatchBitIdentical(t, "corners merged", NewBatch(mixed), MergeCompiled(compileAll(mixed)))
 }
 
 // TestMergerReuseIsStateless checks that a Merger's buffer reuse never
@@ -189,4 +198,17 @@ func ExampleMergeCompiled() {
 	// total nodes: 5
 	// graph b owns rows [2, 5)
 	// batched tokens: [1 2 3 4 5]
+}
+
+var benchCompiled *CompiledGraph
+
+// BenchmarkCompileGraph compiles one random 1,500-node graph per op, the
+// size of a large serving request.
+func BenchmarkCompileGraph(b *testing.B) {
+	g := sizedGraph(tensor.NewRNG(1500), "bench", 1500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCompiled = CompileGraph(g)
+	}
 }

@@ -1,6 +1,6 @@
 package rgcn
 
-// PlanArrays exposes direction d's CSR arrays of a finalized adjacency to
+// PlanArrays exposes direction d's CSR arrays of an adjacency to
 // the external golden test, which imports the corpus (and so cannot live
 // in this package: kernels imports rgcn).
 func PlanArrays(a *Adjacency, d int) (dstPtr, dstSrc, srcPtr, srcDst []int32) {

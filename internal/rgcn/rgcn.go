@@ -1,7 +1,13 @@
 // Package rgcn implements Relational Graph Convolutional Network layers
 // (Schlichtkrull et al., ESWC 2018) over PROGRAML program graphs, plus the
-// token-embedding input layer and mean-pool readout that complete the
-// graph-encoder half of the PnP tuner.
+// token-embedding input layer, for the graph-encoder half of the PnP
+// tuner.
+//
+// A graph reaches the layers one way: CompileGraph builds its CSR plans,
+// norms and embedding gather arrays once, a Merger merges compiled graphs
+// into one block-diagonal Batch, and EmbeddingOf.ForwardBatch and
+// LayerOf.Forward run over that Batch. A single graph is a one-graph
+// batch.
 //
 // Each RGCN layer computes
 //
@@ -25,115 +31,77 @@ import (
 // appears forward and reversed.
 const NumDirections = 2 * int(programl.NumRelations)
 
-// Adjacency is the preprocessed message-passing structure of one graph:
-// per relation-direction edge lists with in-degree normalization.
+// Adjacency is the compiled message-passing structure of one graph or of
+// a merged batch: per relation-direction CSR plans and in-degree norms.
 type Adjacency struct {
 	NumNodes int
-	// Edges[d] lists (src, dst) pairs for relation-direction d.
-	Edges [NumDirections][][2]int32
 	// Norm[d][i] is 1/indegree(i) under relation-direction d (0 if none).
 	Norm [NumDirections][]float64
 
-	// plans, when set by Finalize, holds per-direction CSR layouts that
-	// let propagate/propagateT compute any range of output rows on its
-	// own.
-	plans []csrPlan
+	// plans holds per-direction CSR layouts that let the forward gather
+	// and its backward transpose compute any range of output rows on
+	// their own.
+	plans [NumDirections]csrPlan
 }
 
-// BuildAdjacency converts a program graph into its normalized adjacency.
+// BuildAdjacency compiles a program graph into its normalized adjacency
+// straight from g.Edges: count each direction's in-edges per node,
+// prefix-sum the counts into row pointers, then fill the neighbour lists
+// in edge order. Relation r runs forward as direction r and reversed as
+// direction r+NumRelations, so each direction's transpose layout (grouped
+// by source) is its mirror's gather layout, and the two share arrays.
 func BuildAdjacency(g *programl.Graph) *Adjacency {
+	const nRel = int(programl.NumRelations)
 	n := len(g.Nodes)
 	a := &Adjacency{NumNodes: n}
-	for d := 0; d < NumDirections; d++ {
-		a.Norm[d] = make([]float64, n)
+	var count [nRel]int
+	for _, e := range g.Edges {
+		count[e.Rel]++
+	}
+	for d := range a.plans {
+		a.plans[d].dstPtr = make([]int32, n+1)
+		a.plans[d].dstSrc = make([]int32, count[d%nRel])
 	}
 	for _, e := range g.Edges {
-		fwd := int(e.Rel)
-		rev := int(e.Rel) + int(programl.NumRelations)
-		a.Edges[fwd] = append(a.Edges[fwd], [2]int32{int32(e.Src), int32(e.Dst)})
-		a.Norm[fwd][e.Dst]++
-		a.Edges[rev] = append(a.Edges[rev], [2]int32{int32(e.Dst), int32(e.Src)})
-		a.Norm[rev][e.Src]++
+		a.plans[e.Rel].dstPtr[e.Dst+1]++
+		a.plans[int(e.Rel)+nRel].dstPtr[e.Src+1]++
 	}
-	for d := 0; d < NumDirections; d++ {
-		for i, deg := range a.Norm[d] {
-			if deg > 0 {
-				a.Norm[d][i] = 1 / deg
+	for d := range a.plans {
+		ptr := a.plans[d].dstPtr
+		for i := 0; i < n; i++ {
+			ptr[i+1] += ptr[i]
+		}
+	}
+	// Each fill advances dstPtr[i], node i's cursor, from the start of its
+	// list to its end, which is where node i+1's starts; the copy below
+	// shifts the pointers back into place.
+	for _, e := range g.Edges {
+		fwd, rev := &a.plans[e.Rel], &a.plans[int(e.Rel)+nRel]
+		fwd.dstSrc[fwd.dstPtr[e.Dst]] = int32(e.Src)
+		fwd.dstPtr[e.Dst]++
+		rev.dstSrc[rev.dstPtr[e.Src]] = int32(e.Dst)
+		rev.dstPtr[e.Src]++
+	}
+	for d := range a.plans {
+		ptr := a.plans[d].dstPtr
+		copy(ptr[1:], ptr[:n])
+		ptr[0] = 0
+		a.Norm[d] = make([]float64, n)
+		for i := range a.Norm[d] {
+			if deg := ptr[i+1] - ptr[i]; deg > 0 {
+				a.Norm[d][i] = 1 / float64(deg)
 			}
 		}
+	}
+	for d := range a.plans {
+		mirror := &a.plans[(d+nRel)%NumDirections]
+		a.plans[d].srcPtr, a.plans[d].srcDst = mirror.dstPtr, mirror.dstSrc
 	}
 	return a
 }
 
-// EdgeCount returns the number of edges of relation-direction d. Merged
-// batches carry only CSR plans (no edge lists), so the plan is
-// authoritative when present.
-func (a *Adjacency) EdgeCount(d int) int {
-	if a.plans != nil {
-		return a.plans[d].edgeCount()
-	}
-	return len(a.Edges[d])
-}
-
-// propagate computes out = Â_d·h for one relation-direction. Finalized
-// adjacencies gather through the CSR plan; unfinalized ones walk the edge
-// list (the reference path).
-func (a *Adjacency) propagate(d int, h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(h.Rows, h.Cols)
-	propagateRows(a, d, h, out, 0, out.Rows)
-	return out
-}
-
-// propagateRows accumulates rows [lo, hi) of out += Â_d·h into a zeroed
-// target — the buffer-reusing form of propagate on the forward hot path.
-// Each norm is rounded to T before it multiplies. Only a finalized
-// adjacency computes a part of out; the edge list scatters to any row,
-// so an unfinalized one takes the whole range.
-func propagateRows[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T], lo, hi int) {
-	if a.plans != nil {
-		gatherRange(&a.plans[d], a.Norm[d], h, out, lo, hi)
-		return
-	}
-	if lo != 0 || hi != out.Rows {
-		panic(fmt.Sprintf("rgcn: rows [%d,%d) of %d on an unfinalized adjacency", lo, hi, out.Rows))
-	}
-	norm := a.Norm[d]
-	for _, e := range a.Edges[d] {
-		src, dst := e[0], e[1]
-		w := T(norm[dst])
-		hrow := h.Row(int(src))
-		orow := out.Row(int(dst))
-		for c, v := range hrow {
-			orow[c] += w * v
-		}
-	}
-}
-
-// propagateT computes out = Â_dᵀ·h (the backward direction of propagate).
-func (a *Adjacency) propagateT(d int, h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(h.Rows, h.Cols)
-	propagateTInto(a, d, h, out)
-	return out
-}
-
-// propagateTInto accumulates out += Â_dᵀ·h, saving the temporary on the
-// backward hot path.
-func propagateTInto[T tensor.Float](a *Adjacency, d int, h, out *tensor.MatrixOf[T]) {
-	if a.plans != nil {
-		gatherTRange(&a.plans[d], a.Norm[d], h, out, 0, out.Rows)
-		return
-	}
-	norm := a.Norm[d]
-	for _, e := range a.Edges[d] {
-		src, dst := e[0], e[1]
-		w := T(norm[dst])
-		hrow := h.Row(int(dst))
-		orow := out.Row(int(src))
-		for c, v := range hrow {
-			orow[c] += w * v
-		}
-	}
-}
+// EdgeCount returns the number of edges of relation-direction d.
+func (a *Adjacency) EdgeCount(d int) int { return a.plans[d].edgeCount() }
 
 // LayerOf is one relational graph convolution over features of T. It is
 // graph-dependent: the caller sets the adjacency (SetGraph) before
@@ -194,22 +162,21 @@ func ConvertLayer[T tensor.Float](l *Layer) *LayerOf[T] {
 func (l *LayerOf[T]) SetGraph(adj *Adjacency) { l.adj = adj }
 
 // parallelThreshold is the self product's volume (rows × In × Out) from
-// which Forward on a finalized adjacency splits its output rows across
-// the tensor pool; below it the goroutine fan-out costs more than it
-// wins. Each output row is computed the same way on either side of it,
-// so it moves no bit.
+// which Forward splits its output rows across the tensor pool; below it
+// the goroutine fan-out costs more than it wins. Each output row is
+// computed the same way on either side of it, so it moves no bit.
 const parallelThreshold = 1 << 16
 
 // Forward computes the relational convolution for the bound graph. The
 // returned matrix is owned by the layer and valid until the next Forward.
 //
-// This is the one fan-out in a forward pass: on a finalized adjacency
-// above parallelThreshold the output rows split once across
-// tensor.ParallelFor, and each worker runs the whole layer — self
-// product, then each direction's gather and product — over its own rows
-// (forwardRows). Every output element gets the same additions in the
-// same order at every worker count. Below the gate, or with one worker,
-// the rows run on the calling goroutine and nothing is allocated.
+// This is the one fan-out in a forward pass: above parallelThreshold the
+// output rows split once across tensor.ParallelFor, and each worker runs
+// the whole layer — self product, then each direction's gather and
+// product — over its own rows (forwardRows). Every output element gets
+// the same additions in the same order at every worker count. Below the
+// gate, or with one worker, the rows run on the calling goroutine and
+// nothing is allocated.
 func (l *LayerOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 	if l.adj == nil {
 		panic("rgcn: Forward before SetGraph")
@@ -225,7 +192,7 @@ func (l *LayerOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 			l.msgs[d] = l.msgBufs[d].Get(x.Rows, x.Cols)
 		}
 	}
-	if l.adj.plans == nil || x.Rows*x.Cols*l.Out < parallelThreshold || tensor.Workers() == 1 {
+	if x.Rows*x.Cols*l.Out < parallelThreshold || tensor.Workers() == 1 {
 		l.forwardRows(x, out, 0, x.Rows)
 	} else {
 		tensor.ParallelFor(x.Rows, func(lo, hi int) { l.forwardRows(x, out, lo, hi) })
@@ -244,7 +211,7 @@ func (l *LayerOf[T]) forwardRows(x, out *tensor.MatrixOf[T], lo, hi int) {
 			continue
 		}
 		clear(msg.Data[lo*msg.Cols : hi*msg.Cols])
-		propagateRows(l.adj, d, x, msg, lo, hi)
+		gatherRange(&l.adj.plans[d], l.adj.Norm[d], x, msg, lo, hi)
 		tensor.MatMulAddRows(msg, l.WRel[d].W, out, lo, hi)
 	}
 }
@@ -274,7 +241,7 @@ func (l *LayerOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
 		// ∂L/∂x += Â_dᵀ·(dout·W_dᵀ)
 		back := l.backBuf.Get(dout.Rows, l.In)
 		tensor.MatMulTBInto(dout, l.WRel[d].W, back)
-		propagateTInto(l.adj, d, back, dx)
+		gatherTRange(&l.adj.plans[d], l.adj.Norm[d], back, dx, 0, dx.Rows)
 	}
 	return dx
 }
@@ -314,25 +281,7 @@ func ConvertEmbedding[T tensor.Float](e *Embedding) *EmbeddingOf[T] {
 	return &EmbeddingOf[T]{VocabSize: e.VocabSize, Dim: e.Dim, Table: nn.ConvertParam[T](e.Table)}
 }
 
-// Forward gathers embedding rows for the graph's node tokens and appends a
-// 3-wide one-hot node-kind tag.
-func (e *EmbeddingOf[T]) Forward(g *programl.Graph) *tensor.MatrixOf[T] {
-	n := len(g.Nodes)
-	out := tensor.NewOf[T](n, e.Dim+3)
-	e.tokens = growInts(e.tokens, n)
-	for i, node := range g.Nodes {
-		tok := node.Token
-		if tok < 0 || tok >= e.VocabSize {
-			tok = 0
-		}
-		e.tokens[i] = tok
-		copy(out.Row(i)[:e.Dim], e.Table.W.Row(tok))
-		out.Row(i)[e.Dim+int(node.Kind)] = 1
-	}
-	return out
-}
-
-// OutDim returns the width of Forward's output.
+// OutDim returns the width of ForwardBatch's output.
 func (e *EmbeddingOf[T]) OutDim() int { return e.Dim + 3 }
 
 // Backward scatters ∂L/∂features into the table gradient. Large batches
@@ -343,28 +292,3 @@ func (e *EmbeddingOf[T]) Backward(dout *tensor.MatrixOf[T]) {
 
 // Params returns the embedding table.
 func (e *EmbeddingOf[T]) Params() []*nn.ParamOf[T] { return []*nn.ParamOf[T]{e.Table} }
-
-// MeanPoolOf is the graph-level readout: the mean of node features.
-type MeanPoolOf[T tensor.Float] struct{ rows int }
-
-// MeanPool is the float64 readout.
-type MeanPool = MeanPoolOf[float64]
-
-// Forward returns the 1×d mean of node features.
-func (m *MeanPoolOf[T]) Forward(x *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
-	m.rows = x.Rows
-	return x.MeanRow()
-}
-
-// Backward broadcasts the pooled gradient back to every node.
-func (m *MeanPoolOf[T]) Backward(dout *tensor.MatrixOf[T]) *tensor.MatrixOf[T] {
-	dx := tensor.NewOf[T](m.rows, dout.Cols)
-	inv := 1 / T(m.rows)
-	for r := 0; r < m.rows; r++ {
-		row := dx.Row(r)
-		for c, v := range dout.Row(0) {
-			row[c] = v * inv
-		}
-	}
-	return dx
-}

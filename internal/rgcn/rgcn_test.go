@@ -2,6 +2,7 @@ package rgcn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,10 +41,12 @@ func TestAdjacencyNormalization(t *testing.T) {
 		t.Fatalf("nodes = %d", adj.NumNodes)
 	}
 	// Every normalization weight must satisfy: sum over incoming edges of
-	// norm[dst] == 1 for nodes with in-degree > 0.
+	// norm[dst] == 1 for nodes with in-degree > 0. The reference lists
+	// the incoming edges.
+	ref := refBuild(toyGraph())
 	for d := 0; d < NumDirections; d++ {
 		sums := make([]float64, adj.NumNodes)
-		for _, e := range adj.Edges[d] {
+		for _, e := range ref.edges[d] {
 			sums[e[1]] += adj.Norm[d][e[1]]
 		}
 		for i, s := range sums {
@@ -57,14 +60,15 @@ func TestAdjacencyNormalization(t *testing.T) {
 func TestAdjacencyReverseMirrorsForward(t *testing.T) {
 	adj := BuildAdjacency(toyGraph())
 	for r := 0; r < int(programl.NumRelations); r++ {
-		fwd, rev := adj.Edges[r], adj.Edges[r+int(programl.NumRelations)]
-		if len(fwd) != len(rev) {
-			t.Fatalf("relation %d: %d fwd vs %d rev edges", r, len(fwd), len(rev))
+		fwd, rev := &adj.plans[r], &adj.plans[r+int(programl.NumRelations)]
+		if fwd.edgeCount() != rev.edgeCount() {
+			t.Fatalf("relation %d: %d fwd vs %d rev edges", r, fwd.edgeCount(), rev.edgeCount())
 		}
-		for i := range fwd {
-			if fwd[i][0] != rev[i][1] || fwd[i][1] != rev[i][0] {
-				t.Fatalf("relation %d edge %d not mirrored", r, i)
-			}
+		// The reverse direction's in-neighbours are the forward one's
+		// out-neighbours, and the other way round.
+		if !slices.Equal(fwd.dstPtr, rev.srcPtr) || !slices.Equal(fwd.dstSrc, rev.srcDst) ||
+			!slices.Equal(fwd.srcPtr, rev.dstPtr) || !slices.Equal(fwd.srcDst, rev.dstSrc) {
+			t.Fatalf("relation %d not mirrored", r)
 		}
 	}
 }
@@ -79,7 +83,7 @@ func TestPropagateAveragesNeighbours(t *testing.T) {
 	}
 	adj := BuildAdjacency(g)
 	h := tensor.FromSlice(3, 1, []float64{10, 20, 0})
-	out := adj.propagate(int(programl.RelData), h)
+	out := propagate(adj, int(programl.RelData), h)
 	if math.Abs(out.At(2, 0)-15) > 1e-12 {
 		t.Fatalf("node 2 message = %g, want mean 15", out.At(2, 0))
 	}
@@ -99,17 +103,17 @@ func TestLayerGradCheck(t *testing.T) {
 	x.FillUniform(rng, 1)
 	labels := []int{1}
 
+	offsets := []int{0, 5}
+	var mp nn.SegmentPool
 	loss := func() float64 {
 		h := layer.Forward(x)
-		pool := (&MeanPool{}).Forward(h)
-		l, _ := nn.SoftmaxCrossEntropy(pool, labels)
+		l, _ := nn.SoftmaxCrossEntropy(mp.Forward(h, offsets), labels)
 		return l
 	}
 
 	nn.ZeroGrads(layer.Params())
 	h := layer.Forward(x)
-	mp := &MeanPool{}
-	pooled := mp.Forward(h)
+	pooled := mp.Forward(h, offsets)
 	_, dp := nn.SoftmaxCrossEntropy(pooled, labels)
 	dx := layer.Backward(mp.Backward(dp))
 
@@ -149,7 +153,7 @@ func TestEmbeddingGradScatter(t *testing.T) {
 	g := toyGraph()
 	// Two nodes share token 2 to exercise gradient accumulation.
 	g.Nodes[4].Token = 2
-	h := emb.Forward(g)
+	h := emb.ForwardBatch(MergeCompiled([]*CompiledGraph{CompileGraph(g)}))
 	if h.Rows != 5 || h.Cols != emb.OutDim() {
 		t.Fatalf("embedding out %dx%d", h.Rows, h.Cols)
 	}
@@ -179,7 +183,7 @@ func TestEmbeddingOutOfRangeTokenFallsBack(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	emb := NewEmbedding("emb", 4, 2, rng)
 	g := &programl.Graph{Nodes: []programl.Node{{Token: 99}}}
-	h := emb.Forward(g)
+	h := emb.ForwardBatch(MergeCompiled([]*CompiledGraph{CompileGraph(g)}))
 	for c := 0; c < 2; c++ {
 		if h.At(0, c) != emb.Table.W.At(0, c) {
 			t.Fatal("out-of-range token must use the <unk> row")
@@ -187,10 +191,12 @@ func TestEmbeddingOutOfRangeTokenFallsBack(t *testing.T) {
 	}
 }
 
+// TestMeanPoolBackwardDistributes checks the readout over one graph's
+// rows: the mean forward, and the gradient spread evenly back.
 func TestMeanPoolBackwardDistributes(t *testing.T) {
-	mp := &MeanPool{}
+	var mp nn.SegmentPool
 	x := tensor.FromSlice(4, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	y := mp.Forward(x)
+	y := mp.Forward(x, []int{0, 4})
 	if math.Abs(y.At(0, 0)-4) > 1e-12 || math.Abs(y.At(0, 1)-5) > 1e-12 {
 		t.Fatalf("pool = %v", y.Data)
 	}
@@ -217,15 +223,15 @@ func TestQuickPropagateConvexity(t *testing.T) {
 				Rel: programl.Relation(rng.Intn(int(programl.NumRelations))),
 			})
 		}
-		adj := BuildAdjacency(g)
+		adj, ref := BuildAdjacency(g), refBuild(g)
 		h := tensor.New(n, 1)
 		for i := range h.Data {
 			h.Data[i] = 7.5
 		}
 		for d := 0; d < NumDirections; d++ {
-			out := adj.propagate(d, h)
+			out := propagate(adj, d, h)
 			indeg := make([]bool, n)
-			for _, e := range adj.Edges[d] {
+			for _, e := range ref.edges[d] {
 				indeg[e[1]] = true
 			}
 			for i := 0; i < n; i++ {
