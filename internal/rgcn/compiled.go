@@ -51,9 +51,6 @@ func CompileGraph(g *programl.Graph) *CompiledGraph {
 	return cg
 }
 
-// NumNodes returns the compiled graph's node count.
-func (cg *CompiledGraph) NumNodes() int { return cg.Adj.NumNodes }
-
 // i32buf is a growable int32 scratch slice for the merged CSR arrays.
 type i32buf struct{ s []int32 }
 

@@ -58,17 +58,37 @@ func TestAdjacencyNormalization(t *testing.T) {
 }
 
 func TestAdjacencyReverseMirrorsForward(t *testing.T) {
-	adj := BuildAdjacency(toyGraph())
-	for r := 0; r < int(programl.NumRelations); r++ {
-		fwd, rev := &adj.plans[r], &adj.plans[r+int(programl.NumRelations)]
-		if fwd.edgeCount() != rev.edgeCount() {
-			t.Fatalf("relation %d: %d fwd vs %d rev edges", r, fwd.edgeCount(), rev.edgeCount())
-		}
-		// The reverse direction's in-neighbours are the forward one's
-		// out-neighbours, and the other way round.
-		if !slices.Equal(fwd.dstPtr, rev.srcPtr) || !slices.Equal(fwd.dstSrc, rev.srcDst) ||
-			!slices.Equal(fwd.srcPtr, rev.dstPtr) || !slices.Equal(fwd.srcDst, rev.dstSrc) {
-			t.Fatalf("relation %d not mirrored", r)
+	const nRel = int(programl.NumRelations)
+	// The toy graph, then again with a self-loop and a duplicate edge.
+	multi := toyGraph()
+	multi.Edges = append(multi.Edges,
+		programl.Edge{Src: 2, Dst: 2, Rel: programl.RelData},
+		programl.Edge{Src: 0, Dst: 1, Rel: programl.RelControl})
+	for _, g := range []*programl.Graph{toyGraph(), multi} {
+		adj, ref := BuildAdjacency(g), refBuild(g)
+		for r := 0; r < nRel; r++ {
+			// The reference's reverse direction is its forward one with
+			// every edge turned round, in edge order.
+			fwd, rev := ref.edges[r], ref.edges[r+nRel]
+			if len(fwd) != len(rev) {
+				t.Fatalf("relation %d: %d fwd vs %d rev edges", r, len(fwd), len(rev))
+			}
+			for i, e := range fwd {
+				if rev[i] != [2]int32{e[1], e[0]} {
+					t.Fatalf("relation %d edge %d: rev %v does not mirror fwd %v", r, i, rev[i], e)
+				}
+			}
+			// Both directions' in- and out-neighbour lists are the
+			// reference's edges grouped by destination and by source.
+			for _, d := range []int{r, r + nRel} {
+				p := &adj.plans[d]
+				dstPtr, dstSrc := refGroup(adj.NumNodes, ref.edges[d], 1, 0)
+				srcPtr, srcDst := refGroup(adj.NumNodes, ref.edges[d], 0, 1)
+				if !slices.Equal(p.dstPtr, dstPtr) || !slices.Equal(p.dstSrc, dstSrc) ||
+					!slices.Equal(p.srcPtr, srcPtr) || !slices.Equal(p.srcDst, srcDst) {
+					t.Fatalf("direction %d: plans differ from the reference", d)
+				}
+			}
 		}
 	}
 }
