@@ -124,9 +124,6 @@ func newBatcher(m *core.CompiledModel, maxBatch int) *Batcher {
 	return b
 }
 
-// NumHeads returns the width of every reply (one pick per model head).
-func (b *Batcher) NumHeads() int { return b.model.NumHeads() }
-
 // Predict queues a request and blocks for its result: the argmax class of
 // every model head, index-aligned with the heads (per-cap picks for a
 // scenario-1 model, a single joint pick for scenario 2).
@@ -135,9 +132,9 @@ func (b *Batcher) Predict(req Request) ([]int, error) {
 }
 
 // PredictContext is Predict under a caller deadline: an expired ctx
-// sheds the request before any work, and a ctx that expires while the
-// request is queued abandons it — the window that takes it drops it
-// without a forward.
+// sheds the request before any work, a ctx that expires while the
+// request is queued abandons it (the window drops it without a forward),
+// and one that expires during the forward gets its error, not the picks.
 func (b *Batcher) PredictContext(ctx context.Context, req Request) ([]int, error) {
 	lists, err := b.PredictTopKContext(ctx, req, 1)
 	if err != nil {
@@ -227,6 +224,9 @@ func (b *Batcher) submit(ctx context.Context, req Request) (reply, error) {
 	b.senders.Done()
 	select {
 	case rep := <-r.reply:
+		if err := ctx.Err(); err != nil {
+			return reply{}, err // select picks at random when both cases are ready
+		}
 		return rep, rep.err
 	case <-ctx.Done():
 		// The reply channel is buffered, so the window's eventual answer

@@ -218,6 +218,38 @@ func TestBatcherShedsSpentDeadlineBeforeTimerFires(t *testing.T) {
 	}
 }
 
+// expiresInForward is a caller context whose budget runs out while its
+// window is in the forward pass: live to submit's admission check and to
+// the window's, done after that. Its Done channel is nil, as
+// context.Background's is, so the reply is the only case submit's final
+// select can take.
+type expiresInForward struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *expiresInForward) Err() error {
+	if c.checks.Add(1) <= 2 {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestBatcherShedsReplyAfterDeadline: a reply that lands after the
+// caller's budget ran out is answered with the deadline error, not with
+// picks. When the context's timer has also fired, submit's final select
+// sees both cases ready and would otherwise pick one at random.
+func TestBatcherShedsReplyAfterDeadline(t *testing.T) {
+	key := Key{Machine: "haswell", Scenario: ScenarioFull, Objective: ObjectiveTime}
+	m, _ := tinyModel(key)
+	b := NewBatcher(m, 8, 0)
+	defer b.Close()
+	ctx := &expiresInForward{Context: context.Background()}
+	if picks, err := b.PredictContext(ctx, Request{Graph: corpusGraphs(t, 1)[0]}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("predict past its budget = %v, %v, want context.DeadlineExceeded", picks, err)
+	}
+}
+
 // admittedThenDone is a caller context whose deadline passes while its
 // request waits in the queue: it reports live to submit's one admission
 // check and done to every check after that.

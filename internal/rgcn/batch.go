@@ -4,16 +4,17 @@
 // relation-direction's plan groups its edges by output row, so any range
 // of output rows can be gathered on its own. That is what lets
 // LayerOf.Forward split a large batch's rows across the tensor pool once
-// per layer.
+// per layer. The forward gather, tensor.GatherRows, runs serving's
+// float32 rows on its AVX2 kernel and training's float64 rows in Go.
 package rgcn
 
 import "pnptuner/internal/tensor"
 
 // csrPlan is one relation-direction's edges regrouped by output row: by
-// destination for the forward gather (gatherRange) and by source for the
-// backward transpose (gatherTRange). Each output row reads only its own
-// neighbour list, so disjoint row ranges can be computed concurrently
-// without racing on a scatter-add.
+// destination for the forward gather (tensor.GatherRows) and by source
+// for the backward transpose (gatherTRange). Each output row reads only
+// its own neighbour list, so disjoint row ranges can be computed
+// concurrently without racing on a scatter-add.
 type csrPlan struct {
 	dstPtr []int32 // len NumNodes+1; in-neighbours of node i are dstSrc[dstPtr[i]:dstPtr[i+1]]
 	dstSrc []int32
@@ -24,29 +25,8 @@ type csrPlan struct {
 // edgeCount returns the number of edges the plan routes.
 func (p *csrPlan) edgeCount() int { return len(p.dstSrc) }
 
-// gatherRange computes out[i] = norm[i] · Σ_{src→i} h[src] for every
-// node i in [lo, hi).
-func gatherRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := p.dstPtr[i], p.dstPtr[i+1]
-		if start == end {
-			continue
-		}
-		orow := out.Row(i)
-		for _, s := range p.dstSrc[start:end] {
-			for c, v := range h.Row(int(s)) {
-				orow[c] += v
-			}
-		}
-		w := T(norm[i])
-		for c := range orow {
-			orow[c] *= w
-		}
-	}
-}
-
 // gatherTRange computes out[i] += Σ_{i→dst} norm[dst] · h[dst] for every
-// node i in [lo, hi) — the transpose of gatherRange, grouped by source.
+// node i in [lo, hi): the forward gather's transpose, run by training only.
 func gatherTRange[T tensor.Float](p *csrPlan, norm []float64, h, out *tensor.MatrixOf[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := p.srcPtr[i], p.srcPtr[i+1]

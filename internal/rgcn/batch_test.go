@@ -86,7 +86,8 @@ func edgeCaseGraphs() []*programl.Graph {
 // propagate runs the layers' CSR gather over every row: out = Â_d·h.
 func propagate(a *Adjacency, d int, h *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(h.Rows, h.Cols)
-	gatherRange(&a.plans[d], a.Norm[d], h, out, 0, out.Rows)
+	p := &a.plans[d]
+	tensor.GatherRows(p.dstPtr, p.dstSrc, a.Norm[d], h, out, 0, out.Rows)
 	return out
 }
 

@@ -210,8 +210,8 @@ func (l *LayerOf[T]) forwardRows(x, out *tensor.MatrixOf[T], lo, hi int) {
 		if msg == nil {
 			continue
 		}
-		clear(msg.Data[lo*msg.Cols : hi*msg.Cols])
-		gatherRange(&l.adj.plans[d], l.adj.Norm[d], x, msg, lo, hi)
+		p := &l.adj.plans[d]
+		tensor.GatherRows(p.dstPtr, p.dstSrc, l.adj.Norm[d], x, msg, lo, hi)
 		tensor.MatMulAddRows(msg, l.WRel[d].W, out, lo, hi)
 	}
 }

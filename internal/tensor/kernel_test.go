@@ -218,9 +218,10 @@ func useKernel(tb testing.TB, asm bool) (restore func()) {
 // odd and even k (a trailing unpaired column or row), every n % 4
 // remainder and n on both sides of the AVX2 kernel's sixteen-column
 // block; a fixed tall case crosses reductionThreshold so
-// MatMulTAAddInto's chunked reduction engages. The kernels run on the
-// calling goroutine, so the worker cap must change nothing; each cap runs
-// on the AVX2 kernel and again on the Go ones.
+// MatMulTAAddInto's chunked reduction engages. The "gather" subtests
+// hold GatherRows to refGather on random CSR row ranges 1 to 20 wide.
+// The kernels run on the calling goroutine, so the worker cap must change
+// nothing; each cap runs on the AVX2 kernel and again on the Go ones.
 func TestQuickKernelsMatchReference(t *testing.T) {
 	if !bitsArch {
 		t.Logf("comparing within 1e-12 relative, not bit for bit: Go may fuse x*y+z into FMA on %s", runtime.GOARCH)
@@ -248,6 +249,18 @@ func TestQuickKernelsMatchReference(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					t.Run("gather", func(t *testing.T) {
+						f := func(seed uint64) bool {
+							if err := checkGather(NewRNG(seed)); err != nil {
+								t.Logf("seed %d: %v", seed, err)
+								return false
+							}
+							return true
+						}
+						if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+							t.Fatal(err)
+						}
+					})
 				})
 			}
 		})

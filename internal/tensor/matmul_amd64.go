@@ -1,8 +1,8 @@
 package tensor
 
-// useAVX2 routes matmulRows, matmulTARange and MatMulTBInto through the
-// assembly row kernels when the CPU and the OS support AVX2. Tests clear
-// it to run the Go kernels on the same machine.
+// useAVX2 routes matmulRows, matmulTARange, MatMulTBInto and GatherRows
+// through the assembly row kernels when the CPU and the OS support AVX2.
+// Tests clear it to run the Go kernels on the same machine.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool
@@ -29,4 +29,21 @@ func matmulRowsAsm[T Float](a, b, out []T, kk, n, rows, ka, ra int) int {
 		matmulRowsF32(&a[0], &any(b).([]float32)[0], &any(out).([]float32)[0], kk, n, rows, ka, ra)
 	}
 	return n &^ 15
+}
+
+//go:noescape
+func gatherRowsF32(ptr, idx *int32, norm *float64, h, out *float32, cols, hRows, nIdx, lo, hi int) int
+
+// gatherRowsAsm runs rows [lo, hi) of GatherRows on the AVX2 kernel for
+// float32 rows 1 to 16 wide and returns the first row it left to the Go
+// loop: hi, lo when it ran nothing, or a row whose list bounds or
+// neighbour index are out of range, for the Go loop's bounds check.
+func gatherRowsAsm[T Float](ptr, idx []int32, norm []float64, h, out *MatrixOf[T], lo, hi int) int {
+	o, ok := any(out.Data).([]float32)
+	if !ok || !useAVX2 || out.Cols == 0 || out.Cols > 16 || lo == hi || len(idx) == 0 || h.Rows == 0 {
+		return lo
+	}
+	hd := any(h.Data).([]float32)
+	_, _ = hd[h.Rows*h.Cols-1], o[hi*out.Cols-1] // every element the kernel touches
+	return gatherRowsF32(&ptr[0], &idx[0], &norm[0], &hd[0], &o[0], out.Cols, h.Rows, len(idx), lo, hi)
 }

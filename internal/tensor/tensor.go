@@ -1,9 +1,10 @@
 // Package tensor provides the dense matrix math under the neural network
-// stack: allocation, BLAS-level-3 style multiplies (parallelized across
-// goroutines for large operands), elementwise kernels, and a
-// deterministic RNG for reproducible initialization. Matrices are generic
-// over float32 and float64: training runs in float64, and quantized
-// serving runs the same kernels in float32.
+// stack: allocation, BLAS-level-3 style multiplies, the RGCN layers' CSR
+// row gather (GatherRows), elementwise kernels, and a deterministic RNG.
+// Matrices are generic over float32 and float64: training runs in
+// float64, and quantized serving runs the same kernels in float32. On
+// amd64 with AVX2 the products (both precisions) and the gather (float32)
+// run on assembly row kernels, bit for bit with their Go loops.
 package tensor
 
 import (
