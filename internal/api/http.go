@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"pnptuner/internal/telemetry"
@@ -36,12 +37,16 @@ func WriteErrorStatus(w http.ResponseWriter, r *http.Request, status int, info *
 }
 
 // ReadBody reads a request body of at most MaxRequestBytes into one
-// buffer sized from a Content-Length within the limit, or else as
-// io.ReadAll over http.MaxBytesReader does. A body shorter than its
-// Content-Length fails with io.ErrUnexpectedEOF.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n > 0 && n <= MaxRequestBytes {
-		body := make([]byte, n)
+// buffer sized from its Content-Length, reusing buf's storage, or else
+// as io.ReadAll over http.MaxBytesReader does. A Content-Length over the
+// limit fails with an *http.MaxBytesError before any of the body is
+// read, and a shorter body than it with io.ErrUnexpectedEOF.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	switch n := r.ContentLength; {
+	case n > MaxRequestBytes:
+		return nil, &http.MaxBytesError{Limit: MaxRequestBytes}
+	case n > 0:
+		body := slices.Grow(buf[:0], int(n))[:n]
 		_, err := io.ReadFull(r.Body, body)
 		return body, err
 	}

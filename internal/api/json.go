@@ -75,8 +75,19 @@ func skipNested(data []byte, pos, depth int) (int, error) {
 	}
 }
 
-// skipScalar steps over the string, number or literal at pos.
+// skipScalar steps over the string, number or literal at pos. A string
+// with no escape, the usual case, takes a short path.
 func skipScalar(data []byte, pos int) (int, error) {
+	if pos < len(data) && data[pos] == '"' {
+		if i := pos + 1 + plainRun(data[pos+1:]); i < len(data) && data[i] == '"' {
+			return i + 1, nil
+		}
+	}
+	return skipAny(data, pos)
+}
+
+// skipAny is skipScalar for any scalar.
+func skipAny(data []byte, pos int) (int, error) {
 	if pos >= len(data) {
 		return pos, syntaxError(data, pos)
 	}
@@ -84,9 +95,7 @@ func skipScalar(data []byte, pos int) (int, error) {
 	switch c := data[pos]; c {
 	case '"':
 		for ok = true; ok; i++ {
-			for i < len(data) && data[i] >= ' ' && data[i] != '"' && data[i] != '\\' {
-				i++
-			}
+			i += plainRun(data[i:])
 			switch {
 			case i >= len(data) || data[i] < ' ':
 				ok = false
@@ -140,7 +149,34 @@ func isHex(b []byte) bool {
 	return err == nil
 }
 
+// plainRun returns how many bytes at the start of b a string holds as
+// they are, looking them up four at a time.
+func plainRun(b []byte) int {
+	n := len(b)
+	for len(b) >= 4 && plain[b[0]] && plain[b[1]] && plain[b[2]] && plain[b[3]] {
+		b = b[4:]
+	}
+	for len(b) > 0 && plain[b[0]] {
+		b = b[1:]
+	}
+	return n - len(b)
+}
+
+// plain marks the bytes a string holds as they are: all but the control
+// bytes, '"' and '\\'.
+var plain = func() (t [256]bool) {
+	for c := int(' '); c < len(t); c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// skipSpace returns the offset of the first byte at or after pos that is
+// not JSON whitespace, at once on the usual non-space byte.
 func skipSpace(data []byte, pos int) int {
+	if pos < len(data) && data[pos] > ' ' {
+		return pos
+	}
 	for pos < len(data) && (data[pos] == ' ' || data[pos] == '\t' || data[pos] == '\n' || data[pos] == '\r') {
 		pos++
 	}

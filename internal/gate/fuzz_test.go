@@ -27,7 +27,7 @@ func FuzzGatePredictBody(f *testing.F) {
 		case forwarded <- body:
 		default:
 		}
-		if _, _, err := programl.DecodePredict(body); err != nil {
+		if _, _, err := programl.DecodePredict(body, nil, nil); err != nil {
 			info := api.DecodeError(err)
 			stubError(w, info.Code, info.Message)
 			return

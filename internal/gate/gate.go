@@ -345,7 +345,7 @@ func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.Errorf(api.CodeMethodNotAllowed, "predict requires POST"))
 		return
 	}
-	body, err := api.ReadBody(w, r)
+	body, err := api.ReadBody(w, r, nil)
 	var req api.PredictRequest
 	var regionID string
 	end := 0

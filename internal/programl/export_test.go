@@ -240,7 +240,7 @@ func FuzzWire(f *testing.F) {
 		}
 
 		wantReq, wantGraph, errReplica, errGate := referencePredict(data)
-		req, body, err := DecodePredict(data)
+		req, body, err := DecodePredict(data, nil, nil)
 		if (errReplica == nil) != (err == nil) {
 			t.Fatalf("reference error %v, DecodePredict error %v", errReplica, err)
 		}

@@ -2,11 +2,10 @@ package programl
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"pnptuner/internal/api"
@@ -24,8 +23,12 @@ import (
 // and its graph into g, nil when the graph is absent or null. Bytes
 // after the body's first JSON value are not read. A graph over the api
 // limits fails with an *api.ErrorInfo of code graph_too_large.
-func DecodePredict(body []byte) (req api.PredictRequest, g *Graph, err error) {
-	s := scanner{data: body}
+//
+// Both other inputs may be nil. A non-nil into is cleared and becomes g,
+// so its lists' storage is reused. A non-nil intern gives each node text
+// its string from the text's bytes, which it must not keep.
+func DecodePredict(body []byte, into *Graph, intern func([]byte) string) (req api.PredictRequest, g *Graph, err error) {
+	s := scanner{data: body, scratch: into, intern: intern}
 	if s.request(&req, &g); s.err == nil && g != nil {
 		s.err = g.settle()
 	}
@@ -88,12 +91,16 @@ func nonNil[T any](v []T) []T {
 }
 
 // scanner reads JSON from data at pos. Its first error sticks, and every
-// read after it does nothing. A route scanner skips a graph's lists.
+// read after it does nothing. A route scanner skips a graph's lists. A
+// graph decodes into scratch when it is set, and intern, when set, gives
+// node texts their strings.
 type scanner struct {
 	data       []byte
 	pos, depth int
 	err        error
 	route      bool
+	scratch    *Graph
+	intern     func([]byte) string
 }
 
 func (s *scanner) request(req *api.PredictRequest, g **Graph) {
@@ -111,13 +118,27 @@ func (s *scanner) request(req *api.PredictRequest, g **Graph) {
 			if s.next() == 'n' {
 				*g = nil
 			} else if *g == nil {
-				*g = &Graph{}
+				*g = s.fresh()
 			}
 			s.graph(*g)
 		default:
 			s.skip()
 		}
 	}
+}
+
+// fresh returns an empty graph to decode into: scratch, cleared over its
+// lists' whole capacity because list merges into what the backing arrays
+// hold, or else a new one.
+func (s *scanner) fresh() *Graph {
+	g := s.scratch
+	if g == nil {
+		return &Graph{}
+	}
+	clear(g.Nodes[:cap(g.Nodes)])
+	clear(g.Edges[:cap(g.Edges)])
+	*g = Graph{Nodes: g.Nodes[:0], Edges: g.Edges[:0]}
+	return g
 }
 
 func (s *scanner) graph(g *Graph) {
@@ -141,7 +162,11 @@ func (s *scanner) node(n *Node) {
 		case 0:
 			enum(s, &n.Kind, kindNames)
 		case 1:
-			s.string(&n.Text)
+			if s.next() == 'n' || s.intern == nil {
+				s.string(&n.Text)
+			} else if b := s.str(); s.err == nil {
+				n.Text = s.intern(b)
+			}
 		case 2:
 			s.int(&n.Token)
 		default:
@@ -262,8 +287,11 @@ func (s *scanner) fail(want string) {
 }
 
 // next skips whitespace and returns the byte there, 0 at the end or
-// after an error.
+// after an error. The usual non-space byte returns at once.
 func (s *scanner) next() byte {
+	if s.pos < len(s.data) && s.data[s.pos] > ' ' && s.err == nil {
+		return s.data[s.pos]
+	}
 	for ; s.pos < len(s.data) && s.err == nil; s.pos++ {
 		if c := s.data[s.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
@@ -314,8 +342,26 @@ func (s *scanner) number() []byte {
 	return s.data[start:s.pos]
 }
 
+// int reads an integer literal into *p, or a null, which changes
+// nothing. Up to 18 digits, which cannot overflow, are read in one pass;
+// number and strconv.Atoi take the rest, rejecting a fraction, an
+// exponent or a value outside int's range.
 func (s *scanner) int(p *int) {
-	if b := s.number(); b != nil {
+	c, i := s.next(), s.pos
+	if c == '-' {
+		i++
+	}
+	v, j := 0, i
+	for ; c != 0 && j < len(s.data) && s.data[j]-'0' < 10; j++ {
+		v = v*10 + int(s.data[j]-'0')
+	}
+	if n := j - i; n > 0 && n <= 18 && (n == 1 || s.data[i] != '0') &&
+		(j == len(s.data) || s.data[j] != '.' && s.data[j]|0x20 != 'e') {
+		if s.pos = j; c == '-' {
+			v = -v
+		}
+		*p = v
+	} else if b := s.number(); b != nil {
 		*p, s.err = strconv.Atoi(string(b))
 	}
 }
@@ -326,50 +372,22 @@ func (s *scanner) float(p *float64) {
 	}
 }
 
-// str reads a string and returns its unescaped bytes, a slice of data
-// when there is nothing to unescape.
+// str reads a string and returns its unescaped bytes: a slice of data
+// when they hold no escape and are valid UTF-8, else encoding/json's
+// decode of the span api.SkipJSON checked.
 func (s *scanner) str() []byte {
 	if s.next() != '"' {
 		s.fail("a string")
 		return nil
 	}
-	d, start := s.data, s.pos+1
-	i := start
-	for i < len(d) && d[i] != '"' && d[i] != '\\' && d[i] >= ' ' && d[i] < utf8.RuneSelf {
-		i++
-	}
-	if s.pos = i + 1; i < len(d) && d[i] == '"' {
-		return d[start:i]
-	}
-	s.pos = start - 1
+	start := s.pos
 	if s.skip(); s.err != nil {
 		return nil
 	}
-	b := append([]byte(nil), d[start:i]...)
-	for end := s.pos - 1; i < end; { // skip checked what is left
-		switch r, n := utf8.DecodeRune(d[i:end]); { // invalid UTF-8 is U+FFFD
-		case r != '\\':
-			b, i = utf8.AppendRune(b, r), i+n
-		case d[i+1] != 'u':
-			b, i = append(b, "\"\\/\b\f\n\r\t"[strings.IndexByte(`"\/bfnrt`, d[i+1])]), i+2
-		default:
-			// A surrogate pair decodes to one rune; a lone half, which
-			// AppendRune writes as U+FFFD, leaves what follows it alone.
-			r, i = hex4(d[i:end]), i+6
-			if pair := utf16.DecodeRune(r, hex4(d[i:end])); pair != utf8.RuneError {
-				r, i = pair, i+6
-			}
-			b = utf8.AppendRune(b, r)
-		}
+	if b := s.data[start+1 : s.pos-1]; bytes.IndexByte(b, '\\') < 0 && utf8.Valid(b) {
+		return b
 	}
-	return b
-}
-
-// hex4 decodes a \uXXXX escape at the start of b, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
-		return -1
-	}
-	r, _ := strconv.ParseUint(string(b[2:6]), 16, 16) // skip checked the digits
-	return rune(r)
+	var v string
+	_ = json.Unmarshal(s.data[start:s.pos], &v) // the span is a valid string
+	return []byte(v)
 }

@@ -24,14 +24,21 @@ import (
 // config space — unlike tinyModel's truncated 16-class heads, it can be
 // refresh-retrained against genuine dataset targets.
 func fullShapeModel(k Key) (*core.Model, core.ModelMeta) {
+	cfg := core.DefaultModelConfig()
+	cfg.EmbedDim, cfg.Hidden = 6, 6
+	return untrainedModel(k, cfg)
+}
+
+// untrainedModel builds an untrained model of cfg's widths whose heads
+// span the real config space.
+func untrainedModel(k Key, cfg core.ModelConfig) (*core.Model, core.ModelMeta) {
 	c := kernels.MustCompile()
 	mach, err := hw.ByName(k.Machine)
 	if err != nil {
 		panic(err)
 	}
 	sp := space.New(mach)
-	cfg := core.DefaultModelConfig()
-	cfg.EmbedDim, cfg.Hidden, cfg.Epochs = 6, 6, 0
+	cfg.Epochs = 0
 	nHeads, classes := len(sp.Caps()), sp.NumConfigs()
 	if k.Objective == ObjectiveEDP {
 		nHeads, classes = 1, sp.NumJoint()

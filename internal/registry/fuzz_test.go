@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"pnptuner/internal/frontend"
 	"pnptuner/internal/kernels"
 	"pnptuner/internal/programl"
+	"pnptuner/internal/rgcn"
 )
 
 // bigGraph compiles one generated stencil nest of ~40 statements, the
@@ -84,6 +86,66 @@ func FuzzPredictBody(f *testing.F) {
 		}
 		if rec.Code >= 500 || api.StatusFor(env.Error.Code) != rec.Code {
 			t.Fatalf("status %d, code %q: %s", rec.Code, env.Error.Code, env.Error.Message)
+		}
+	})
+}
+
+// FuzzDecodeScratch holds the replica's pooled decode to a fresh one. Each
+// input decodes fresh with no interner (the decode FuzzWire holds to
+// encoding/json), then into scratch that a larger, different graph
+// filled first, with the corpus vocabulary's interner, and with both.
+// After Annotate and rgcn.CompileGraph every way must give the same
+// request, graph, compiled graph and error.
+func FuzzDecodeScratch(f *testing.F) {
+	v := kernels.MustCompile().Vocab
+	graph, err := json.Marshal(bigGraph(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	big, _ := json.Marshal(api.PredictRequest{Machine: "haswell", Objective: ObjectiveTime, Graph: graph})
+	f.Add(big)
+	f.Add(predictBody(f, "haswell", ObjectiveTime, 0))
+	for _, graph := range []string{
+		`{"nodes":[{"kind":"instruction","text":"no such text"},{"kind":"variable","text":"load\u0020double"}]}`,
+		`{"nodes":[{"kind":"variable","text":"é😀"},{"kind":"constant","text":"\ud800"},{"kind":"variable","text":"` + "\xff" + `"}]}`,
+		`{"nodes":[{"kind":"instruction","text":null,"token":null}],"edges":[{"src":0,"dst":0,"rel":"data"}]}`,
+		// Nodes and edges missing fields the scratch's first graph had.
+		`{"nodes":[{"kind":"instruction"},{"text":"load double"},{}],"edges":[{"src":0,"dst":1},{"rel":"call"}]}`,
+		`{"nodes":[{"kind":"variable","text":"a"},{"kind":"constant","text":"b"}],"nodes":[{"kind":"constant"}]}`,
+		`{"nodes":[],"edges":null}`,
+	} {
+		f.Add([]byte(`{"machine":"haswell","objective":"time","graph":` + graph + `}`))
+	}
+	f.Add([]byte(`{"graph":{"nodes":[{"kind":"variable","text":"a"}]},"graph":null,"graph":{"region_id":"r"}}`))
+	decode := func(data []byte, into *programl.Graph, intern func([]byte) string) (string, api.PredictRequest, *programl.Graph, *rgcn.CompiledGraph) {
+		req, g, err := programl.DecodePredict(data, into, intern)
+		if err != nil {
+			return err.Error(), api.PredictRequest{}, nil, nil
+		}
+		if g == nil {
+			return "", req, nil, nil
+		}
+		v.Annotate(g)
+		return "", req, g, rgcn.CompileGraph(g)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wantErr, wantReq, want, wantCG := decode(data, nil, nil)
+		for _, way := range []struct {
+			name    string
+			scratch bool
+			intern  func([]byte) string
+		}{{"scratch", true, nil}, {"interned", false, v.Interner()}, {"scratch, interned", true, v.Interner()}} {
+			var into *programl.Graph
+			if way.scratch {
+				into = new(programl.Graph)
+				if _, _, err := programl.DecodePredict(big, into, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errGot, req, g, cg := decode(data, into, way.intern)
+			if errGot != wantErr || !reflect.DeepEqual(req, wantReq) || !reflect.DeepEqual(g, want) || !reflect.DeepEqual(cg, wantCG) {
+				t.Fatalf("%s: error %q, request %+v, graph %+v; fresh gave %q, %+v, %+v", way.name, errGot, req, g, wantErr, wantReq, want)
+			}
 		}
 	})
 }

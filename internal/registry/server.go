@@ -41,6 +41,7 @@ import (
 type Server struct {
 	reg      *Registry
 	vocab    *vocab.Vocabulary
+	intern   func([]byte) string // vocab's interner; nil if it was open at NewServer
 	maxBatch int
 	start    time.Time
 	jobs     *JobStore
@@ -102,6 +103,7 @@ func NewServer(reg *Registry, v *vocab.Vocabulary, cfg ServerConfig) *Server {
 	return &Server{
 		reg:        reg,
 		vocab:      v,
+		intern:     v.Interner(),
 		maxBatch:   cfg.MaxBatch,
 		refresh:    cfg.Refresh,
 		start:      time.Now(),
@@ -255,12 +257,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One pass: the envelope and the graph decode together, graph
-	// checks and size limits included.
-	body, err := api.ReadBody(w, r)
+	// checks and size limits included, into pooled scratch.
+	sc := scratchPool.Get().(*predictScratch)
+	defer sc.release()
+	body, err := api.ReadBody(w, r, sc.body)
+	sc.body = body
 	var req api.PredictRequest
 	var g *programl.Graph
 	if err == nil {
-		req, g, err = programl.DecodePredict(body)
+		req, g, err = programl.DecodePredict(body, sc.g, s.intern)
 	}
 	if err != nil {
 		api.WriteError(w, r, api.DecodeError(err))
@@ -346,14 +351,32 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	c := s.canaries[key.ID()]
 	s.mu.Unlock()
-	if c != nil {
-		c.enqueue(canarySample{
-			g: g, extras: req.Counters, curPicks: picks,
-			tid: telemetry.TraceID(r.Context()),
-		})
+	if c != nil && c.enqueue(canarySample{
+		g: g, extras: req.Counters, curPicks: picks,
+		tid: telemetry.TraceID(r.Context()),
+	}) {
+		sc.g = new(programl.Graph) // the sample keeps g
 	}
 	s.served.Add(1)
 	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// predictScratch is one predict's body and the graph decoded from it,
+// reused once the response is written: nothing decoded refers into the
+// body, and the batcher reads only the graph's compiled copy.
+type predictScratch struct {
+	body []byte
+	g    *programl.Graph
+}
+
+var scratchPool = sync.Pool{New: func() any { return &predictScratch{g: new(programl.Graph)} }}
+
+// release returns sc to the pool, unless it grew past serve-size bodies
+// and graphs: one huge request is not kept resident.
+func (sc *predictScratch) release() {
+	if cap(sc.body) <= 1<<20 && cap(sc.g.Nodes)+cap(sc.g.Edges) <= 1<<16 {
+		scratchPool.Put(sc)
+	}
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {

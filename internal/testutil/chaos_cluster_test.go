@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"pnptuner/internal/api"
 	"pnptuner/internal/chaos"
 	"pnptuner/internal/client"
+	"pnptuner/internal/frontend"
 	"pnptuner/internal/gate"
+	"pnptuner/internal/programl"
 	"pnptuner/internal/registry"
 	"pnptuner/internal/testutil"
 )
@@ -179,14 +183,47 @@ func TestClusterChaosAllFaults(t *testing.T) {
 	}
 }
 
+// largeGraph is a generated region of serve-large's shape, one stencil
+// loop of 40 statements over six arrays: ~1.2k nodes, ~180 KB of JSON.
+func largeGraph(t *testing.T) api.RawObject {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("const int N = 1200;\n")
+	for a := 0; a < 6; a++ {
+		fmt.Fprintf(&b, "double G%d[N][N];\n", a)
+	}
+	b.WriteString("void kernel_gen() {\n#pragma omp parallel for schedule(dynamic)\n")
+	b.WriteString("for (i = 2; i < N - 2; i++) {\nfor (j = 2; j < N - 2; j++) {\n")
+	for s := 0; s < 40; s++ {
+		d, src := 1+s%2, (s*5+1)%6
+		fmt.Fprintf(&b, "G%d[i][j] = (G%d[i-%d][j] + G%d[i][j+%d] + %d.5 * G%d[i][j]) / %d.0;\n",
+			s%6, src, d, src, d, 1+s%7, src, 3+s%4)
+	}
+	b.WriteString("}\n}\n}\n")
+	prog, low, err := frontend.Compile("gen", b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := programl.FromFunction(prog.Regions[0].ID, low.RegionFunc[prog.Regions[0].ID])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestClusterDeadlineShedE2E: a request whose X-Deadline budget cannot
 // possibly be met is shed as a typed deadline_exceeded 504 — at the
 // gate, and independently at a replica — while a generous budget passes
-// untouched.
+// untouched. The body is a large generated graph, so that reading and
+// decoding it alone (over 0.3 ms at each tier) outlasts the tiny budget.
 func TestClusterDeadlineShedE2E(t *testing.T) {
 	c := testutil.StartCluster(t, 2)
 	cl := c.Client(client.WithRetries(0, time.Millisecond))
-	graph := corpusGraph(t, 0)
+	graph := largeGraph(t)
 	chaosPredict(t, cl, "haswell", graph)
 
 	body, err := json.Marshal(api.PredictRequest{
@@ -223,7 +260,7 @@ func TestClusterDeadlineShedE2E(t *testing.T) {
 		{"replica", c.Replicas[0].URL},
 	} {
 		// 50µs of remaining budget: positive (so it passes admission and
-		// exercises the in-flight timeout), but unmeetable.
+		// exercises the in-flight timeout), but shorter than the decode.
 		resp, eb := post(target.base, "0.050")
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("%s: tiny budget: status %d, want 504", target.name, resp.StatusCode)

@@ -3,6 +3,7 @@ package testutil_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,8 +13,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pnptuner/internal/api"
+	"pnptuner/internal/client"
 	"pnptuner/internal/core"
 	"pnptuner/internal/registry"
 	"pnptuner/internal/telemetry"
@@ -136,6 +139,41 @@ func TestServingContract(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest ||
 				env.Error.Code != api.CodeBadRequest {
 				t.Fatalf("status %d, code %q (%v); want 400 %s", resp.StatusCode, env.Error.Code, err, api.CodeBadRequest)
+			}
+		})
+	}
+
+	// A declared Content-Length over the body limit is refused before any
+	// of the body is read: a raw request that sends none still gets its
+	// 413. The SDK, which sends the whole body, sees the same envelope
+	// rather than a broken connection; so does the plain http.Client of
+	// the "trailing bytes past the body limit" row.
+	over := predictBody(contractGraph("r", "load double", "")) + strings.Repeat(" ", api.MaxRequestBytes)
+	for _, tier := range tiers {
+		t.Run(tier.name+"/body/declared over the body limit", func(t *testing.T) {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(tier.url, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second)) // a server waiting for the body fails, not hangs
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: contract\r\nContent-Length: %d\r\n\r\n",
+				api.PathPredict, api.MaxRequestBytes+1)
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env api.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge ||
+				env.Error.Code != api.CodeGraphTooLarge {
+				t.Fatalf("status %d, code %q (%v); want 413 %s", resp.StatusCode, env.Error.Code, err, api.CodeGraphTooLarge)
+			}
+		})
+		t.Run(tier.name+"/body/over the body limit through the SDK", func(t *testing.T) {
+			cl := client.New(tier.url, client.WithRetries(0, time.Millisecond))
+			if _, err := cl.PredictBody(context.Background(), []byte(over)); !client.IsCode(err, api.CodeGraphTooLarge) {
+				t.Fatalf("SDK error %v, want code %s", err, api.CodeGraphTooLarge)
 			}
 		})
 	}

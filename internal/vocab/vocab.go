@@ -65,13 +65,6 @@ func (v *Vocabulary) Size() int {
 	return len(v.texts)
 }
 
-// Token returns the id for text, interning it if the vocabulary is open.
-func (v *Vocabulary) Token(text string) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.intern(text)
-}
-
 // Text returns the text of token id, or "<unk>".
 func (v *Vocabulary) Text(id int) string {
 	v.mu.Lock()
@@ -82,10 +75,32 @@ func (v *Vocabulary) Text(id int) string {
 	return v.texts[id]
 }
 
-// Annotate fills g.Nodes[i].Token for every node.
+// Annotate fills g.Nodes[i].Token for every node, interning each new
+// text while the vocabulary is open.
 func (v *Vocabulary) Annotate(g *programl.Graph) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	for i := range g.Nodes {
-		g.Nodes[i].Token = v.Token(g.Nodes[i].Text)
+		g.Nodes[i].Token = v.intern(g.Nodes[i].Text)
+	}
+}
+
+// Interner returns programl.DecodePredict's intern input for a frozen
+// vocabulary: a text in the vocabulary gets the vocabulary's own string,
+// found without allocating, and any other a string of its own. An open
+// vocabulary, which may still grow, returns nil.
+func (v *Vocabulary) Interner() func([]byte) string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !v.frozen {
+		return nil
+	}
+	ids, texts := v.ids, v.texts // a frozen vocabulary never changes them
+	return func(b []byte) string {
+		if id, ok := ids[string(b)]; ok {
+			return texts[id]
+		}
+		return string(b)
 	}
 }
 

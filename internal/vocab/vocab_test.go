@@ -29,19 +29,50 @@ func TestUnknownTokenIsZero(t *testing.T) {
 	}
 }
 
+// token annotates a one-node graph of text and returns its token.
+func token(v *Vocabulary, text string) int {
+	g := &programl.Graph{Nodes: []programl.Node{{Text: text}}}
+	v.Annotate(g)
+	return g.Nodes[0].Token
+}
+
 func TestFreezeRejectsNewTexts(t *testing.T) {
 	v := New()
-	id := v.Token("something brand new")
+	id := token(v, "something brand new")
 	if id == UnknownToken {
 		t.Fatal("open vocab should intern new text")
 	}
 	v.Freeze()
-	if got := v.Token("another new thing"); got != UnknownToken {
+	if got := token(v, "another new thing"); got != UnknownToken {
 		t.Fatalf("frozen vocab interned new text as %d", got)
 	}
 	// Existing text still resolves after freezing.
-	if got := v.Token("something brand new"); got != id {
+	if got := token(v, "something brand new"); got != id {
 		t.Fatalf("frozen vocab lost existing text: %d != %d", got, id)
+	}
+}
+
+// TestInterner: only a frozen vocabulary interns, a known text gets the
+// vocabulary's own string without allocating, and an unknown one a copy
+// of its bytes.
+func TestInterner(t *testing.T) {
+	v := New()
+	if v.Interner() != nil {
+		t.Fatal("an open vocabulary returned an interner")
+	}
+	v.Freeze()
+	intern := v.Interner()
+	known, unknown := []byte("fadd double"), []byte("no such text")
+	if got := intern(known); got != "fadd double" {
+		t.Fatalf("known text interned as %q", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { intern(known) }); allocs != 0 {
+		t.Fatalf("a known text allocated %.0f times", allocs)
+	}
+	got := intern(unknown)
+	unknown[0] = 'N'
+	if got != "no such text" {
+		t.Fatalf("unknown text interned as %q, after its bytes changed", got)
 	}
 }
 
